@@ -149,6 +149,8 @@ class DistanceTable:
     graph: Graph
     d: tuple[tuple, ...]
     between: tuple[tuple[int, ...], ...] = field(repr=False)
+    _layers: dict[tuple[int, int], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def dist(self, u: int, v: int):
         return self.d[u][v]
@@ -168,16 +170,24 @@ class DistanceTable:
                     best = x
         return best
 
-    def geodesic_layer_masks(self, u: int, v: int) -> list[int]:
-        """Masks of on-geodesic vertices at hop k from ``u``, k = 0..d(u,v)."""
-        duv = self.d[u][v]
-        if duv == INF:
-            raise GraphError(f"no path between {u} and {v}")
-        layers = [0] * (int(duv) + 1)
-        layers[0] = 1 << u
-        layers[int(duv)] = 1 << v
-        for w in iter_bits(self.between[u][v]):
-            layers[int(self.d[u][w])] |= 1 << w
+    def geodesic_layer_masks(self, u: int, v: int) -> tuple[int, ...]:
+        """Masks of on-geodesic vertices at hop k from ``u``, k = 0..d(u,v).
+
+        Memoized per unordered pair: ``(v, u)`` gets the same layers reversed.
+        """
+        if u > v:
+            return self.geodesic_layer_masks(v, u)[::-1]
+        layers = self._layers.get((u, v))
+        if layers is None:
+            duv = self.d[u][v]
+            if duv == INF:
+                raise GraphError(f"no path between {u} and {v}")
+            out = [0] * (duv + 1)
+            out[0] = 1 << u
+            out[duv] = 1 << v
+            for w in iter_bits(self.between[u][v]):
+                out[self.d[u][w]] |= 1 << w
+            layers = self._layers[(u, v)] = tuple(out)
         return layers
 
 
@@ -200,19 +210,6 @@ def distances(g: Graph) -> DistanceTable:
             between[u][v] = m
     return DistanceTable(g, tuple(tuple(row) for row in d),
                          tuple(tuple(row) for row in between))
-
-
-def in_interval(t: DistanceTable, u: int, v: int, w: int) -> bool:
-    """True iff ``w`` lies on at least one ``u,v``-geodesic.
-
-    Requires d(u,v) finite; endpoints always count as on-geodesic.
-    """
-    duv = t.d[u][v]
-    if duv == INF:
-        raise GraphError(f"no path between {u} and {v}")
-    if w == u or w == v:
-        return True
-    return bool(t.between[u][v] >> w & 1)
 
 
 @dataclass(frozen=True)
@@ -278,21 +275,25 @@ def geodesic_exists_avoiding(t: DistanceTable, g: Graph, u: int, v: int,
 
     Layered dynamic programming over the geodesic DAG: a vertex at hop k is
     reachable when it has a reachable neighbor at hop k-1.  The endpoints are
-    exempt from ``forbidden``.
+    exempt from ``forbidden``.  This sits in the innermost loop of the
+    visibility searches, so once a pair's layers are cached it costs one
+    dict lookup before the sweep.
     """
-    duv = t.d[u][v]
-    if duv == INF:
-        raise GraphError(f"no path between {u} and {v}")
-    if duv <= 1:
+    if u > v:
+        u, v = v, u
+    layers = t._layers.get((u, v))
+    if layers is None:
+        layers = t.geodesic_layer_masks(u, v)
+    if len(layers) <= 2:
         return True
-    layers = t.geodesic_layer_masks(u, v)
     blocked = forbidden & ~(1 << u) & ~(1 << v)
+    adj = g.adj
     reach = 1 << u
-    for k in range(1, int(duv) + 1):
+    for k in range(1, len(layers)):
         nxt = 0
         for x in iter_bits(reach):
-            nxt |= g.adj[x]
+            nxt |= adj[x]
         reach = nxt & layers[k] & ~blocked
         if not reach:
             return False
-    return bool(reach >> v & 1)
+    return True

@@ -36,9 +36,6 @@ class ShadowGraph:
             return v + self.base_n
         return v - self.base_n
 
-    def is_shadow_vertex(self, v: int) -> bool:
-        return v >= self.base_n
-
     def shadow_side_mask(self) -> VertexMask:
         return ((1 << self.base_n) - 1) << self.base_n
 
@@ -81,14 +78,6 @@ def star_shadow(g: Graph) -> Graph:
     rows.append(shadow_mask)
     labels = tuple(sg.graph.label(u) for u in range(2 * n)) + ("s*",)
     return Graph(2 * n + 1, tuple(rows), labels)
-
-
-def iterated_star_shadow(g: Graph, rounds: int) -> Graph:
-    """Apply :func:`star_shadow` ``rounds`` times (convenience loop)."""
-    out = g
-    for _ in range(rounds):
-        out = star_shadow(out)
-    return out
 
 
 def shadow_distance_violations(sg: ShadowGraph,
@@ -175,7 +164,8 @@ def pi_partition(sg: ShadowGraph, s: VertexMask) -> PiPartition:
         v3=base_bits & ~twin_bits & full,
         v4=~base_bits & ~twin_bits & full,
     )
-    assert s.bit_count() == n + part.n1 - part.n4
+    if s.bit_count() != n + part.n1 - part.n4:
+        raise RuntimeError(f"pi partition of {s:#x} breaks |S| = n + n1 - n4")
     return part
 
 

@@ -24,6 +24,7 @@ from .graph_core import (
     INF,
     VertexMask,
     distances,
+    geodesic_exists_avoiding,
     is_connected,
     iter_bits,
     mask_to_sorted_list,
@@ -99,36 +100,6 @@ class BudgetExhausted(Exception):
 # Incremental feasibility checkers
 
 
-class _PairVisibility:
-    """Shared fast geodesic-visibility test with cached layer masks."""
-
-    def __init__(self, g: Graph, t: DistanceTable):
-        self.g = g
-        self.t = t
-        self._layers: dict[tuple[int, int], list[int]] = {}
-
-    def visible(self, u: int, v: int, forbidden: int) -> bool:
-        d = self.t.d[u][v]
-        if d <= 1:
-            return True
-        key = (u, v) if u < v else (v, u)
-        layers = self._layers.get(key)
-        if layers is None:
-            layers = self.t.geodesic_layer_masks(key[0], key[1])
-            self._layers[key] = layers
-        blocked = forbidden & ~(1 << u) & ~(1 << v)
-        adj = self.g.adj
-        reach = layers[0]
-        for k in range(1, len(layers)):
-            nxt = 0
-            for x in iter_bits(reach):
-                nxt |= adj[x]
-            reach = nxt & layers[k] & ~blocked
-            if not reach:
-                return False
-        return True
-
-
 class _GpChecker:
     def __init__(self, g: Graph, t: DistanceTable, independent: bool):
         self.t = t
@@ -165,7 +136,7 @@ class _GpChecker:
 
 class _MvChecker:
     def __init__(self, g: Graph, t: DistanceTable, independent: bool):
-        self.vis = _PairVisibility(g, t)
+        self.g = g
         self.t = t
         self.adj = g.adj
         self.independent = independent
@@ -178,13 +149,14 @@ class _MvChecker:
         if self.independent and self.nbr_mask >> w & 1:
             return False
         new_mask = self.mask | (1 << w)
+        g, t = self.g, self.t
         for x in self.members:
-            if not self.vis.visible(w, x, new_mask):
+            if not geodesic_exists_avoiding(t, g, w, x, new_mask):
                 return False
-        btw = self.t.between
+        btw = t.between
         # Pairs already in the set are only affected when w can lie between them.
         for x, y in itertools.combinations(self.members, 2):
-            if btw[x][y] >> w & 1 and not self.vis.visible(x, y, new_mask):
+            if btw[x][y] >> w & 1 and not geodesic_exists_avoiding(t, g, x, y, new_mask):
                 return False
         self._stack.append(self.nbr_mask)
         self.nbr_mask |= self.adj[w]
@@ -200,7 +172,8 @@ class _MvChecker:
 
 class _TmvChecker:
     def __init__(self, g: Graph, t: DistanceTable, independent: bool):
-        self.vis = _PairVisibility(g, t)
+        self.g = g
+        self.t = t
         self.adj = g.adj
         self.independent = independent
         self.members: list[int] = []
@@ -218,8 +191,9 @@ class _TmvChecker:
         if self.independent and self.nbr_mask >> w & 1:
             return False
         new_mask = self.mask | (1 << w)
+        g, t = self.g, self.t
         for u, v in self.pairs_through[w]:
-            if not self.vis.visible(u, v, new_mask):
+            if not geodesic_exists_avoiding(t, g, u, v, new_mask):
                 return False
         self._stack.append(self.nbr_mask)
         self.nbr_mask |= self.adj[w]
@@ -331,7 +305,8 @@ def _canonical_witness(prop, g, t, target, budget) -> tuple[VertexMask, int]:
                 size += 1
             else:
                 checker.pop()
-    assert size == target
+    if size != target:
+        raise RuntimeError(f"canonical witness reached size {size}, expected {target}")
     return checker.mask, state["nodes"]
 
 
@@ -361,7 +336,8 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
             nodes += extra
         except BudgetExhausted:
             search.exact = False
-    assert check_property(prop, g, t, witness)
+    if not check_property(prop, g, t, witness):
+        raise RuntimeError(f"max_set witness failed the {prop.value} certification")
     return InvariantReport(
         invariant=_PROPERTY_CODE[prop],
         value=search.best,
@@ -438,7 +414,8 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
             if checker.mask.bit_count() > best_mask.bit_count():
                 best_mask = checker.mask
         restart += 1
-    assert check_property(prop, g, t, best_mask)
+    if not check_property(prop, g, t, best_mask):
+        raise RuntimeError(f"heuristic witness failed the {prop.value} certification")
     return InvariantReport(
         invariant=_PROPERTY_CODE[prop],
         value=best_mask.bit_count(),

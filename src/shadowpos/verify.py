@@ -1,7 +1,14 @@
 """Statement-replay harness: one named suite per claimed formula or bound.
 
-Each suite generates its instance range, runs the exact (or, where noted,
-heuristic) solvers, and compares against a closed form or inequality.
+There are three kinds of suite.  The closed-form suites are rows of one
+table: each names a graph family, a parameter sweep, a set property and
+the claimed formula, and one shared check computes the exact value on the
+shadow of every family member.  The per-graph fuzz checks run the exact
+solvers on every small connected graph up to isomorphism and test a bound
+or a structural lemma; :func:`fuzz` runs them side by side per graph.
+``mu-balloon`` looks for a mutual-visibility set of the claimed size with
+the heuristic search.
+
 Failures carry a serialized counterexample (graph6 plus witness) so they
 can be replayed in isolation.  Instances whose search budget runs out are
 reported SKIPPED, never silently passed.
@@ -12,11 +19,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
 
 from .families import FamilySpec, canonical_key, enumerate_connected, generate, random_tree
-from .formats import graph_to_graph6
+from .formats import graph6_to_graph, graph_to_graph6
 from .graph_core import Graph, GraphError, mask_to_sorted_list, structural_queries
 from .shadow import gp_partition_violations, shadow, shadow_distance_violations
 from .solvers import (
@@ -54,11 +61,7 @@ class InstanceResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "key": self.key, "status": self.status, "expected": self.expected,
-            "actual": self.actual, "graph6": self.graph6, "witness": self.witness,
-            "note": self.note,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -99,6 +102,8 @@ def worker_count() -> int:
             return max(1, int(raw))
         except ValueError:
             raise GraphError(f"SHADOWPOS_THREADS must be an integer, got {raw!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -164,11 +169,10 @@ def _connected_reps_g6(n_max: int) -> tuple[str, ...]:
 
 
 def _graph_from_payload(payload: dict) -> Graph:
-    from .formats import graph6_to_graph
     if "graph6" in payload:
         return graph6_to_graph(payload["graph6"])
     return generate(FamilySpec(payload["family"], tuple(payload["params"]),
-                               payload.get("fseed")))
+                               payload["fseed"]))
 
 
 def _exact_value(prop: SetProperty, g: Graph, budget: int) -> tuple[Optional[int], InvariantReport]:
@@ -184,79 +188,17 @@ def _compare(key: str, g: Graph, actual: Optional[int], expected_desc: str,
     return InstanceResult(
         key, PASS if ok else FAIL, expected_desc, str(actual),
         graph6=graph_to_graph6(g) if not ok else None,
-        witness=witness if not ok else witness,
+        witness=witness,
         note=note,
     )
 
 
 # ---------------------------------------------------------------------------
-# Suite instance builders and checkers
+# Closed-form suites: one SUITES row per family formula, one shared check
 
 
-def _instances_gp_complete(p: SuiteParams) -> list[dict]:
-    top = p.n_max if p.n_max is not None else 8
-    return [{"n": n, "budget": p.budget} for n in range(2, top + 1)]
-
-
-def _check_gp_complete(payload: dict) -> InstanceResult:
-    n = payload["n"]
-    g = generate(FamilySpec("complete", (n,)))
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.GP, sg, payload["budget"])
-    exp = expected_gp_shadow_complete(n)
-    return _compare(f"K_{n}", sg, value, str(exp),
-                    None if value is None else value == exp,
-                    witness=mask_to_sorted_list(r.witness))
-
-
-def _instances_gp_bipartite(p: SuiteParams) -> list[dict]:
-    top = p.n_max if p.n_max is not None else 5
-    return [{"m": m, "n": n, "budget": p.budget}
-            for n in range(2, top + 1) for m in range(n, top + 1)]
-
-
-def _check_gp_bipartite(payload: dict) -> InstanceResult:
-    m, n = payload["m"], payload["n"]
-    g = generate(FamilySpec("complete_bipartite", (m, n)))
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.GP, sg, payload["budget"])
-    exp = expected_gp_shadow_bipartite(m, n)
-    return _compare(f"K_{{{m},{n}}}", sg, value, str(exp),
-                    None if value is None else value == exp,
-                    witness=mask_to_sorted_list(r.witness))
-
-
-def _instances_gp_cycles(p: SuiteParams) -> list[dict]:
-    top = p.n_max if p.n_max is not None else 10
-    return [{"n": n, "budget": p.budget} for n in range(3, top + 1)]
-
-
-def _check_gp_cycles(payload: dict) -> InstanceResult:
-    n = payload["n"]
-    sg = shadow(generate(FamilySpec("cycle", (n,)))).graph
-    value, r = _exact_value(SetProperty.GP, sg, payload["budget"])
-    exp = expected_gp_shadow_cycle(n)
-    return _compare(f"C_{n}", sg, value, str(exp),
-                    None if value is None else value == exp,
-                    witness=mask_to_sorted_list(r.witness))
-
-
-def _instances_mu_cycles(p: SuiteParams) -> list[dict]:
-    top = p.n_max if p.n_max is not None else 9
-    return [{"n": n, "budget": p.budget} for n in range(3, top + 1)]
-
-
-def _check_mu_cycles(payload: dict) -> InstanceResult:
-    n = payload["n"]
-    sg = shadow(generate(FamilySpec("cycle", (n,)))).graph
-    value, r = _exact_value(SetProperty.MV, sg, payload["budget"])
-    exp = expected_mu_shadow_cycle(n)
-    return _compare(f"C_{n}", sg, value, str(exp),
-                    None if value is None else value == exp,
-                    witness=mask_to_sorted_list(r.witness))
-
-
-def _clique_multisets(n_total_max: int) -> list[tuple[int, ...]]:
+def _multisets(total: int) -> list[tuple[int, ...]]:
+    """Sorted multisets of two or more sizes >= 2 whose sum is at most ``total``."""
     out = []
 
     def rec(prefix, min_size, remaining):
@@ -265,58 +207,12 @@ def _clique_multisets(n_total_max: int) -> list[tuple[int, ...]]:
         for s in range(min_size, remaining + 1):
             rec(prefix + [s], s, remaining - s)
 
-    rec([], 2, n_total_max - 1)
+    rec([], 2, total)
     return sorted(out)
 
 
-def _instances_gp_join(p: SuiteParams) -> list[dict]:
-    top = p.n_max if p.n_max is not None else 9
-    return [{"orders": list(o), "budget": p.budget} for o in _clique_multisets(top)]
-
-
-def _check_gp_join(payload: dict) -> InstanceResult:
-    orders = tuple(payload["orders"])
-    g = generate(FamilySpec("join_k1_cliques", orders))
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.GP, sg, payload["budget"])
-    exp = expected_gp_shadow_join(orders)
-    return _compare(f"K_1+{list(orders)}", sg, value, str(exp),
-                    None if value is None else value == exp,
-                    witness=mask_to_sorted_list(r.witness))
-
-
-def _part_multisets(n_total_max: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix, min_size, remaining):
-        if len(prefix) >= 2:
-            out.append(tuple(prefix))
-        for s in range(min_size, remaining + 1):
-            rec(prefix + [s], s, remaining - s)
-
-    rec([], 2, n_total_max)
-    return sorted(out)
-
-
-def _instances_mu_multipartite(p: SuiteParams) -> list[dict]:
-    top = p.n_max if p.n_max is not None else 8
-    return [{"parts": list(parts), "budget": p.budget}
-            for parts in _part_multisets(top)]
-
-
-def _check_mu_multipartite(payload: dict) -> InstanceResult:
-    parts = tuple(payload["parts"])
-    g = generate(FamilySpec("complete_multipartite", parts))
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.MV, sg, payload["budget"])
-    exp = expected_mu_shadow_multipartite(parts)
-    return _compare(f"K_{list(parts)}", sg, value, str(exp),
-                    None if value is None else value == exp,
-                    witness=mask_to_sorted_list(r.witness))
-
-
-def _tree_instances(p: SuiteParams, default_n_max: int, min_diam: int) -> list[dict]:
-    top = p.n_max if p.n_max is not None else default_n_max
+def _random_trees(top: int, p: SuiteParams, min_diam: int) -> list[tuple[tuple[int, ...], int]]:
+    """Sweep over ``p.tree_count`` seeded random trees of diameter >= ``min_diam``."""
     out = []
     attempt = 0
     while len(out) < p.tree_count and attempt < 50 * p.tree_count:
@@ -325,38 +221,39 @@ def _tree_instances(p: SuiteParams, default_n_max: int, min_diam: int) -> list[d
         n = 2 + (fseed * 2654435761 % (top - 1)) if top > 2 else 2
         t = random_tree(max(2, n), fseed)
         if structural_queries(t).diameter >= min_diam:
-            out.append({"n": t.n, "fseed": fseed, "budget": p.budget})
+            out.append(((t.n,), fseed))
     return out
 
 
-def _instances_gp_trees(p: SuiteParams) -> list[dict]:
-    return _tree_instances(p, default_n_max=10, min_diam=2)
+def _closed_form(suite_id: str, description: str, family: str, sweep: Callable,
+                 n_max: int, prop: SetProperty, expected: Callable, key: str) -> SuiteDef:
+    """A suite that compares exact ``prop`` on family shadows with a formula.
+
+    ``sweep(top, p)`` lists ``(family params, family seed)`` pairs up to the
+    order cap ``top``, which is ``p.n_max`` or else ``n_max``.
+    ``expected(params, g)`` is the claimed value for the base graph ``g``.
+    ``key`` is formatted with the family params as positional fields, the
+    params list as ``{params}`` and the family seed as ``{fseed}``.
+    """
+    def instances(p: SuiteParams) -> list[dict]:
+        top = p.n_max if p.n_max is not None else n_max
+        return [{"family": family, "params": list(params), "fseed": fseed,
+                 "budget": p.budget} for params, fseed in sweep(top, p)]
+
+    def check(payload: dict) -> InstanceResult:
+        params = tuple(payload["params"])
+        g = _graph_from_payload(payload)
+        sg = shadow(g).graph
+        value, r = _exact_value(prop, sg, payload["budget"])
+        exp = expected(params, g)
+        return _compare(key.format(*params, params=list(params), fseed=payload["fseed"]), sg,
+                        value, str(exp), value == exp, witness=mask_to_sorted_list(r.witness))
+
+    return SuiteDef(suite_id, description, instances, check)
 
 
-def _check_gp_trees(payload: dict) -> InstanceResult:
-    t = random_tree(payload["n"], payload["fseed"])
-    s = structural_queries(t)
-    sg = shadow(t).graph
-    value, r = _exact_value(SetProperty.GP, sg, payload["budget"])
-    exp = expected_gp_shadow_tree(s.leaf_count)
-    return _compare(f"tree(n={t.n},seed={payload['fseed']})", sg, value, str(exp),
-                    None if value is None else value == exp,
-                    witness=mask_to_sorted_list(r.witness))
-
-
-def _instances_mu_trees(p: SuiteParams) -> list[dict]:
-    return _tree_instances(p, default_n_max=9, min_diam=3)
-
-
-def _check_mu_trees(payload: dict) -> InstanceResult:
-    t = random_tree(payload["n"], payload["fseed"])
-    s = structural_queries(t)
-    sg = shadow(t).graph
-    value, r = _exact_value(SetProperty.MV, sg, payload["budget"])
-    exp = expected_mu_shadow_tree(t.n, s.leaf_count)
-    return _compare(f"tree(n={t.n},seed={payload['fseed']})", sg, value, str(exp),
-                    None if value is None else value == exp,
-                    witness=mask_to_sorted_list(r.witness))
+# ---------------------------------------------------------------------------
+# Per-graph fuzz checks, over the connected graphs of each order up to a cap
 
 
 def _fuzz_instances(p: SuiteParams, default_n_max: int, min_n: int = 2) -> list[dict]:
@@ -556,43 +453,53 @@ class SuiteDef:
     check_instance: Callable[[dict], InstanceResult]
 
 
-def _fuzz6(p):
-    return _fuzz_instances(p, 6)
-
-
-def _fuzz7(p):
-    return _fuzz_instances(p, 7)
+_fuzz6 = partial(_fuzz_instances, default_n_max=6)
+_fuzz7 = partial(_fuzz_instances, default_n_max=7)
 
 
 SUITES: dict[str, SuiteDef] = {s.id: s for s in [
-    SuiteDef("gp-complete", "gp(S(K_n)) = n", _instances_gp_complete, _check_gp_complete),
-    SuiteDef("gp-bipartite", "gp(S(K_{m,n})) = 2 max(m,n)",
-             _instances_gp_bipartite, _check_gp_bipartite),
+    _closed_form("gp-complete", "gp(S(K_n)) = n",
+                 "complete", lambda top, p: [((n,), None) for n in range(2, top + 1)], 8,
+                 SetProperty.GP, lambda p, g: expected_gp_shadow_complete(*p), "K_{0}"),
+    _closed_form("gp-bipartite", "gp(S(K_{m,n})) = 2 max(m,n)",
+                 "complete_bipartite", lambda top, p: [
+                     ((m, n), None) for n in range(2, top + 1) for m in range(n, top + 1)], 5,
+                 SetProperty.GP, lambda p, g: expected_gp_shadow_bipartite(*p), "K_{{{0},{1}}}"),
     SuiteDef("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", _fuzz6, _check_gp_diam3),
-    SuiteDef("gp-join", "gp(S(K_1 + cliques)) = n + t_1 - 1",
-             _instances_gp_join, _check_gp_join),
+    _closed_form("gp-join", "gp(S(K_1 + cliques)) = n + t_1 - 1",
+                 "join_k1_cliques", lambda top, p: [(o, None) for o in _multisets(top - 1)], 9,
+                 SetProperty.GP, lambda p, g: expected_gp_shadow_join(p), "K_1+{params}"),
     SuiteDef("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound",
              _fuzz6, _check_gp_sandwich),
     SuiteDef("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n",
              _fuzz7, _check_gp_regular_tf),
-    SuiteDef("gp-cycles", "piecewise formula for gp(S(C_n))",
-             _instances_gp_cycles, _check_gp_cycles),
-    SuiteDef("gp-trees", "gp(S(T)) = 2 l(T) for diam >= 2",
-             _instances_gp_trees, _check_gp_trees),
+    _closed_form("gp-cycles", "piecewise formula for gp(S(C_n))",
+                 "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 10,
+                 SetProperty.GP, lambda p, g: expected_gp_shadow_cycle(*p), "C_{0}"),
+    _closed_form("gp-trees", "gp(S(T)) = 2 l(T) for diam >= 2",
+                 "random_tree", partial(_random_trees, min_diam=2), 10,
+                 SetProperty.GP,
+                 lambda p, g: expected_gp_shadow_tree(structural_queries(g).leaf_count),
+                 "tree(n={0},seed={fseed})"),
     SuiteDef("mu-bounds", "max{n, 2 mu_i, 2 max-degree} <= mu(S(G)) <= min{n + mu, 2n - 2}",
              _fuzz6, _check_mu_bounds),
-    SuiteDef("mu-multipartite", "mu(S(K_{n_1..n_k})) = 2n - 2",
-             _instances_mu_multipartite, _check_mu_multipartite),
+    _closed_form("mu-multipartite", "mu(S(K_{n_1..n_k})) = 2n - 2",
+                 "complete_multipartite", lambda top, p: [(o, None) for o in _multisets(top)], 8,
+                 SetProperty.MV, lambda p, g: expected_mu_shadow_multipartite(p), "K_{params}"),
     SuiteDef("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", _fuzz6, _check_mu_leaf),
     SuiteDef("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it",
              _fuzz6, _check_mu_muit),
-    SuiteDef("mu-trees", "mu(S(T)) = n + l for diam >= 3",
-             _instances_mu_trees, _check_mu_trees),
+    _closed_form("mu-trees", "mu(S(T)) = n + l for diam >= 3",
+                 "random_tree", partial(_random_trees, min_diam=3), 9,
+                 SetProperty.MV, lambda p, g: expected_mu_shadow_tree(
+                     g.n, structural_queries(g).leaf_count),
+                 "tree(n={0},seed={fseed})"),
     SuiteDef("mu-balloon", "balloon: mu_t = 0 and mv set of size 6k + 1 in the shadow",
              _instances_mu_balloon, _check_mu_balloon),
     SuiteDef("mu-char", "mu(S(G)) small-value characterization", _fuzz6, _check_mu_char),
-    SuiteDef("mu-cycles", "piecewise formula for mu(S(C_n))",
-             _instances_mu_cycles, _check_mu_cycles),
+    _closed_form("mu-cycles", "piecewise formula for mu(S(C_n))",
+                 "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 9,
+                 SetProperty.MV, lambda p, g: expected_mu_shadow_cycle(*p), "C_{0}"),
     SuiteDef("lemma-distance", "shadow distance clauses", _fuzz7, _check_lemma_distance),
     SuiteDef("lemma-partition", "gp-partition structural clauses",
              _fuzz6, _check_lemma_partition),
@@ -645,7 +552,7 @@ _FUZZ_SUITE_BY_PROPERTY = {
 
 
 def fuzz(n_max: int, properties: Optional[Iterable[SetProperty]] = None,
-         seed: int = 0, budget: int = DEFAULT_NODE_BUDGET):
+         budget: int = DEFAULT_NODE_BUDGET):
     """Run every applicable per-graph check over all small connected graphs.
 
     Yields one record per enumerated graph (dedup by isomorphism class);
@@ -660,7 +567,7 @@ def fuzz(n_max: int, properties: Optional[Iterable[SetProperty]] = None,
         suite_ids = tuple(dict.fromkeys(suite_ids))
     for g in enumerate_connected(n_max, dedup=True):
         g6 = graph_to_graph6(g)
-        payload = {"graph6": g6, "budget": budget, "seed": seed}
+        payload = {"graph6": g6, "budget": budget}
         checks = {}
         # Every check involves the shadow, which needs at least one edge.
         for sid in suite_ids if g.n >= 2 else ():

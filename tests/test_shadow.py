@@ -6,7 +6,6 @@ from shadowpos.families import canonical_key, generate, parse_family_spec
 from shadowpos.graph_core import GraphError, build_graph, structural_queries
 from shadowpos.shadow import (
     gp_partition_violations,
-    iterated_star_shadow,
     pi_partition,
     shadow,
     shadow_distance_violations,
@@ -58,7 +57,7 @@ def test_star_shadow_shape():
 
 def test_iterated_star_shadow_stays_triangle_free():
     g = generate(parse_family_spec("cycle:5"))
-    h = iterated_star_shadow(g, 2)
+    h = star_shadow(star_shadow(g))
     assert h.n == 23
     assert structural_queries(h).is_triangle_free
 

@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shadowpos
 from shadowpos.families import enumerate_connected, generate, parse_family_spec
 from shadowpos.graph_core import GraphError, build_graph, distances, mask_to_sorted_list
 from shadowpos.shadow import shadow, star_shadow
@@ -81,6 +86,27 @@ def test_budget_exhaustion_reports_lower_bound():
     assert full.exact
     assert r.value <= full.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
+
+
+def test_certification_survives_optimize_flag():
+    # `python -O` strips assert statements; the witness check must still run.
+    script = """
+if __debug__:
+    raise SystemExit("not running under -O")
+import shadowpos.solvers as solvers
+from shadowpos.families import generate, parse_family_spec
+from shadowpos.visibility import SetProperty
+solvers.check_property = lambda *args: False
+try:
+    solvers.max_set(SetProperty.GP, generate(parse_family_spec("cycle:5")))
+except RuntimeError:
+    raise SystemExit(0)
+raise SystemExit("max_set returned an uncertified witness")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(shadowpos.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_heuristic_is_valid_deterministic_and_bounded():

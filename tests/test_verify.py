@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from shadowpos.graph_core import GraphError
@@ -42,12 +44,23 @@ def test_closed_forms():
 
 
 def test_all_suite_ids_present():
-    assert set(SUITES) == {
+    # `verify --suite all` runs and prints the suites in this order.
+    assert list(SUITES) == [
         "gp-complete", "gp-bipartite", "gp-diam3", "gp-join", "gp-sandwich",
         "gp-regular-tf", "gp-cycles", "gp-trees", "mu-bounds",
         "mu-multipartite", "mu-leaf", "mu-muit", "mu-trees", "mu-balloon",
         "mu-char", "mu-cycles", "lemma-distance", "lemma-partition",
         "ip-ic-bounds",
+    ]
+    # Default ranges of the closed-form suites: instance count and the
+    # largest sum of family parameters.
+    ranges = {sid: [sum(p["params"]) for p in SUITES[sid].make_instances(SuiteParams())]
+              for sid in ("gp-complete", "gp-bipartite", "gp-join", "gp-cycles",
+                          "mu-multipartite", "mu-cycles", "gp-trees", "mu-trees")}
+    assert {sid: (len(s), max(s)) for sid, s in ranges.items()} == {
+        "gp-complete": (7, 8), "gp-bipartite": (10, 10), "gp-join": (14, 8),
+        "gp-cycles": (8, 10), "mu-multipartite": (14, 8), "mu-cycles": (7, 9),
+        "gp-trees": (50, 10), "mu-trees": (50, 9),
     }
 
 
@@ -72,6 +85,9 @@ def test_multipartite_suite_documents_three_part_deviation():
     # come out exactly one below it (independently brute-force confirmed).
     rep = run_suite("mu-multipartite", SuiteParams(n_max=6), workers=1)
     by_key = {r.key: r for r in rep.results}
+    # Every multiset of >= 2 part sizes >= 2 with total order <= 6.
+    assert set(by_key) == {"K_[2, 2]", "K_[2, 3]", "K_[2, 4]", "K_[3, 3]",
+                           "K_[2, 2, 2]"}
     assert by_key["K_[2, 2]"].status == PASS
     assert by_key["K_[3, 3]"].status == PASS
     bad = by_key["K_[2, 2, 2]"]
@@ -83,6 +99,9 @@ def test_multipartite_suite_documents_three_part_deviation():
 def test_join_suite_documents_t1_zero_deviation():
     rep = run_suite("gp-join", SuiteParams(n_max=7), workers=1)
     by_key = {r.key: r for r in rep.results}
+    # Every multiset of >= 2 clique orders >= 2 with 1 + total order <= 7.
+    assert set(by_key) == {"K_1+[2, 2]", "K_1+[2, 3]", "K_1+[2, 4]", "K_1+[3, 3]",
+                           "K_1+[2, 2, 2]"}
     assert by_key["K_1+[2, 2]"].status == PASS
     assert by_key["K_1+[2, 4]"].status == PASS
     bad = by_key["K_1+[3, 3]"]
@@ -166,3 +185,12 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("SHADOWPOS_THREADS")
     assert worker_count() >= 1
+    # The CPUs this process may run on count, not all CPUs of the machine.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert worker_count() == 2
+    monkeypatch.setenv("SHADOWPOS_THREADS", "3")
+    assert worker_count() == 3
+    monkeypatch.delenv("SHADOWPOS_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 8
