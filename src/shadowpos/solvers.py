@@ -3,7 +3,9 @@
 One branch-and-bound engine drives all six hereditary set properties; each
 property contributes an incremental feasibility checker.  Adding a vertex
 ``w`` to a partial set only affects pairs whose geodesics can pass through
-``w``, so the incremental checks are exact, not merely a filter.
+``w``, so the incremental checks are exact, not merely a filter.  The same
+engine also finds the canonical (lexicographically smallest) witness, as a
+first-hit search, and the maximum clique that floors the chromatic number.
 
 Also here: isometric path/cycle cover via exact minimum set cover, and an
 iterative-deepening exact chromatic number.
@@ -100,53 +102,58 @@ class BudgetExhausted(Exception):
 # Incremental feasibility checkers
 
 
-class _GpChecker:
-    def __init__(self, g: Graph, t: DistanceTable, independent: bool):
-        self.t = t
-        self.adj = g.adj
-        self.independent = independent
-        self.members: list[int] = []
-        self.mask = 0
-        self.nbr_mask = 0
-        self._stack: list[tuple[int, int]] = []
-        self.pair_between = 0
+class _Checker:
+    """The set under construction, with an undo stack for the search.
 
-    def try_add(self, w: int) -> bool:
-        if self.independent and self.nbr_mask >> w & 1:
-            return False
-        if self.pair_between >> w & 1:
-            return False
-        btw = self.t.between
-        for x in self.members:
-            if btw[w][x] & self.mask:
-                return False
-        self._stack.append((self.pair_between, self.nbr_mask))
-        for x in self.members:
-            self.pair_between |= btw[w][x]
-        self.nbr_mask |= self.adj[w]
-        self.members.append(w)
-        self.mask |= 1 << w
-        return True
+    ``blocked`` holds the vertices that can no longer join the set: those
+    between two members (GP) and, for the independent variants, the members'
+    neighbours.  A subclass's ``try_add`` tests only its own property and
+    admits ``w`` through :meth:`_push`.
+    """
 
-    def pop(self) -> None:
-        w = self.members.pop()
-        self.mask &= ~(1 << w)
-        self.pair_between, self.nbr_mask = self._stack.pop()
-
-
-class _MvChecker:
-    def __init__(self, g: Graph, t: DistanceTable, independent: bool):
+    def __init__(self, g: Graph, t: Optional[DistanceTable], independent: bool = False):
         self.g = g
         self.t = t
         self.adj = g.adj
         self.independent = independent
         self.members: list[int] = []
         self.mask = 0
-        self.nbr_mask = 0
+        self.blocked = 0
         self._stack: list[int] = []
 
+    def _push(self, w: int, new_mask: VertexMask, newly_blocked: VertexMask) -> None:
+        self._stack.append(self.blocked)
+        if self.independent:
+            newly_blocked |= self.adj[w]
+        self.blocked |= newly_blocked
+        self.members.append(w)
+        self.mask = new_mask
+
+    def pop(self) -> None:
+        w = self.members.pop()
+        self.mask &= ~(1 << w)
+        self.blocked = self._stack.pop()
+
+
+class _GpChecker(_Checker):
     def try_add(self, w: int) -> bool:
-        if self.independent and self.nbr_mask >> w & 1:
+        if self.blocked >> w & 1:
+            return False
+        btw = self.t.between[w]
+        mask = self.mask
+        newly_blocked = 0
+        for x in self.members:
+            between = btw[x]
+            if between & mask:
+                return False
+            newly_blocked |= between
+        self._push(w, mask | (1 << w), newly_blocked)
+        return True
+
+
+class _MvChecker(_Checker):
+    def try_add(self, w: int) -> bool:
+        if self.blocked >> w & 1:
             return False
         new_mask = self.mask | (1 << w)
         g, t = self.g, self.t
@@ -158,28 +165,13 @@ class _MvChecker:
         for x, y in itertools.combinations(self.members, 2):
             if btw[x][y] >> w & 1 and not geodesic_exists_avoiding(t, g, x, y, new_mask):
                 return False
-        self._stack.append(self.nbr_mask)
-        self.nbr_mask |= self.adj[w]
-        self.members.append(w)
-        self.mask = new_mask
+        self._push(w, new_mask, 0)
         return True
 
-    def pop(self) -> None:
-        w = self.members.pop()
-        self.mask &= ~(1 << w)
-        self.nbr_mask = self._stack.pop()
 
-
-class _TmvChecker:
+class _TmvChecker(_Checker):
     def __init__(self, g: Graph, t: DistanceTable, independent: bool):
-        self.g = g
-        self.t = t
-        self.adj = g.adj
-        self.independent = independent
-        self.members: list[int] = []
-        self.mask = 0
-        self.nbr_mask = 0
-        self._stack: list[int] = []
+        super().__init__(g, t, independent)
         n = g.n
         self.pairs_through: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for u in range(n):
@@ -188,26 +180,26 @@ class _TmvChecker:
                     self.pairs_through[w].append((u, v))
 
     def try_add(self, w: int) -> bool:
-        if self.independent and self.nbr_mask >> w & 1:
+        if self.blocked >> w & 1:
             return False
         new_mask = self.mask | (1 << w)
         g, t = self.g, self.t
         for u, v in self.pairs_through[w]:
             if not geodesic_exists_avoiding(t, g, u, v, new_mask):
                 return False
-        self._stack.append(self.nbr_mask)
-        self.nbr_mask |= self.adj[w]
-        self.members.append(w)
-        self.mask = new_mask
+        self._push(w, new_mask, 0)
         return True
 
-    def pop(self) -> None:
-        w = self.members.pop()
-        self.mask &= ~(1 << w)
-        self.nbr_mask = self._stack.pop()
+
+class _CliqueChecker(_Checker):
+    def try_add(self, w: int) -> bool:
+        if self.mask & ~self.adj[w]:
+            return False
+        self._push(w, self.mask | (1 << w), 0)
+        return True
 
 
-def _make_checker(prop: SetProperty, g: Graph, t: DistanceTable):
+def _make_checker(prop: SetProperty, g: Graph, t: DistanceTable) -> _Checker:
     if prop in (SetProperty.GP, SetProperty.IGP):
         return _GpChecker(g, t, prop is SetProperty.IGP)
     if prop in (SetProperty.MV, SetProperty.IMV):
@@ -225,32 +217,44 @@ def _static_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def _greedy_set(checker, order: Sequence[int]) -> VertexMask:
-    added = []
+def _greedy_set(checker: _Checker, order: Sequence[int]) -> VertexMask:
     for w in order:
-        if checker.try_add(w):
-            added.append(w)
+        checker.try_add(w)
     mask = checker.mask
-    for _ in added:
+    while checker.members:
         checker.pop()
     return mask
 
 
+class _TargetReached(Exception):
+    """Internal signal: a first-hit search found a set of the target size."""
+
+
 class _MaxSetSearch:
-    def __init__(self, checker, order, budget):
+    """Depth-first branch and bound over ``order``, trying include before skip.
+
+    The search must beat ``floor``, by default the size of the known-feasible
+    ``witness`` it starts from, so pruning bites immediately.  With
+    ``stop_at`` it stops at the first set of that size.  The property must be
+    hereditary, so for order ``0..n-1`` that first set is the
+    lexicographically smallest of its size.  ``exact`` is False when the node
+    budget ran out.
+    """
+
+    def __init__(self, checker: _Checker, order: Sequence[int], budget: int,
+                 witness: VertexMask = 0, floor: Optional[int] = None,
+                 stop_at: Optional[int] = None):
         self.checker = checker
         self.order = order
         self.budget = budget
+        self.stop_at = stop_at
         self.nodes = 0
-        self.best = -1
-        self.witness = 0
-
-    def run(self, initial_mask: VertexMask) -> None:
-        # Seed with a known-feasible set so pruning bites immediately.
-        self.best = initial_mask.bit_count()
-        self.witness = initial_mask
+        self.witness = witness
+        self.best = witness.bit_count() if floor is None else floor
         try:
             self._extend(0, 0)
+            self.exact = True
+        except _TargetReached:
             self.exact = True
         except BudgetExhausted:
             self.exact = False
@@ -268,46 +272,10 @@ class _MaxSetSearch:
                 if size + 1 > self.best:
                     self.best = size + 1
                     self.witness = checker.mask
+                    if self.best == self.stop_at:
+                        raise _TargetReached
                 self._extend(j + 1, size + 1)
                 checker.pop()
-
-
-def _exists_completion(checker, order, idx, size, target, state) -> bool:
-    if size >= target:
-        return True
-    for j in range(idx, len(order)):
-        if size + (len(order) - j) < target:
-            return False
-        state["nodes"] += 1
-        if state["nodes"] > state["budget"]:
-            raise BudgetExhausted
-        if checker.try_add(order[j]):
-            if _exists_completion(checker, order, j + 1, size + 1, target, state):
-                checker.pop()
-                return True
-            checker.pop()
-    return False
-
-
-def _canonical_witness(prop, g, t, target, budget) -> tuple[VertexMask, int]:
-    """Lexicographically smallest maximum set, by greedy prefix fixing."""
-    checker = _make_checker(prop, g, t)
-    order = list(range(g.n))
-    state = {"nodes": 0, "budget": budget}
-    size = 0
-    for v in order:
-        if size == target:
-            break
-        if size + (g.n - v) < target:
-            break
-        if checker.try_add(v):
-            if _exists_completion(checker, order, v + 1, size + 1, target, state):
-                size += 1
-            else:
-                checker.pop()
-    if size != target:
-        raise RuntimeError(f"canonical witness reached size {size}, expected {target}")
-    return checker.mask, state["nodes"]
 
 
 def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
@@ -317,7 +285,8 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     Sequential branch-and-bound over a static degree-descending vertex
     order.  If the node budget runs out the best set found so far is
     returned with ``exact=False``; that value is still a certified lower
-    bound because every reported witness is feasibility-checked.
+    bound because every reported witness is feasibility-checked.  The
+    canonical witness is a first-hit search over ``0..n-1`` with the budget left.
     """
     if not is_connected(g):
         raise GraphError("maximum-set search requires a connected graph")
@@ -325,24 +294,24 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     t = distances(g)
     order = _static_order(g)
     checker = _make_checker(prop, g, t)
-    seed_mask = _greedy_set(checker, order)
-    search = _MaxSetSearch(checker, order, budget)
-    search.run(seed_mask)
-    witness = search.witness
-    nodes = search.nodes
-    if canonical_witness and search.exact:
-        try:
-            witness, extra = _canonical_witness(prop, g, t, search.best, budget - nodes)
-            nodes += extra
-        except BudgetExhausted:
-            search.exact = False
+    search = _MaxSetSearch(checker, order, budget, witness=_greedy_set(checker, order))
+    value, witness, nodes, exact = search.best, search.witness, search.nodes, search.exact
+    if canonical_witness and exact and value > 0:
+        first = _MaxSetSearch(_make_checker(prop, g, t), range(g.n), budget - nodes,
+                              floor=value - 1, stop_at=value)
+        nodes += first.nodes
+        exact = first.exact
+        if first.best == value:
+            witness = first.witness
+        elif exact:
+            raise RuntimeError(f"canonical witness search found no set of size {value}")
     if not check_property(prop, g, t, witness):
         raise RuntimeError(f"max_set witness failed the {prop.value} certification")
     return InvariantReport(
         invariant=_PROPERTY_CODE[prop],
-        value=search.best,
+        value=value,
         witness=witness,
-        exact=search.exact,
+        exact=exact,
         nodes_explored=nodes,
         elapsed=time.perf_counter() - start,
     )
@@ -615,24 +584,11 @@ def isometric_cycle_cover(g: Graph) -> InvariantReport:
 
 
 def _max_clique_size(g: Graph) -> int:
-    best = 0
-
-    def extend(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if not candidates:
-            best = max(best, size)
-            return
-        while candidates:
-            if size + candidates.bit_count() <= best:
-                return
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            extend(candidates & g.adj[v], size + 1)
-
-    extend(g.vertex_mask(), 0)
-    return best
+    """Largest clique found within the default budget; a floor for chi either way."""
+    checker = _CliqueChecker(g, None)
+    order = _static_order(g)
+    return _MaxSetSearch(checker, order, DEFAULT_NODE_BUDGET,
+                         witness=_greedy_set(checker, order)).best
 
 
 def _k_colorable(g: Graph, order: Sequence[int], k: int) -> Optional[list[int]]:

@@ -165,7 +165,9 @@ def mu_shadow_bounds(n: int, mu: int, mu_i: int, max_degree: int) -> tuple[int, 
 
 @lru_cache(maxsize=8)
 def _connected_reps_g6(n_max: int) -> tuple[str, ...]:
-    return tuple(graph_to_graph6(g) for g in enumerate_connected(n_max, dedup=True))
+    """graph6 of one connected graph per isomorphism class, orders 2..n_max."""
+    return tuple(graph_to_graph6(g) for g in enumerate_connected(n_max, dedup=True)
+                 if g.n >= 2)
 
 
 def _graph_from_payload(payload: dict) -> Graph:
@@ -256,11 +258,9 @@ def _closed_form(suite_id: str, description: str, family: str, sweep: Callable,
 # Per-graph fuzz checks, over the connected graphs of each order up to a cap
 
 
-def _fuzz_instances(p: SuiteParams, default_n_max: int, min_n: int = 2) -> list[dict]:
+def _fuzz_instances(p: SuiteParams, default_n_max: int) -> list[dict]:
     top = p.n_max if p.n_max is not None else default_n_max
-    return [{"graph6": g6, "budget": p.budget}
-            for g6 in _connected_reps_g6(top)
-            if _graph_from_payload({"graph6": g6}).n >= min_n]
+    return [{"graph6": g6, "budget": p.budget} for g6 in _connected_reps_g6(top)]
 
 
 def _check_gp_diam3(payload: dict) -> InstanceResult:

@@ -168,3 +168,12 @@ class NaiveOracle:
 def naive_max_set(code: str, g: Graph) -> int:
     """Maximum size over all 2^n subsets (the independent oracle)."""
     return NaiveOracle(g).max_set(code)
+
+
+def naive_max_clique(g: Graph) -> int:
+    """Largest clique over all 2^n subsets."""
+    for size in range(g.n, 0, -1):
+        for combo in itertools.combinations(range(g.n), size):
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
+                return size
+    return 0

@@ -12,6 +12,7 @@ from shadowpos.families import enumerate_connected, generate, parse_family_spec
 from shadowpos.graph_core import GraphError, build_graph, distances, mask_to_sorted_list
 from shadowpos.shadow import shadow, star_shadow
 from shadowpos.solvers import (
+    _max_clique_size,
     chromatic_number,
     isometric_cycle_cover,
     isometric_path_cover,
@@ -22,7 +23,7 @@ from shadowpos.solvers import (
 from shadowpos.visibility import SetProperty, check as check_property
 
 from conftest import random_connected_graph
-from oracles import NaiveOracle
+from oracles import NaiveOracle, naive_max_clique
 
 ALL_CODES = ("gp", "igp", "mu", "mui", "mut", "muit")
 
@@ -60,9 +61,11 @@ def test_rejects_disconnected():
 
 
 def test_canonical_witness_is_lexicographically_smallest():
-    for text in ["cycle:6", "path:5", "bipartite:2,3", "complete:4"]:
-        g = _family(text)
-        for code in ("gp", "mu"):
+    # mut = muit = 0 on C_6, so the empty witness is covered too.
+    graphs = {text: _family(text) for text in ["cycle:6", "path:5", "bipartite:2,3", "complete:4"]}
+    graphs.update({f"S({text})": shadow(_family(text)).graph for text in ["cycle:5", "star:3"]})
+    for text, g in graphs.items():
+        for code in ALL_CODES:
             prop = property_for_code(code)
             r = max_set(prop, g, canonical_witness=True)
             t = distances(g)
@@ -86,6 +89,15 @@ def test_budget_exhaustion_reports_lower_bound():
     assert full.exact
     assert r.value <= full.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
+    # The main search on S(C_7) takes 858 nodes, so the canonical-witness
+    # search runs out after one more; the report must count its nodes too.
+    g = shadow(_family("cycle:7")).graph
+    r = max_set(SetProperty.MV, g, budget=859, canonical_witness=True)
+    assert r.exact is False
+    assert r.value == 7
+    assert check_property(SetProperty.MV, g, distances(g), r.witness)
+    assert r.witness.bit_count() == r.value
+    assert r.nodes_explored == 859 + 1
 
 
 def test_certification_survives_optimize_flag():
@@ -184,6 +196,18 @@ def test_chromatic_number_values():
     assert chromatic_number(_family("cycle:6")).value == 2
     assert chromatic_number(_family("bipartite:3,4")).value == 2
     assert chromatic_number(star_shadow(_family("cycle:5"))).value == 4
+
+
+def test_max_clique_size_matches_subset_enumeration():
+    graphs = list(enumerate_connected(6, dedup=True))
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        graphs.append(build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                      if rng.random() < p]))
+    for g in graphs:
+        assert _max_clique_size(g) == naive_max_clique(g), (g.n, g.edges())
 
 
 def test_chromatic_witness_is_a_proper_coloring():
