@@ -152,23 +152,11 @@ class DistanceTable:
     _layers: dict[tuple[int, int], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def dist(self, u: int, v: int):
-        return self.d[u][v]
-
     @property
     def connected(self) -> bool:
         if self.graph.n == 0:
             return True
         return all(x != INF for x in self.d[0])
-
-    @property
-    def diameter(self):
-        best = 0
-        for row in self.d:
-            for x in row:
-                if x > best:
-                    best = x
-        return best
 
     def geodesic_layer_masks(self, u: int, v: int) -> tuple[int, ...]:
         """Masks of on-geodesic vertices at hop k from ``u``, k = 0..d(u,v).
@@ -246,8 +234,7 @@ def structural_queries(g: Graph) -> StructuralSummary:
     """Exact basic structure: connectivity, diameter, degrees, leaves, etc."""
     n = g.n
     degs = [g.degree(u) for u in range(n)]
-    t = distances(g)
-    conn = is_connected(g)
+    diameter = max((max(_bfs_distances(g.adj, n, s)) for s in range(n)), default=0)
     leaves = mask_of(u for u in range(n) if degs[u] == 1)
     tri_free = True
     for u in range(n):
@@ -258,8 +245,8 @@ def structural_queries(g: Graph) -> StructuralSummary:
         if not tri_free:
             break
     return StructuralSummary(
-        connected=conn,
-        diameter=t.diameter if conn else INF,
+        connected=diameter != INF,
+        diameter=diameter,
         min_degree=min(degs) if n else 0,
         max_degree=max(degs) if n else 0,
         leaf_set=leaves,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import (
-    DistanceTable,
     Graph,
     GraphError,
     VertexMask,
@@ -80,9 +79,7 @@ def star_shadow(g: Graph) -> Graph:
     return Graph(2 * n + 1, tuple(rows), labels)
 
 
-def shadow_distance_violations(sg: ShadowGraph,
-                               base_table: DistanceTable | None = None,
-                               shadow_table: DistanceTable | None = None) -> list[str]:
+def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     """Check the six distance clauses tying d_{S(G)} to d_G.
 
     For non-adjacent x, y: d(x,y), d(x,y') and d(x',y') all equal the base
@@ -92,11 +89,8 @@ def shadow_distance_violations(sg: ShadowGraph,
     """
     g = sg.graph
     n = sg.base_n
-    base = base_table
-    if base is None:
-        base_rows = tuple(row & ((1 << n) - 1) for row in g.adj[:n])
-        base = distances(Graph(n, base_rows))
-    t = shadow_table if shadow_table is not None else distances(g)
+    base = distances(Graph(n, tuple(row & ((1 << n) - 1) for row in g.adj[:n])))
+    t = distances(g)
     out = []
 
     def expect(u, v, got, want, clause):

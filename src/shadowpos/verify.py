@@ -3,9 +3,10 @@
 There are three kinds of suite.  The closed-form suites are rows of one
 table: each names a graph family, a parameter sweep, a set property and
 the claimed formula, and one shared check computes the exact value on the
-shadow of every family member.  The per-graph fuzz checks run the exact
-solvers on every small connected graph up to isomorphism and test a bound
-or a structural lemma; :func:`fuzz` runs them side by side per graph.
+shadow of every family member.  The per-graph fuzz checks test a bound or
+a structural lemma on every small connected graph up to isomorphism, as
+predicates over one profile per graph that solves each exact value once;
+:func:`fuzz` hands every check of a graph the same profile.
 ``mu-balloon`` looks for a mutual-visibility set of the claimed size with
 the heuristic search.
 
@@ -19,15 +20,22 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional
 
 from .families import FamilySpec, canonical_key, enumerate_connected, generate, random_tree
 from .formats import graph6_to_graph, graph_to_graph6
-from .graph_core import Graph, GraphError, mask_to_sorted_list, structural_queries
-from .shadow import gp_partition_violations, shadow, shadow_distance_violations
+from .graph_core import (
+    Graph,
+    GraphError,
+    StructuralSummary,
+    mask_to_sorted_list,
+    structural_queries,
+)
+from .shadow import ShadowGraph, gp_partition_violations, shadow, shadow_distance_violations
 from .solvers import (
     DEFAULT_NODE_BUDGET,
+    BudgetExhausted,
     InvariantReport,
     isometric_cycle_cover,
     isometric_path_cover,
@@ -170,31 +178,6 @@ def _connected_reps_g6(n_max: int) -> tuple[str, ...]:
                  if g.n >= 2)
 
 
-def _graph_from_payload(payload: dict) -> Graph:
-    if "graph6" in payload:
-        return graph6_to_graph(payload["graph6"])
-    return generate(FamilySpec(payload["family"], tuple(payload["params"]),
-                               payload["fseed"]))
-
-
-def _exact_value(prop: SetProperty, g: Graph, budget: int) -> tuple[Optional[int], InvariantReport]:
-    r = max_set(prop, g, budget=budget)
-    return (r.value if r.exact else None), r
-
-
-def _compare(key: str, g: Graph, actual: Optional[int], expected_desc: str,
-             ok: Optional[bool], witness=None, note: str = "") -> InstanceResult:
-    if actual is None or ok is None:
-        return InstanceResult(key, SKIPPED, expected_desc, "budget exhausted",
-                              graph6=graph_to_graph6(g), note=note)
-    return InstanceResult(
-        key, PASS if ok else FAIL, expected_desc, str(actual),
-        graph6=graph_to_graph6(g) if not ok else None,
-        witness=witness,
-        note=note,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Closed-form suites: one SUITES row per family formula, one shared check
 
@@ -244,112 +227,146 @@ def _closed_form(suite_id: str, description: str, family: str, sweep: Callable,
 
     def check(payload: dict) -> InstanceResult:
         params = tuple(payload["params"])
-        g = _graph_from_payload(payload)
+        g = generate(FamilySpec(family, params, payload["fseed"]))
         sg = shadow(g).graph
-        value, r = _exact_value(prop, sg, payload["budget"])
+        r = max_set(prop, sg, budget=payload["budget"])
         exp = expected(params, g)
-        return _compare(key.format(*params, params=list(params), fseed=payload["fseed"]), sg,
-                        value, str(exp), value == exp, witness=mask_to_sorted_list(r.witness))
+        name = key.format(*params, params=list(params), fseed=payload["fseed"])
+        if not r.exact:
+            return InstanceResult(name, SKIPPED, str(exp), "budget exhausted",
+                                  graph6=graph_to_graph6(sg))
+        ok = r.value == exp
+        return InstanceResult(name, PASS if ok else FAIL, str(exp), str(r.value),
+                              graph6=None if ok else graph_to_graph6(sg),
+                              witness=mask_to_sorted_list(r.witness))
 
     return SuiteDef(suite_id, description, instances, check)
 
 
 # ---------------------------------------------------------------------------
-# Per-graph fuzz checks, over the connected graphs of each order up to a cap
+# Per-graph fuzz checks: predicates over one shared profile per graph
 
 
-def _fuzz_instances(p: SuiteParams, default_n_max: int) -> list[dict]:
-    top = p.n_max if p.n_max is not None else default_n_max
-    return [{"graph6": g6, "budget": p.budget} for g6 in _connected_reps_g6(top)]
+class _GraphProfile:
+    """One connected graph as every fuzz check sees it.
+
+    It holds the graph6 and the node budget.  The graph, its structural
+    summary and its shadow are built on first use, and exact ``max_set``
+    reports are kept per (property, on the shadow) pair, so checks that
+    share a graph share this work.  A profile pickles as graph6 plus
+    budget; nothing it caches outlives it.
+    """
+
+    def __init__(self, graph6: str, budget: int, graph: Optional[Graph] = None):
+        self.graph6 = graph6
+        self.budget = budget
+        if graph is not None:
+            self.graph = graph  # seeds the cached property: no graph6 parse
+        self._reports: dict[tuple[SetProperty, bool], InvariantReport] = {}
+
+    def __reduce__(self):
+        return _GraphProfile, (self.graph6, self.budget)
+
+    @cached_property
+    def graph(self) -> Graph:
+        return graph6_to_graph(self.graph6)
+
+    @cached_property
+    def summary(self) -> StructuralSummary:
+        return structural_queries(self.graph)
+
+    @cached_property
+    def shadow(self) -> ShadowGraph:
+        return shadow(self.graph)
+
+    def exact(self, prop: SetProperty, on_shadow: bool = False) -> InvariantReport:
+        """The exact ``max_set`` report of ``prop`` on G, or on S(G)."""
+        r = self._reports.get((prop, on_shadow))
+        if r is None:
+            g = self.shadow.graph if on_shadow else self.graph
+            r = self._reports[(prop, on_shadow)] = max_set(prop, g, budget=self.budget)
+        if not r.exact:
+            raise BudgetExhausted
+        return r
+
+    def result(self, actual, expected_desc: str, ok: bool,
+               witness: Optional[int] = None, note: str = "") -> InstanceResult:
+        """PASS, or FAIL with the graph6 for replay."""
+        return InstanceResult(
+            self.graph6, PASS if ok else FAIL, expected_desc, str(actual),
+            graph6=None if ok else self.graph6,
+            witness=None if witness is None else mask_to_sorted_list(witness), note=note)
+
+    def filtered(self, reason: str) -> InstanceResult:
+        return InstanceResult(self.graph6, PASS, note=f"filtered: {reason}")
 
 
-def _check_gp_diam3(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    s = structural_queries(g)
-    key = payload["graph6"]
-    if s.diameter > 3:
-        return InstanceResult(key, PASS, note="filtered: diameter > 3")
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.GP, sg, payload["budget"])
-    return _compare(key, g, value, f">= {g.n}",
-                    None if value is None else value >= g.n,
-                    witness=mask_to_sorted_list(r.witness))
+def _fuzz_suite(suite_id: str, description: str, n_max: int,
+                predicate: Callable[[_GraphProfile], InstanceResult]) -> SuiteDef:
+    """A per-graph check over the connected graphs of order 2..``n_max``.
+
+    An instance whose ``predicate`` needs an exact value that the budget
+    does not reach is SKIPPED, with its graph6 for replay.
+    """
+    def instances(p: SuiteParams) -> list[_GraphProfile]:
+        top = p.n_max if p.n_max is not None else n_max
+        return [_GraphProfile(g6, p.budget) for g6 in _connected_reps_g6(top)]
+
+    def check(profile: _GraphProfile) -> InstanceResult:
+        try:
+            return predicate(profile)
+        except BudgetExhausted:
+            return InstanceResult(profile.graph6, SKIPPED, actual="budget exhausted",
+                                  graph6=profile.graph6)
+
+    return SuiteDef(suite_id, description, instances, check)
 
 
-def _check_gp_sandwich(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    s = structural_queries(g)
-    budget = payload["budget"]
-    igp, _ = _exact_value(SetProperty.IGP, g, budget)
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.GP, sg, budget)
-    if igp is None or value is None:
-        return InstanceResult(key, SKIPPED, note="budget exhausted")
-    lo, hi = gp_sandwich_bounds(g.n, igp, s.min_degree)
-    ok = lo <= value <= hi
-    return _compare(key, g, value, f"{lo} <= gp(S(G)) <= {hi}", ok,
-                    witness=mask_to_sorted_list(r.witness))
+def _check_gp_diam3(p: _GraphProfile) -> InstanceResult:
+    if p.summary.diameter > 3:
+        return p.filtered("diameter > 3")
+    r = p.exact(SetProperty.GP, on_shadow=True)
+    n = p.graph.n
+    return p.result(r.value, f">= {n}", r.value >= n, r.witness)
 
 
-def _check_gp_regular_tf(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    s = structural_queries(g)
-    if not (s.is_regular and s.is_triangle_free):
-        return InstanceResult(key, PASS, note="filtered: not regular triangle-free")
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.GP, sg, payload["budget"])
-    return _compare(key, g, value, f"<= {g.n}",
-                    None if value is None else value <= g.n,
-                    witness=mask_to_sorted_list(r.witness))
+def _check_gp_sandwich(p: _GraphProfile) -> InstanceResult:
+    igp = p.exact(SetProperty.IGP).value
+    r = p.exact(SetProperty.GP, on_shadow=True)
+    lo, hi = gp_sandwich_bounds(p.graph.n, igp, p.summary.min_degree)
+    return p.result(r.value, f"{lo} <= gp(S(G)) <= {hi}", lo <= r.value <= hi, r.witness)
 
 
-def _check_mu_bounds(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    s = structural_queries(g)
-    budget = payload["budget"]
-    mu, _ = _exact_value(SetProperty.MV, g, budget)
-    mui, _ = _exact_value(SetProperty.IMV, g, budget)
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.MV, sg, budget)
-    if mu is None or mui is None or value is None:
-        return InstanceResult(key, SKIPPED, note="budget exhausted")
-    lo, hi = mu_shadow_bounds(g.n, mu, mui, s.max_degree)
-    return _compare(key, g, value, f"{lo} <= mu(S(G)) <= {hi}", lo <= value <= hi,
-                    witness=mask_to_sorted_list(r.witness))
+def _check_gp_regular_tf(p: _GraphProfile) -> InstanceResult:
+    if not (p.summary.is_regular and p.summary.is_triangle_free):
+        return p.filtered("not regular triangle-free")
+    r = p.exact(SetProperty.GP, on_shadow=True)
+    n = p.graph.n
+    return p.result(r.value, f"<= {n}", r.value <= n, r.witness)
 
 
-def _check_mu_leaf(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    if g.n < 3:
-        return InstanceResult(key, PASS, note="filtered: n < 3")
-    s = structural_queries(g)
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.MV, sg, payload["budget"])
-    exp = g.n + s.leaf_count
-    return _compare(key, g, value, f">= {exp}",
-                    None if value is None else value >= exp,
-                    witness=mask_to_sorted_list(r.witness))
+def _check_mu_bounds(p: _GraphProfile) -> InstanceResult:
+    mu = p.exact(SetProperty.MV).value
+    mui = p.exact(SetProperty.IMV).value
+    r = p.exact(SetProperty.MV, on_shadow=True)
+    lo, hi = mu_shadow_bounds(p.graph.n, mu, mui, p.summary.max_degree)
+    return p.result(r.value, f"{lo} <= mu(S(G)) <= {hi}", lo <= r.value <= hi, r.witness)
 
 
-def _check_mu_muit(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    s = structural_queries(g)
-    if not s.is_triangle_free or s.has_universal_vertex:
-        return InstanceResult(key, PASS, note="filtered: triangle or universal vertex")
-    budget = payload["budget"]
-    muit, _ = _exact_value(SetProperty.ITMV, g, budget)
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.MV, sg, budget)
-    if muit is None or value is None:
-        return InstanceResult(key, SKIPPED, note="budget exhausted")
-    exp = g.n + muit
-    return _compare(key, g, value, f">= {exp}", value >= exp,
-                    witness=mask_to_sorted_list(r.witness))
+def _check_mu_leaf(p: _GraphProfile) -> InstanceResult:
+    if p.graph.n < 3:
+        return p.filtered("n < 3")
+    r = p.exact(SetProperty.MV, on_shadow=True)
+    exp = p.graph.n + p.summary.leaf_count
+    return p.result(r.value, f">= {exp}", r.value >= exp, r.witness)
+
+
+def _check_mu_muit(p: _GraphProfile) -> InstanceResult:
+    if not p.summary.is_triangle_free or p.summary.has_universal_vertex:
+        return p.filtered("triangle or universal vertex")
+    exp = p.graph.n + p.exact(SetProperty.ITMV).value
+    r = p.exact(SetProperty.MV, on_shadow=True)
+    return p.result(r.value, f">= {exp}", r.value >= exp, r.witness)
 
 
 _P2_KEY = canonical_key(generate(FamilySpec("path", (2,))))
@@ -357,14 +374,10 @@ _P3_KEY = canonical_key(generate(FamilySpec("path", (3,))))
 _C3_KEY = canonical_key(generate(FamilySpec("cycle", (3,))))
 
 
-def _check_mu_char(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    sg = shadow(g).graph
-    value, r = _exact_value(SetProperty.MV, sg, payload["budget"])
-    if value is None:
-        return InstanceResult(key, SKIPPED, note="budget exhausted")
-    ck = canonical_key(g)
+def _check_mu_char(p: _GraphProfile) -> InstanceResult:
+    r = p.exact(SetProperty.MV, on_shadow=True)
+    value = r.value
+    ck = canonical_key(p.graph)
     problems = []
     if value in (3, 5):
         problems.append(f"mu(S(G)) = {value} should never occur")
@@ -372,52 +385,35 @@ def _check_mu_char(payload: dict) -> InstanceResult:
         problems.append("mu(S(G)) = 2 should hold exactly for the single edge")
     if (value == 4) != (ck in (_P3_KEY, _C3_KEY)):
         problems.append("mu(S(G)) = 4 should hold exactly for the 3-path/3-cycle")
-    return _compare(key, g, value, "characterization of small values",
-                    not problems, witness=mask_to_sorted_list(r.witness),
-                    note="; ".join(problems))
+    return p.result(value, "characterization of small values", not problems, r.witness,
+                    "; ".join(problems))
 
 
-def _check_lemma_distance(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    if g.n < 2:
-        return InstanceResult(key, PASS, note="filtered: trivial graph")
-    violations = shadow_distance_violations(shadow(g))
-    return _compare(key, g, len(violations), "no distance-clause violations",
-                    not violations, note="; ".join(violations[:3]))
-
-
-def _check_lemma_partition(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    if g.n < 2:
-        return InstanceResult(key, PASS, note="filtered: trivial graph")
-    sgo = shadow(g)
-    r = max_set(SetProperty.GP, sgo.graph, budget=payload["budget"])
-    if not r.exact:
-        return InstanceResult(key, SKIPPED, note="budget exhausted")
-    violations = gp_partition_violations(sgo, r.witness)
-    return _compare(key, g, len(violations), "no partition-clause violations",
-                    not violations, witness=mask_to_sorted_list(r.witness),
+def _check_lemma_distance(p: _GraphProfile) -> InstanceResult:
+    violations = shadow_distance_violations(p.shadow)
+    return p.result(len(violations), "no distance-clause violations", not violations,
                     note="; ".join(violations[:3]))
 
 
-def _check_ip_ic_bounds(payload: dict) -> InstanceResult:
-    g = _graph_from_payload(payload)
-    key = payload["graph6"]
-    budget = payload["budget"]
-    gp, _ = _exact_value(SetProperty.GP, g, budget)
-    ip_rep = isometric_path_cover(g)
-    if gp is None or not ip_rep.exact:
-        return InstanceResult(key, SKIPPED, note="budget exhausted")
+def _check_lemma_partition(p: _GraphProfile) -> InstanceResult:
+    r = p.exact(SetProperty.GP, on_shadow=True)
+    violations = gp_partition_violations(p.shadow, r.witness)
+    return p.result(len(violations), "no partition-clause violations", not violations,
+                    r.witness, "; ".join(violations[:3]))
+
+
+def _check_ip_ic_bounds(p: _GraphProfile) -> InstanceResult:
+    gp = p.exact(SetProperty.GP).value
+    ip_rep = isometric_path_cover(p.graph)
+    if not ip_rep.exact:
+        raise BudgetExhausted
     problems = []
     if gp > 2 * ip_rep.value:
         problems.append(f"gp = {gp} > 2 ip = {2 * ip_rep.value}")
-    ic_rep = isometric_cycle_cover(g)
+    ic_rep = isometric_cycle_cover(p.graph)
     if ic_rep.coverable and gp > 3 * ic_rep.value:
         problems.append(f"gp = {gp} > 3 ic = {3 * ic_rep.value}")
-    return _compare(key, g, gp, "gp <= 2 ip and gp <= 3 ic", not problems,
-                    note="; ".join(problems))
+    return p.result(gp, "gp <= 2 ip and gp <= 3 ic", not problems, note="; ".join(problems))
 
 
 def _instances_mu_balloon(p: SuiteParams) -> list[dict]:
@@ -429,9 +425,11 @@ def _check_mu_balloon(payload: dict) -> InstanceResult:
     g = generate(FamilySpec("balloon", (k,)))
     mut = max_set(SetProperty.TMV, g, budget=payload["budget"])
     if not mut.exact:
-        return InstanceResult(f"balloon({k})", SKIPPED, note="budget exhausted")
+        return InstanceResult(f"balloon({k})", SKIPPED, actual="budget exhausted",
+                              graph6=graph_to_graph6(g))
     if mut.value != 0:
-        return _compare(f"balloon({k})", g, mut.value, "total visibility number 0", False)
+        return InstanceResult(f"balloon({k})", FAIL, "total visibility number 0",
+                              str(mut.value), graph6=graph_to_graph6(g))
     sg = shadow(g).graph
     target = 6 * k + 1
     heur = max_set_heuristic(SetProperty.MV, sg, time_budget=payload["time"],
@@ -449,12 +447,8 @@ def _check_mu_balloon(payload: dict) -> InstanceResult:
 class SuiteDef:
     id: str
     description: str
-    make_instances: Callable[[SuiteParams], list[dict]]
-    check_instance: Callable[[dict], InstanceResult]
-
-
-_fuzz6 = partial(_fuzz_instances, default_n_max=6)
-_fuzz7 = partial(_fuzz_instances, default_n_max=7)
+    make_instances: Callable[[SuiteParams], list]
+    check_instance: Callable[..., InstanceResult]
 
 
 SUITES: dict[str, SuiteDef] = {s.id: s for s in [
@@ -465,14 +459,14 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  "complete_bipartite", lambda top, p: [
                      ((m, n), None) for n in range(2, top + 1) for m in range(n, top + 1)], 5,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_bipartite(*p), "K_{{{0},{1}}}"),
-    SuiteDef("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", _fuzz6, _check_gp_diam3),
+    _fuzz_suite("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", 6, _check_gp_diam3),
     _closed_form("gp-join", "gp(S(K_1 + cliques)) = n + t_1 - 1",
                  "join_k1_cliques", lambda top, p: [(o, None) for o in _multisets(top - 1)], 9,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_join(p), "K_1+{params}"),
-    SuiteDef("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound",
-             _fuzz6, _check_gp_sandwich),
-    SuiteDef("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n",
-             _fuzz7, _check_gp_regular_tf),
+    _fuzz_suite("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound",
+                6, _check_gp_sandwich),
+    _fuzz_suite("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n",
+                7, _check_gp_regular_tf),
     _closed_form("gp-cycles", "piecewise formula for gp(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 10,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_cycle(*p), "C_{0}"),
@@ -481,14 +475,14 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  SetProperty.GP,
                  lambda p, g: expected_gp_shadow_tree(structural_queries(g).leaf_count),
                  "tree(n={0},seed={fseed})"),
-    SuiteDef("mu-bounds", "max{n, 2 mu_i, 2 max-degree} <= mu(S(G)) <= min{n + mu, 2n - 2}",
-             _fuzz6, _check_mu_bounds),
+    _fuzz_suite("mu-bounds", "max{n, 2 mu_i, 2 max-degree} <= mu(S(G)) <= min{n + mu, 2n - 2}",
+                6, _check_mu_bounds),
     _closed_form("mu-multipartite", "mu(S(K_{n_1..n_k})) = 2n - 2",
                  "complete_multipartite", lambda top, p: [(o, None) for o in _multisets(top)], 8,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_multipartite(p), "K_{params}"),
-    SuiteDef("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", _fuzz6, _check_mu_leaf),
-    SuiteDef("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it",
-             _fuzz6, _check_mu_muit),
+    _fuzz_suite("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", 6, _check_mu_leaf),
+    _fuzz_suite("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it",
+                6, _check_mu_muit),
     _closed_form("mu-trees", "mu(S(T)) = n + l for diam >= 3",
                  "random_tree", partial(_random_trees, min_diam=3), 9,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_tree(
@@ -496,18 +490,18 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  "tree(n={0},seed={fseed})"),
     SuiteDef("mu-balloon", "balloon: mu_t = 0 and mv set of size 6k + 1 in the shadow",
              _instances_mu_balloon, _check_mu_balloon),
-    SuiteDef("mu-char", "mu(S(G)) small-value characterization", _fuzz6, _check_mu_char),
+    _fuzz_suite("mu-char", "mu(S(G)) small-value characterization", 6, _check_mu_char),
     _closed_form("mu-cycles", "piecewise formula for mu(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 9,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_cycle(*p), "C_{0}"),
-    SuiteDef("lemma-distance", "shadow distance clauses", _fuzz7, _check_lemma_distance),
-    SuiteDef("lemma-partition", "gp-partition structural clauses",
-             _fuzz6, _check_lemma_partition),
-    SuiteDef("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", _fuzz7, _check_ip_ic_bounds),
+    _fuzz_suite("lemma-distance", "shadow distance clauses", 7, _check_lemma_distance),
+    _fuzz_suite("lemma-partition", "gp-partition structural clauses",
+                6, _check_lemma_partition),
+    _fuzz_suite("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", 7, _check_ip_ic_bounds),
 ]}
 
 
-def _dispatch(item: tuple[str, dict]) -> InstanceResult:
+def _dispatch(item: tuple) -> InstanceResult:
     suite_id, payload = item
     return SUITES[suite_id].check_instance(payload)
 
@@ -567,12 +561,10 @@ def fuzz(n_max: int, properties: Optional[Iterable[SetProperty]] = None,
         suite_ids = tuple(dict.fromkeys(suite_ids))
     for g in enumerate_connected(n_max, dedup=True):
         g6 = graph_to_graph6(g)
-        payload = {"graph6": g6, "budget": budget}
-        checks = {}
+        profile = _GraphProfile(g6, budget, g)
         # Every check involves the shadow, which needs at least one edge.
-        for sid in suite_ids if g.n >= 2 else ():
-            result = SUITES[sid].check_instance(dict(payload))
-            checks[sid] = result
+        checks = {sid: SUITES[sid].check_instance(profile)
+                  for sid in (suite_ids if g.n >= 2 else ())}
         yield {
             "graph6": g6,
             "n": g.n,

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from shadowpos.families import enumerate_connected
 from shadowpos.graph_core import (
     INF,
     GraphError,
@@ -139,3 +140,16 @@ def test_structural_summary_spot_checks():
     k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     s = structural_queries(k4)
     assert not s.is_triangle_free and s.is_regular and s.diameter == 1
+
+
+def test_structural_summary_of_disconnected_graph():
+    s = structural_queries(build_graph(4, [(0, 1), (2, 3)]))
+    assert not s.connected and s.diameter == INF
+    assert s.leaf_count == 4 and s.is_regular
+
+
+def test_structural_diameter_is_largest_distance():
+    for g in enumerate_connected(6, dedup=True):
+        s = structural_queries(g)
+        assert s.connected
+        assert s.diameter == max(max(row) for row in distances(g).d), g.edges()

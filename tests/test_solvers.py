@@ -9,7 +9,14 @@ import pytest
 
 import shadowpos
 from shadowpos.families import enumerate_connected, generate, parse_family_spec
-from shadowpos.graph_core import GraphError, build_graph, distances, mask_to_sorted_list
+from shadowpos.graph_core import (
+    GraphError,
+    build_graph,
+    distances,
+    iter_bits,
+    mask_of,
+    mask_to_sorted_list,
+)
 from shadowpos.shadow import shadow, star_shadow
 from shadowpos.solvers import (
     _max_clique_size,
@@ -227,3 +234,37 @@ def test_invariant_report_serialization():
     d = r.to_dict()
     assert d["invariant"] == "gp" and d["exact"] is True
     assert d["witness"] == mask_to_sorted_list(r.witness)
+
+
+def _relabel(g, perm):
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _invariants(g):
+    """The nine invariants: six exact set maxima, then ip, ic and chi."""
+    sets = {code: max_set(property_for_code(code), g) for code in ALL_CODES}
+    ic = isometric_cycle_cover(g)
+    return sets, (isometric_path_cover(g).value, ic.coverable, ic.value,
+                  chromatic_number(g).value)
+
+
+def test_relabelling_leaves_invariants_unchanged():
+    # Metamorphic check: a random vertex permutation of G, or of S(G), is
+    # the same graph, so every value must match and every witness must map
+    # through the permutation onto a witness of the relabelled graph.
+    rng = random.Random(2024)
+    for _ in range(40):
+        base = random_connected_graph(rng.randint(2, 6), rng)
+        for g in (base, shadow(base).graph):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = _relabel(g, perm)
+            sets_g, rest_g = _invariants(g)
+            sets_h, rest_h = _invariants(h)
+            assert rest_g == rest_h, g.edges()
+            t = distances(h)
+            for code in ALL_CODES:
+                assert sets_g[code].value == sets_h[code].value, (code, g.edges())
+                mapped = mask_of(perm[v] for v in iter_bits(sets_g[code].witness))
+                assert mapped.bit_count() == sets_g[code].value
+                assert check_property(property_for_code(code), h, t, mapped), (code, g.edges())

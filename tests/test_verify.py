@@ -1,8 +1,11 @@
 import os
+from collections import Counter
 
 import pytest
 
+from shadowpos import verify
 from shadowpos.graph_core import GraphError
+from shadowpos.visibility import SetProperty
 from shadowpos.verify import (
     FAIL,
     PASS,
@@ -78,6 +81,23 @@ def test_budget_exhaustion_reports_skipped():
     rep = run_suite("gp-cycles", SuiteParams(n_max=8, budget=5), workers=1)
     assert rep.skipped > 0
     assert all(r.status in (PASS, SKIPPED) for r in rep.results)
+
+
+_FUZZ_SUITES = ("gp-diam3", "gp-sandwich", "gp-regular-tf", "mu-bounds", "mu-leaf",
+                "mu-muit", "mu-char", "lemma-distance", "lemma-partition", "ip-ic-bounds")
+
+
+def test_budget_exhaustion_has_one_skipped_shape():
+    # lemma-distance runs no search, so it has no budget to exhaust.
+    for sid in _FUZZ_SUITES + ("mu-balloon",):
+        if sid == "lemma-distance":
+            continue
+        rep = run_suite(sid, SuiteParams(n_max=5, budget=1), workers=1)
+        skipped = [r for r in rep.results if r.status == SKIPPED]
+        assert skipped, sid
+        for r in skipped:
+            assert r.actual == "budget exhausted" and r.graph6, (sid, r)
+            assert sid == "mu-balloon" or r.graph6 == r.key, (sid, r)
 
 
 def test_multipartite_suite_documents_three_part_deviation():
@@ -175,6 +195,35 @@ def test_fuzz_driver_yields_records():
 def test_fuzz_property_filter():
     records = list(fuzz(3, properties=[]))
     assert all(rec["checks"] == {} for rec in records)
+    gp_ids = {"gp-diam3", "gp-sandwich", "gp-regular-tf", "lemma-partition", "ip-ic-bounds"}
+    for rec in fuzz(4, properties=[SetProperty.GP]):
+        assert set(rec["checks"]) == (gp_ids if rec["n"] >= 2 else set())
+
+
+def test_fuzz_records_match_suite_runs():
+    records = list(fuzz(5))
+    for sid in _FUZZ_SUITES:
+        from_fuzz = {rec["graph6"]: rec["checks"][sid] for rec in records if rec["checks"]}
+        rep = run_suite(sid, SuiteParams(n_max=5), workers=1)
+        assert from_fuzz == {r.key: r.to_dict() for r in rep.results}, sid
+
+
+def test_fuzz_solves_each_pair_once_per_call(monkeypatch):
+    calls = Counter()
+    solve = verify.max_set
+
+    def counting(prop, g, **kwargs):
+        calls[(prop, g.adj)] += 1
+        return solve(prop, g, **kwargs)
+
+    monkeypatch.setattr(verify, "max_set", counting)
+    list(fuzz(5))
+    assert calls and max(calls.values()) == 1
+    first = sum(calls.values())
+    calls.clear()
+    list(fuzz(5))
+    # Nothing is cached across calls: a second pass solves everything again.
+    assert sum(calls.values()) == first
 
 
 def test_worker_count_env(monkeypatch):
