@@ -4,6 +4,11 @@ Vertices are dense integers ``0..n-1``.  Adjacency is stored as one Python
 int per vertex, used as a fixed-width bit vector, so neighborhood unions and
 intersections are single integer operations.  Vertex subsets are plain int
 bitmasks throughout the package (see :data:`VertexMask`).
+
+The one metric primitive is the per-source BFS layer mask: the vertices at
+hop k from s.  Distances, geodesic intervals, the layers of each geodesic
+DAG, connectivity and the diameter are all read off these masks (see
+:class:`DistanceTable`).
 """
 
 from __future__ import annotations
@@ -118,86 +123,71 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
     return Graph(n, tuple(rows), lab)
 
 
-def _bfs_distances(adj: Sequence[int], n: int, source: int) -> list:
-    dist = [INF] * n
-    dist[source] = 0
-    visited = 1 << source
-    frontier = 1 << source
-    d = 0
-    while frontier:
-        d += 1
+def _bfs_layers(adj: Sequence[int], source: int) -> list[int]:
+    """Masks of the vertices at hop 0, 1, 2, ... from ``source``.
+
+    The layers partition the component of ``source``; there is one per hop
+    up to its eccentricity.
+    """
+    layers = [1 << source]
+    seen = frontier = 1 << source
+    while True:
         nxt = 0
         for v in iter_bits(frontier):
             nxt |= adj[v]
-        nxt &= ~visited
-        for v in iter_bits(nxt):
-            dist[v] = d
-        visited |= nxt
-        frontier = nxt
-    return dist
+        frontier = nxt & ~seen
+        if not frontier:
+            return layers
+        seen |= frontier
+        layers.append(frontier)
 
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """All-pairs BFS hop distances plus geodesic-interval oracles.
+    """All-pairs hop distances and geodesic intervals, from BFS layer masks.
 
+    ``layers[s][k]`` is the mask of the vertices at hop k from ``s``; it is
+    the one metric primitive, and the other two fields are read off it.
     ``d[u][v]`` is the hop distance, with :data:`INF` for disconnected pairs.
-    ``between[u][v]`` is the bitmask of vertices strictly between ``u`` and
-    ``v`` on some geodesic (excluding the endpoints themselves).
+    ``between[u][v]`` is the mask of the vertices strictly inside some
+    ``u,v``-geodesic.  A vertex lies on such a geodesic at hop k from ``u``
+    exactly when it is at hop k from ``u`` and at hop d - k from ``v``, so
+    with d = d(u,v)::
+
+        between[u][v] = OR over 0 < k < d of layers[u][k] & layers[v][d - k]
+
+    and each term of that OR is the k-th layer of the geodesic DAG.
     """
 
-    graph: Graph
     d: tuple[tuple, ...]
     between: tuple[tuple[int, ...], ...] = field(repr=False)
-    _layers: dict[tuple[int, int], tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def connected(self) -> bool:
-        if self.graph.n == 0:
-            return True
-        return all(x != INF for x in self.d[0])
-
-    def geodesic_layer_masks(self, u: int, v: int) -> tuple[int, ...]:
-        """Masks of on-geodesic vertices at hop k from ``u``, k = 0..d(u,v).
-
-        Memoized per unordered pair: ``(v, u)`` gets the same layers reversed.
-        """
-        if u > v:
-            return self.geodesic_layer_masks(v, u)[::-1]
-        layers = self._layers.get((u, v))
-        if layers is None:
-            duv = self.d[u][v]
-            if duv == INF:
-                raise GraphError(f"no path between {u} and {v}")
-            out = [0] * (duv + 1)
-            out[0] = 1 << u
-            out[duv] = 1 << v
-            for w in iter_bits(self.between[u][v]):
-                out[self.d[u][w]] |= 1 << w
-            layers = self._layers[(u, v)] = tuple(out)
-        return layers
+    layers: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
 def distances(g: Graph) -> DistanceTable:
-    """Exact BFS distances and between-masks, computed eagerly once."""
+    """One BFS per source; distances and between-masks come from its layers."""
     n = g.n
-    d = [_bfs_distances(g.adj, n, s) for s in range(n)]
+    layers = tuple(tuple(_bfs_layers(g.adj, s)) for s in range(n))
+    d = []
+    for row_layers in layers:
+        row = [INF] * n
+        for k, layer in enumerate(row_layers):
+            for w in iter_bits(layer):
+                row[w] = k
+        d.append(tuple(row))
     between = [[0] * n for _ in range(n)]
     for u in range(n):
-        for v in range(n):
+        lu = layers[u]
+        for v in range(u + 1, n):
             duv = d[u][v]
-            if u == v or duv == INF:
+            if duv == INF:
                 continue
+            lv = layers[v]
             m = 0
-            du, dv = d[u], d[v]
-            for w in range(n):
-                if w != u and w != v and du[w] != INF and dv[w] != INF \
-                        and du[w] + dv[w] == duv:
-                    m |= 1 << w
-            between[u][v] = m
-    return DistanceTable(g, tuple(tuple(row) for row in d),
-                         tuple(tuple(row) for row in between))
+            for k in range(1, duv):
+                m |= lu[k] & lv[duv - k]
+            between[u][v] = between[v][u] = m
+    return DistanceTable(tuple(d), tuple(tuple(row) for row in between), layers)
 
 
 @dataclass(frozen=True)
@@ -217,24 +207,15 @@ class StructuralSummary:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == g.vertex_mask()
+    return g.n == 0 or sum(layer.bit_count() for layer in _bfs_layers(g.adj, 0)) == g.n
 
 
 def structural_queries(g: Graph) -> StructuralSummary:
     """Exact basic structure: connectivity, diameter, degrees, leaves, etc."""
     n = g.n
     degs = [g.degree(u) for u in range(n)]
-    diameter = max((max(_bfs_distances(g.adj, n, s)) for s in range(n)), default=0)
+    diameter = max((len(_bfs_layers(g.adj, s)) - 1 for s in range(n)),
+                   default=0) if is_connected(g) else INF
     leaves = mask_of(u for u in range(n) if degs[u] == 1)
     tri_free = True
     for u in range(n):
@@ -260,27 +241,24 @@ def geodesic_exists_avoiding(t: DistanceTable, g: Graph, u: int, v: int,
                              forbidden: VertexMask) -> bool:
     """True iff some ``u,v``-geodesic has all internal vertices outside ``forbidden``.
 
-    Layered dynamic programming over the geodesic DAG: a vertex at hop k is
-    reachable when it has a reachable neighbor at hop k-1.  The endpoints are
-    exempt from ``forbidden``.  This sits in the innermost loop of the
-    visibility searches, so once a pair's layers are cached it costs one
-    dict lookup before the sweep.
+    Layered dynamic programming over the geodesic DAG: a vertex of the DAG's
+    layer k, ``layers[u][k] & layers[v][d - k]``, is reachable when it has a
+    reachable neighbor in layer k-1.  Every vertex of layer d-1 is adjacent
+    to ``v``, so the sweep stops there.  The endpoints are exempt from
+    ``forbidden``.
     """
-    if u > v:
-        u, v = v, u
-    layers = t._layers.get((u, v))
-    if layers is None:
-        layers = t.geodesic_layer_masks(u, v)
-    if len(layers) <= 2:
-        return True
-    blocked = forbidden & ~(1 << u) & ~(1 << v)
+    duv = t.d[u][v]
+    if duv == INF:
+        raise GraphError(f"no path between {u} and {v}")
+    lu, lv = t.layers[u], t.layers[v]
+    allowed = ~forbidden
     adj = g.adj
     reach = 1 << u
-    for k in range(1, len(layers)):
+    for k in range(1, duv):
         nxt = 0
         for x in iter_bits(reach):
             nxt |= adj[x]
-        reach = nxt & layers[k] & ~blocked
+        reach = nxt & lu[k] & lv[duv - k] & allowed
         if not reach:
             return False
     return True

@@ -89,7 +89,8 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     """
     g = sg.graph
     n = sg.base_n
-    base = distances(Graph(n, tuple(row & ((1 << n) - 1) for row in g.adj[:n])))
+    base_adj = tuple(row & ((1 << n) - 1) for row in g.adj[:n])
+    base = distances(Graph(n, base_adj))
     t = distances(g)
     out = []
 
@@ -100,11 +101,11 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     for x in range(n):
         for y in range(x + 1, n):
             dxy = base.d[x][y]
-            if base.graph.adj[x] >> y & 1:
+            if base_adj[x] >> y & 1:
                 expect(x, y, t.d[x][y], 1, "adjacent base pair")
                 expect(x, y + n, t.d[x][y + n], 1, "adjacent base/twin pair")
                 expect(y, x + n, t.d[y][x + n], 1, "adjacent base/twin pair")
-                in_triangle = bool(base.graph.adj[x] & base.graph.adj[y])
+                in_triangle = bool(base_adj[x] & base_adj[y])
                 expect(x + n, y + n, t.d[x + n][y + n],
                        2 if in_triangle else 3, "adjacent twin pair")
             else:

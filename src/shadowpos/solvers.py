@@ -409,13 +409,13 @@ def _enumerate_geodesics(g: Graph, t: DistanceTable,
     paths: dict[int, tuple[int, ...]] = {v: (v,) for v in range(g.n)}
     complete = True
     for u in range(g.n):
+        lu = t.layers[u]
         for v in range(u + 1, g.n):
-            if t.d[u][v] == INF:
-                continue
-            stack = [(u, (u,))]
-            dv = t.d[v]
-            du = t.d[u]
             duv = t.d[u][v]
+            if duv == INF:
+                continue
+            lv = t.layers[v]
+            stack = [(u, (u,))]
             while stack:
                 x, seq = stack.pop()
                 if x == v:
@@ -429,9 +429,10 @@ def _enumerate_geodesics(g: Graph, t: DistanceTable,
                             break
                         paths[mask] = seq
                     continue
-                for y in iter_bits(g.adj[x]):
-                    if du[y] == du[x] + 1 and dv[y] == dv[x] - 1:
-                        stack.append((y, seq + (y,)))
+                # y extends the path to hop k = len(seq) of the u,v-geodesic DAG.
+                k = len(seq)
+                for y in iter_bits(g.adj[x] & lu[k] & lv[duv - k]):
+                    stack.append((y, seq + (y,)))
             if not complete:
                 return paths, False
     return paths, True

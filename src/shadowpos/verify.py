@@ -302,11 +302,14 @@ class _GraphProfile:
 
 
 def _fuzz_suite(suite_id: str, description: str, n_max: int,
+                solves: tuple[SetProperty, ...],
                 predicate: Callable[[_GraphProfile], InstanceResult]) -> SuiteDef:
     """A per-graph check over the connected graphs of order 2..``n_max``.
 
-    An instance whose ``predicate`` needs an exact value that the budget
-    does not reach is SKIPPED, with its graph6 for replay.
+    ``solves`` names the properties whose exact values ``predicate`` asks
+    for; ``fuzz(properties=...)`` selects the check by them.  An instance
+    whose ``predicate`` needs an exact value that the budget does not reach
+    is SKIPPED, with its graph6 for replay.
     """
     def instances(p: SuiteParams) -> list[_GraphProfile]:
         top = p.n_max if p.n_max is not None else n_max
@@ -319,7 +322,7 @@ def _fuzz_suite(suite_id: str, description: str, n_max: int,
             return InstanceResult(profile.graph6, SKIPPED, actual="budget exhausted",
                                   graph6=profile.graph6)
 
-    return SuiteDef(suite_id, description, instances, check)
+    return SuiteDef(suite_id, description, instances, check, solves)
 
 
 def _check_gp_diam3(p: _GraphProfile) -> InstanceResult:
@@ -449,6 +452,8 @@ class SuiteDef:
     description: str
     make_instances: Callable[[SuiteParams], list]
     check_instance: Callable[..., InstanceResult]
+    # Properties a per-graph fuzz check solves; None for suites fuzz() skips.
+    solves: Optional[tuple[SetProperty, ...]] = None
 
 
 SUITES: dict[str, SuiteDef] = {s.id: s for s in [
@@ -459,14 +464,15 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  "complete_bipartite", lambda top, p: [
                      ((m, n), None) for n in range(2, top + 1) for m in range(n, top + 1)], 5,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_bipartite(*p), "K_{{{0},{1}}}"),
-    _fuzz_suite("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", 6, _check_gp_diam3),
+    _fuzz_suite("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", 6, (SetProperty.GP,),
+                _check_gp_diam3),
     _closed_form("gp-join", "gp(S(K_1 + cliques)) = n + t_1 - 1",
                  "join_k1_cliques", lambda top, p: [(o, None) for o in _multisets(top - 1)], 9,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_join(p), "K_1+{params}"),
     _fuzz_suite("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound",
-                6, _check_gp_sandwich),
+                6, (SetProperty.IGP, SetProperty.GP), _check_gp_sandwich),
     _fuzz_suite("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n",
-                7, _check_gp_regular_tf),
+                7, (SetProperty.GP,), _check_gp_regular_tf),
     _closed_form("gp-cycles", "piecewise formula for gp(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 10,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_cycle(*p), "C_{0}"),
@@ -476,13 +482,14 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  lambda p, g: expected_gp_shadow_tree(structural_queries(g).leaf_count),
                  "tree(n={0},seed={fseed})"),
     _fuzz_suite("mu-bounds", "max{n, 2 mu_i, 2 max-degree} <= mu(S(G)) <= min{n + mu, 2n - 2}",
-                6, _check_mu_bounds),
+                6, (SetProperty.MV, SetProperty.IMV), _check_mu_bounds),
     _closed_form("mu-multipartite", "mu(S(K_{n_1..n_k})) = 2n - 2",
                  "complete_multipartite", lambda top, p: [(o, None) for o in _multisets(top)], 8,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_multipartite(p), "K_{params}"),
-    _fuzz_suite("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", 6, _check_mu_leaf),
+    _fuzz_suite("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", 6, (SetProperty.MV,),
+                _check_mu_leaf),
     _fuzz_suite("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it",
-                6, _check_mu_muit),
+                6, (SetProperty.ITMV, SetProperty.MV), _check_mu_muit),
     _closed_form("mu-trees", "mu(S(T)) = n + l for diam >= 3",
                  "random_tree", partial(_random_trees, min_diam=3), 9,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_tree(
@@ -490,14 +497,16 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  "tree(n={0},seed={fseed})"),
     SuiteDef("mu-balloon", "balloon: mu_t = 0 and mv set of size 6k + 1 in the shadow",
              _instances_mu_balloon, _check_mu_balloon),
-    _fuzz_suite("mu-char", "mu(S(G)) small-value characterization", 6, _check_mu_char),
+    _fuzz_suite("mu-char", "mu(S(G)) small-value characterization", 6, (SetProperty.MV,),
+                _check_mu_char),
     _closed_form("mu-cycles", "piecewise formula for mu(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 9,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_cycle(*p), "C_{0}"),
-    _fuzz_suite("lemma-distance", "shadow distance clauses", 7, _check_lemma_distance),
+    _fuzz_suite("lemma-distance", "shadow distance clauses", 7, (), _check_lemma_distance),
     _fuzz_suite("lemma-partition", "gp-partition structural clauses",
-                6, _check_lemma_partition),
-    _fuzz_suite("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", 7, _check_ip_ic_bounds),
+                6, (SetProperty.GP,), _check_lemma_partition),
+    _fuzz_suite("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", 7, (SetProperty.GP,),
+                _check_ip_ic_bounds),
 ]}
 
 
@@ -536,29 +545,26 @@ def run_all(params: SuiteParams = SuiteParams(),
 # Fuzz driver
 
 
-_FUZZ_SUITE_BY_PROPERTY = {
-    None: ("gp-diam3", "gp-sandwich", "gp-regular-tf", "mu-bounds", "mu-leaf",
-           "mu-muit", "mu-char", "lemma-distance", "lemma-partition", "ip-ic-bounds"),
-    SetProperty.GP: ("gp-diam3", "gp-sandwich", "gp-regular-tf", "lemma-partition",
-                     "ip-ic-bounds"),
-    SetProperty.MV: ("mu-bounds", "mu-leaf", "mu-muit", "mu-char"),
-}
-
-
 def fuzz(n_max: int, properties: Optional[Iterable[SetProperty]] = None,
          budget: int = DEFAULT_NODE_BUDGET):
     """Run every applicable per-graph check over all small connected graphs.
 
     Yields one record per enumerated graph (dedup by isomorphism class);
-    counterexamples are serialized in the record immediately.
+    counterexamples are serialized in the record immediately.  With
+    ``properties``, only the checks that solve one of them run; a property
+    that no check solves raises :class:`ValueError`.
     """
+    fuzz_suites = [s for s in SUITES.values() if s.solves is not None]
     if properties is None:
-        suite_ids = _FUZZ_SUITE_BY_PROPERTY[None]
+        suite_ids = [s.id for s in fuzz_suites]
     else:
         suite_ids = []
         for prop in properties:
-            suite_ids.extend(_FUZZ_SUITE_BY_PROPERTY.get(prop, ()))
-        suite_ids = tuple(dict.fromkeys(suite_ids))
+            selected = [s.id for s in fuzz_suites if prop in s.solves]
+            if not selected:
+                raise ValueError(f"no fuzz check solves {prop!r}")
+            suite_ids.extend(selected)
+        suite_ids = list(dict.fromkeys(suite_ids))
     for g in enumerate_connected(n_max, dedup=True):
         g6 = graph_to_graph6(g)
         profile = _GraphProfile(g6, budget, g)

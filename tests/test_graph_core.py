@@ -16,6 +16,7 @@ from shadowpos.graph_core import (
     mask_to_sorted_list,
     structural_queries,
 )
+from shadowpos.shadow import shadow
 
 from conftest import random_connected_graph
 from oracles import all_geodesics, interval_vertices, matrix_power_distances
@@ -68,45 +69,74 @@ def test_distances_match_matrix_power_oracle():
 def test_distances_on_disconnected_graph():
     g = build_graph(4, [(0, 1), (2, 3)])
     t = distances(g)
-    assert t.d[0][2] == INF
-    assert not t.connected
+    for u in (0, 1):
+        for v in (2, 3):
+            assert t.d[u][v] == t.d[v][u] == INF
+            assert t.between[u][v] == t.between[v][u] == 0
     assert not is_connected(g)
     with pytest.raises(GraphError):
         geodesic_exists_avoiding(t, g, 0, 2, 0)
 
 
-def test_between_masks_match_path_enumeration():
+def _random_graph(n, rng):
+    """Each pair an edge with probability 1/3; often disconnected."""
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < 1 / 3])
+
+
+def _metric_cases():
+    """Connected graphs, disconnected graphs and shadows, up to order 12."""
     rng = random.Random(11)
-    for trial in range(25):
-        n = rng.randint(2, 8)
-        g = random_connected_graph(n, rng)
+    graphs = [random_connected_graph(rng.randint(2, 8), rng) for _ in range(25)]
+    graphs += [_random_graph(rng.randint(2, 9), rng) for _ in range(15)]
+    graphs += [build_graph(5, [(0, 1), (1, 2)]), build_graph(3, [])]
+    graphs += [shadow(random_connected_graph(rng.randint(2, 6), rng)).graph
+               for _ in range(8)]
+    return graphs
+
+
+def test_between_masks_match_path_enumeration():
+    cases = _metric_cases()
+    assert any(not is_connected(g) for g in cases)
+    for g in cases:
+        n = g.n
         t = distances(g)
         ref = matrix_power_distances(g)
         for u in range(n):
             for v in range(n):
+                assert t.d[u][v] == ref[u][v]
                 if u == v:
                     assert t.between[u][v] == 0
                     continue
                 expected = interval_vertices(g, ref, u, v) - {u, v}
-                assert set(mask_to_sorted_list(t.between[u][v])) == expected
+                assert set(mask_to_sorted_list(t.between[u][v])) == expected, (g.adj, u, v)
 
 
 def test_geodesic_layers_partition_the_interval():
-    rng = random.Random(3)
-    g = random_connected_graph(7, rng)
-    t = distances(g)
-    for u in range(7):
-        for v in range(7):
-            if u == v:
-                continue
-            layers = t.geodesic_layer_masks(u, v)
-            assert len(layers) == t.d[u][v] + 1
+    for g in _metric_cases():
+        n = g.n
+        t = distances(g)
+        ref = matrix_power_distances(g)
+        for s, layers in enumerate(t.layers):
+            # layers[s] partitions the component of s by hop from s.
             union = 0
             for k, layer in enumerate(layers):
-                for w in iter_bits(layer):
-                    assert t.d[u][w] == k
+                assert layer and not layer & union
+                assert all(ref[s][w] == k for w in iter_bits(layer))
                 union |= layer
-            assert union == t.between[u][v] | 1 << u | 1 << v
+            assert union == mask_of(w for w in range(n) if ref[s][w] != INF)
+        for u in range(n):
+            for v in range(n):
+                d = t.d[u][v]
+                if u == v or d == INF:
+                    continue
+                # For 0 < k < d, layers[u][k] & layers[v][d-k] partition between[u][v].
+                union = 0
+                for k in range(1, d):
+                    part = t.layers[u][k] & t.layers[v][d - k]
+                    assert part and not part & union
+                    union |= part
+                assert union == t.between[u][v]
 
 
 def test_geodesic_avoidance_matches_path_enumeration():

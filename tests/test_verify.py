@@ -196,8 +196,18 @@ def test_fuzz_property_filter():
     records = list(fuzz(3, properties=[]))
     assert all(rec["checks"] == {} for rec in records)
     gp_ids = {"gp-diam3", "gp-sandwich", "gp-regular-tf", "lemma-partition", "ip-ic-bounds"}
-    for rec in fuzz(4, properties=[SetProperty.GP]):
-        assert set(rec["checks"]) == (gp_ids if rec["n"] >= 2 else set())
+    mv_ids = {"mu-bounds", "mu-leaf", "mu-muit", "mu-char"}
+    cases = [([SetProperty.GP], gp_ids), ([SetProperty.MV], mv_ids),
+             ([SetProperty.IGP], {"gp-sandwich"}), ([SetProperty.IMV], {"mu-bounds"}),
+             ([SetProperty.ITMV], {"mu-muit"}),
+             ([SetProperty.IGP, SetProperty.ITMV], {"gp-sandwich", "mu-muit"})]
+    for props, ids in cases:
+        for rec in fuzz(4, properties=props):
+            assert set(rec["checks"]) == (ids if rec["n"] >= 2 else set()), props
+    with pytest.raises(ValueError, match="tmv"):
+        list(fuzz(4, properties=[SetProperty.TMV]))
+    with pytest.raises(ValueError):
+        list(fuzz(4, properties=[SetProperty.GP, "gp"]))
 
 
 def test_fuzz_records_match_suite_runs():
