@@ -3,9 +3,13 @@
 One branch-and-bound engine drives all six hereditary set properties; each
 property contributes an incremental feasibility checker.  Adding a vertex
 ``w`` to a partial set only affects pairs whose geodesics can pass through
-``w``, so the incremental checks are exact, not merely a filter.  The same
-engine also finds the canonical (lexicographically smallest) witness, as a
-first-hit search, and the maximum clique that floors the chromatic number.
+``w``, so the incremental checks are exact, not merely a filter.  The search
+branches over candidate lists: after ``w`` joins, the checker's forward check
+drops the candidates that can no longer join (a test of only what ``w`` can
+break, for GP, MV and cliques), and a subtree is pruned by its size plus its
+candidates.  The same engine also finds the canonical (lexicographically
+smallest) witness, as a first-hit search, and the maximum clique that floors
+the chromatic number.
 
 Also here: isometric path/cycle cover via exact minimum set cover, and an
 iterative-deepening exact chromatic number.
@@ -109,6 +113,14 @@ class _Checker:
     between two members (GP) and, for the independent variants, the members'
     neighbours.  A subclass's ``try_add`` tests only its own property and
     admits ``w`` through :meth:`_push`.
+
+    :meth:`survivors` is the search's forward check.  It runs after ``w``
+    joins, on candidates that could each join the set as it was before
+    ``w``, and returns, in order, those that can still join it.  It may stop
+    early, with fewer than ``need`` of them, once fewer than ``need`` can
+    remain.  This default tries and pops each candidate; a subclass may
+    override it with a test of only what ``w`` can break.  Having passed that
+    check, a candidate joins through :meth:`add`, which does not test again.
     """
 
     def __init__(self, g: Graph, t: Optional[DistanceTable], independent: bool = False):
@@ -134,6 +146,22 @@ class _Checker:
         self.mask &= ~(1 << w)
         self.blocked = self._stack.pop()
 
+    def add(self, w: int) -> None:
+        self._push(w, self.mask | (1 << w), 0)
+
+    def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
+        out = []
+        spare = len(cands) - need
+        for x in cands:
+            if self.try_add(x):
+                self.pop()
+                out.append(x)
+                continue
+            spare -= 1
+            if spare < 0:
+                break
+        return out
+
 
 class _GpChecker(_Checker):
     def try_add(self, w: int) -> bool:
@@ -150,6 +178,34 @@ class _GpChecker(_Checker):
         self._push(w, mask | (1 << w), newly_blocked)
         return True
 
+    def add(self, w: int) -> None:
+        btw = self.t.between[w]
+        newly_blocked = 0
+        for x in self.members:
+            newly_blocked |= btw[x]
+        self._push(w, self.mask | (1 << w), newly_blocked)
+
+    def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
+        # x already passed with the set before w: only the triples holding
+        # both w and x can fail now, and those with x between two members
+        # (or, for IGP, x next to w) are in ``blocked``.
+        members = self.members[:-1]
+        w = self.members[-1]
+        btw = self.t.between
+        btw_w = btw[w]
+        mask, blocked = self.mask, self.blocked
+        out = []
+        for x in cands:
+            if blocked >> x & 1 or btw_w[x] & mask:
+                continue
+            btw_x = btw[x]
+            for y in members:
+                if btw_x[y] >> w & 1:
+                    break
+            else:
+                out.append(x)
+        return out
+
 
 class _MvChecker(_Checker):
     def try_add(self, w: int) -> bool:
@@ -157,16 +213,55 @@ class _MvChecker(_Checker):
             return False
         new_mask = self.mask | (1 << w)
         g, t = self.g, self.t
-        for x in self.members:
-            if not geodesic_exists_avoiding(t, g, w, x, new_mask):
-                return False
         btw = t.between
+        btw_w = btw[w]
+        for x in self.members:
+            if btw_w[x] & new_mask and not geodesic_exists_avoiding(t, g, w, x, new_mask):
+                return False
         # Pairs already in the set are only affected when w can lie between them.
         for x, y in itertools.combinations(self.members, 2):
             if btw[x][y] >> w & 1 and not geodesic_exists_avoiding(t, g, x, y, new_mask):
                 return False
         self._push(w, new_mask, 0)
         return True
+
+    def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
+        # x already passed with the set before w, so a pair needs a new
+        # geodesic only if the newcomer it did not avoid is between its ends:
+        # (x, w); (x, y) with w between; (w, y) with x between; and a member
+        # pair with both w and x between.
+        members = self.members[:-1]
+        w = self.members[-1]
+        g, t = self.g, self.t
+        btw = t.between
+        btw_w = btw[w]
+        mask, blocked = self.mask, self.blocked
+        watch = [(w, y) for y in members if btw_w[y]]
+        watch += [(y, z) for y, z in itertools.combinations(members, 2) if btw[y][z] >> w & 1]
+        watched = 0
+        for u, v in watch:
+            watched |= btw[u][v]
+        out = []
+        spare = len(cands) - need
+        for x in cands:
+            if not blocked >> x & 1:
+                btw_x = btw[x]
+                recheck = [(x, y) for y in members if btw_x[y] >> w & 1]
+                if btw_x[w] & mask:
+                    recheck.append((x, w))
+                if watched >> x & 1:
+                    recheck += [(u, v) for u, v in watch if btw[u][v] >> x & 1]
+                forbidden = mask | (1 << x)
+                for u, v in recheck:
+                    if not geodesic_exists_avoiding(t, g, u, v, forbidden):
+                        break
+                else:
+                    out.append(x)
+                    continue
+            spare -= 1
+            if spare < 0:
+                break
+        return out
 
 
 class _TmvChecker(_Checker):
@@ -197,6 +292,10 @@ class _CliqueChecker(_Checker):
             return False
         self._push(w, self.mask | (1 << w), 0)
         return True
+
+    def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
+        adj_w = self.adj[self.members[-1]]
+        return [x for x in cands if adj_w >> x & 1]
 
 
 def _make_checker(prop: SetProperty, g: Graph, t: DistanceTable) -> _Checker:
@@ -231,62 +330,81 @@ class _TargetReached(Exception):
 
 
 class _MaxSetSearch:
-    """Depth-first branch and bound over ``order``, trying include before skip.
+    """Depth-first branch and bound over candidate lists, include before skip.
+
+    A node is one candidate branched on, and ``budget`` caps the nodes.
+    After a vertex joins, :meth:`_Checker.survivors` keeps the later
+    candidates that can still join: the property is hereditary, so a vertex
+    that cannot join at a node cannot join anywhere below it.  That forward
+    check makes at most one test per candidate per node, none of them
+    counted as nodes, and it stops once too few candidates are left to beat
+    the best.  A node's subtree is pruned when its size plus its candidates
+    cannot beat the best.  Dropping only vertices and subtrees that hold no
+    larger set, the search meets its improvements in the same order as a
+    plain include-before-skip enumeration of ``order``.
 
     The search must beat ``floor``, by default the size of the known-feasible
     ``witness`` it starts from, so pruning bites immediately.  With
-    ``stop_at`` it stops at the first set of that size.  The property must be
-    hereditary, so for order ``0..n-1`` that first set is the
-    lexicographically smallest of its size.  ``exact`` is False when the node
-    budget ran out.
+    ``stop_at`` it stops at the first set of that size, so for order
+    ``0..n-1`` that first set is the lexicographically smallest of its size.
+    ``exact`` is False when the node budget ran out.
     """
 
     def __init__(self, checker: _Checker, order: Sequence[int], budget: int,
                  witness: VertexMask = 0, floor: Optional[int] = None,
                  stop_at: Optional[int] = None):
         self.checker = checker
-        self.order = order
         self.budget = budget
         self.stop_at = stop_at
         self.nodes = 0
         self.witness = witness
         self.best = witness.bit_count() if floor is None else floor
         try:
-            self._extend(0, 0)
+            self._extend(list(order), 0, tested=False)
             self.exact = True
         except _TargetReached:
             self.exact = True
         except BudgetExhausted:
             self.exact = False
 
-    def _extend(self, idx: int, size: int) -> None:
-        order = self.order
+    def _extend(self, cands: list[int], size: int, tested: bool = True) -> None:
+        # Below the root every candidate has passed the forward check.  The
+        # root's are tested here, so its nodes count them; a single vertex is
+        # always a GP, MV or clique set, as the overridden filters assume.
         checker = self.checker
-        for j in range(idx, len(order)):
-            if size + (len(order) - j) <= self.best:
+        for j, w in enumerate(cands):
+            if size + (len(cands) - j) <= self.best:
                 return
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExhausted
-            if checker.try_add(order[j]):
-                if size + 1 > self.best:
-                    self.best = size + 1
-                    self.witness = checker.mask
-                    if self.best == self.stop_at:
-                        raise _TargetReached
-                self._extend(j + 1, size + 1)
-                checker.pop()
+            if tested:
+                checker.add(w)
+            elif not checker.try_add(w):
+                continue
+            if size + 1 > self.best:
+                self.best = size + 1
+                self.witness = checker.mask
+                if self.best == self.stop_at:
+                    raise _TargetReached
+            rest = checker.survivors(cands[j + 1:], self.best - size)
+            if size + 1 + len(rest) > self.best:
+                self._extend(rest, size + 1)
+            checker.pop()
 
 
 def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
             canonical_witness: bool = False) -> InvariantReport:
     """Exact maximum-cardinality set with the given hereditary property.
 
-    Sequential branch-and-bound over a static degree-descending vertex
-    order.  If the node budget runs out the best set found so far is
-    returned with ``exact=False``; that value is still a certified lower
-    bound because every reported witness is feasibility-checked.  The
-    canonical witness is a first-hit search over ``0..n-1`` with the budget left.
+    Sequential branch and bound with forward checking (:class:`_MaxSetSearch`),
+    its candidates first taken in degree-descending order.  ``nodes_explored``
+    counts the candidates branched on; each that joins also pays for at
+    most one forward-check test per later candidate.  If the node budget
+    runs out the best set found so far is returned with ``exact=False``;
+    that value is still a certified lower bound because every reported
+    witness is feasibility-checked.  The canonical witness is a first-hit
+    search over ``0..n-1`` with the budget left.
     """
     if not is_connected(g):
         raise GraphError("maximum-set search requires a connected graph")

@@ -19,6 +19,9 @@ from shadowpos.graph_core import (
 )
 from shadowpos.shadow import shadow, star_shadow
 from shadowpos.solvers import (
+    _Checker,
+    _CliqueChecker,
+    _make_checker,
     _max_clique_size,
     chromatic_number,
     isometric_cycle_cover,
@@ -40,7 +43,9 @@ def _family(text):
 
 
 def test_exact_values_match_subset_enumeration_small():
-    for g in enumerate_connected(4, dedup=True):
+    # Every connected graph of order <= 5 and its shadow (S(K_1) is disconnected).
+    bases = list(enumerate_connected(5, dedup=True))
+    for g in bases + [shadow(b).graph for b in bases if b.n > 1]:
         oracle = NaiveOracle(g)
         for code in ALL_CODES:
             r = max_set(property_for_code(code), g)
@@ -70,7 +75,8 @@ def test_rejects_disconnected():
 def test_canonical_witness_is_lexicographically_smallest():
     # mut = muit = 0 on C_6, so the empty witness is covered too.
     graphs = {text: _family(text) for text in ["cycle:6", "path:5", "bipartite:2,3", "complete:4"]}
-    graphs.update({f"S({text})": shadow(_family(text)).graph for text in ["cycle:5", "star:3"]})
+    graphs.update({f"S({text})": shadow(_family(text)).graph
+                   for text in ["cycle:5", "star:3", "path:4", "cycle:4"]})
     for text, g in graphs.items():
         for code in ALL_CODES:
             prop = property_for_code(code)
@@ -88,6 +94,44 @@ def test_canonical_witness_is_lexicographically_smallest():
             assert tuple(mask_to_sorted_list(r.witness)) == best, (text, code)
 
 
+def test_forward_check_filters_match_try_and_pop():
+    # Each checker's survivors() override must keep exactly the candidates
+    # that the default filter (try_add, then pop) keeps, in the same order, on states
+    # the search can reach: after w joins, with candidates that could each
+    # join the set as it was before w.  add(w) must leave the state that a
+    # successful try_add(w) leaves.  With ``need``, a filter may stop early
+    # only when fewer than ``need`` candidates survive.
+    rng = random.Random(606)
+    graphs = [shadow(random_connected_graph(rng.randint(2, 6), rng)).graph for _ in range(10)]
+    graphs += [random_connected_graph(rng.randint(3, 12), rng) for _ in range(10)]
+    for g in graphs:
+        t = distances(g)
+        checkers = [_make_checker(property_for_code(c), g, t) for c in ALL_CODES]
+        for checker in checkers + [_CliqueChecker(g, None)]:
+            for _ in range(3):
+                cands = _Checker.survivors(checker, range(g.n))
+                while cands:
+                    w = rng.choice(cands)
+                    cands.remove(w)
+                    rng.shuffle(cands)
+                    assert checker.try_add(w)
+                    state = (checker.mask, checker.blocked, list(checker.members))
+                    checker.pop()
+                    checker.add(w)
+                    assert (checker.mask, checker.blocked, checker.members) == state
+                    kept = checker.survivors(cands)
+                    assert (checker.mask, checker.blocked, checker.members) == state
+                    assert kept == _Checker.survivors(checker, cands), \
+                        (type(checker).__name__, g.edges(), checker.members, cands)
+                    need = rng.randint(1, len(cands) + 1)
+                    for early in (checker.survivors(cands, need), _Checker.survivors(checker, cands, need)):
+                        assert early == kept or (len(kept) < need and len(early) < need
+                                                 and early == kept[:len(early)])
+                    cands = kept
+                while checker.members:
+                    checker.pop()
+
+
 def test_budget_exhaustion_reports_lower_bound():
     g = shadow(_family("cycle:9")).graph
     r = max_set(SetProperty.MV, g, budget=10)
@@ -96,15 +140,18 @@ def test_budget_exhaustion_reports_lower_bound():
     assert full.exact
     assert r.value <= full.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
-    # The main search on S(C_7) takes 858 nodes, so the canonical-witness
-    # search runs out after one more; the report must count its nodes too.
+    # One node more than the main search leaves the canonical-witness search
+    # a single node, so it runs out; the report must count its nodes too.
     g = shadow(_family("cycle:7")).graph
-    r = max_set(SetProperty.MV, g, budget=859, canonical_witness=True)
+    budget = max_set(SetProperty.MV, g).nodes_explored + 1
+    # The budget covers the main search, so it runs out in the canonical pass.
+    assert max_set(SetProperty.MV, g, budget=budget).exact
+    r = max_set(SetProperty.MV, g, budget=budget, canonical_witness=True)
     assert r.exact is False
     assert r.value == 7
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
     assert r.witness.bit_count() == r.value
-    assert r.nodes_explored == 859 + 1
+    assert r.nodes_explored == budget + 1
 
 
 def test_certification_survives_optimize_flag():
