@@ -57,7 +57,8 @@ def _load_graph(source: str) -> tuple[Graph, str]:
     """
     if os.path.exists(source):
         try:
-            text = open(source, encoding="utf-8").read()
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise GraphError(f"cannot read {source}: {exc}") from None
         if looks_like_edge_list(text):
@@ -226,7 +227,11 @@ def cmd_verify(suite_id: str, n_max: Optional[int], seed: int,
     click.echo("-" * len(header))
     try:
         for sid in suite_ids:
-            report = run_suite(sid, params, workers=workers)
+            try:
+                report = run_suite(sid, params, workers=workers)
+            except GraphError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_PRECONDITION)
             total_fail += report.failed
             click.echo(f"{sid:<16} {len(report.results):>9} {report.passed:>6} "
                        f"{report.failed:>6} {report.skipped:>8}")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph_core import Graph, GraphError, build_graph, is_connected, iter_bits
+from .graph_core import Graph, GraphError, build_graph, iter_bits
 
 FAMILY_KINDS = (
     "path", "cycle", "complete", "complete_bipartite", "complete_multipartite",
@@ -241,23 +241,16 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return (n, best if best is not None else 0)
 
 
-def _labeled_connected(n: int) -> Iterator[Graph]:
-    if n == 1:
-        yield Graph(1, (0,))
+def enumerate_connected(n_max: int) -> Iterator[Graph]:
+    """Yield one connected graph on 1..n_max vertices per isomorphism class.
+
+    Hard-capped at ``n_max <= 7``.
+    """
+    if n_max > ENUMERATION_CAP:
+        raise GraphError(
+            f"enumeration capped at n <= {ENUMERATION_CAP}, got {n_max}")
+    if n_max < 1:
         return
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        g = Graph(n, tuple(rows))
-        if is_connected(g):
-            yield g
-
-
-def _dedup_connected(n_max: int) -> Iterator[Graph]:
     # Orderly extension: every connected graph on n >= 2 vertices arises from
     # a connected graph on n-1 vertices by adding one vertex with a nonempty
     # neighborhood (delete any non-cut vertex to see this).
@@ -277,22 +270,3 @@ def _dedup_connected(n_max: int) -> Iterator[Graph]:
                     nxt.append(cand)
                     yield cand
         level = nxt
-
-
-def enumerate_connected(n_max: int, dedup: bool = False) -> Iterator[Graph]:
-    """Yield every simple connected graph on 1..n_max vertices exactly once.
-
-    Labeled enumeration by default; with ``dedup=True`` one representative
-    per isomorphism class is produced instead.  Hard-capped at
-    ``n_max <= 7``.
-    """
-    if n_max > ENUMERATION_CAP:
-        raise GraphError(
-            f"enumeration capped at n <= {ENUMERATION_CAP}, got {n_max}")
-    if n_max < 1:
-        return
-    if dedup:
-        yield from _dedup_connected(n_max)
-    else:
-        for n in range(1, n_max + 1):
-            yield from _labeled_connected(n)

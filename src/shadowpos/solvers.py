@@ -6,13 +6,13 @@ property contributes an incremental feasibility checker.  Adding a vertex
 ``w``, so the incremental checks are exact, not merely a filter.  The search
 branches over candidate lists: after ``w`` joins, the checker's forward check
 drops the candidates that can no longer join (a test of only what ``w`` can
-break, for GP, MV and cliques), and a subtree is pruned by its size plus its
+break, for GP and MV), and a subtree is pruned by its size plus its
 candidates.  The same engine also finds the canonical (lexicographically
-smallest) witness, as a first-hit search, and the maximum clique that floors
-the chromatic number.
+smallest) witness, as a first-hit search.
 
-Also here: isometric path/cycle cover via exact minimum set cover, and an
-iterative-deepening exact chromatic number.
+The one other search is an exact minimum set cover.  It serves the isometric
+path and cycle covers and the chromatic number, a minimum cover of the
+vertices by maximal independent sets.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph_core import (
     DistanceTable,
@@ -38,6 +38,10 @@ from .graph_core import (
 from .visibility import SetProperty, check as check_property
 
 DEFAULT_NODE_BUDGET = 10**8
+
+# Most distinct geodesic vertex sets the path cover enumerates; past it the
+# cover is reported with ``exact=False``.
+GEODESIC_CAP = 200_000
 
 INVARIANT_CODES = ("gp", "igp", "mu", "mui", "mut", "muit", "ip", "ic", "chi")
 
@@ -123,7 +127,7 @@ class _Checker:
     check, a candidate joins through :meth:`add`, which does not test again.
     """
 
-    def __init__(self, g: Graph, t: Optional[DistanceTable], independent: bool = False):
+    def __init__(self, g: Graph, t: DistanceTable, independent: bool = False):
         self.g = g
         self.t = t
         self.adj = g.adj
@@ -286,18 +290,6 @@ class _TmvChecker(_Checker):
         return True
 
 
-class _CliqueChecker(_Checker):
-    def try_add(self, w: int) -> bool:
-        if self.mask & ~self.adj[w]:
-            return False
-        self._push(w, self.mask | (1 << w), 0)
-        return True
-
-    def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
-        adj_w = self.adj[self.members[-1]]
-        return [x for x in cands if adj_w >> x & 1]
-
-
 def _make_checker(prop: SetProperty, g: Graph, t: DistanceTable) -> _Checker:
     if prop in (SetProperty.GP, SetProperty.IGP):
         return _GpChecker(g, t, prop is SetProperty.IGP)
@@ -370,7 +362,7 @@ class _MaxSetSearch:
     def _extend(self, cands: list[int], size: int, tested: bool = True) -> None:
         # Below the root every candidate has passed the forward check.  The
         # root's are tested here, so its nodes count them; a single vertex is
-        # always a GP, MV or clique set, as the overridden filters assume.
+        # always a GP or MV set, as the overridden filters assume.
         checker = self.checker
         for j, w in enumerate(cands):
             if size + (len(cands) - j) <= self.best:
@@ -524,7 +516,7 @@ def _enumerate_geodesics(g: Graph, t: DistanceTable,
     Includes single vertices (length-0 geodesics).  Returns (mapping,
     complete); ``complete`` is False when the cap was hit.
     """
-    paths: dict[int, tuple[int, ...]] = {v: (v,) for v in range(g.n)}
+    paths: dict[int, tuple[int, ...]] = {1 << v: (v,) for v in range(g.n)}
     complete = True
     for u in range(g.n):
         lu = t.layers[u]
@@ -610,26 +602,40 @@ class _SetCoverSearch:
             chosen.pop()
 
 
-def isometric_path_cover(g: Graph, geodesic_cap: int = 200_000) -> InvariantReport:
+def _min_cover(invariant: str, g: Graph, sets: dict[int, object], exact: bool,
+               start: float) -> InvariantReport:
+    """Fewest of ``sets`` (vertex mask -> witness) that cover every vertex.
+
+    If their union misses a vertex the instance is not coverable; the report
+    flags that instead of inventing a value.
+    """
+    masks = _dominance_filter(list(sets))
+    covered = 0
+    for m in masks:
+        covered |= m
+    if covered != g.vertex_mask():
+        return InvariantReport(invariant=invariant, value=0, witness=None, exact=True,
+                               coverable=False, elapsed=time.perf_counter() - start)
+    # Witnesses survive dominance filtering by mask identity.
+    cover = _SetCoverSearch(g.vertex_mask(), masks)
+    picked = cover.run()
+    return InvariantReport(
+        invariant=invariant,
+        value=len(picked),
+        witness=[sets[masks[i]] for i in picked],
+        exact=exact,
+        nodes_explored=cover.nodes,
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def isometric_path_cover(g: Graph) -> InvariantReport:
     """Minimum number of geodesics covering all vertices, exact at desk scale."""
     if not is_connected(g):
         raise GraphError("path cover requires a connected graph")
     start = time.perf_counter()
-    t = distances(g)
-    paths, complete = _enumerate_geodesics(g, t, geodesic_cap)
-    masks = _dominance_filter(list(paths))
-    # Representative sequences survive dominance filtering by mask identity.
-    cover = _SetCoverSearch(g.vertex_mask(), masks)
-    picked = cover.run()
-    witness = [paths[masks[i]] for i in picked]
-    return InvariantReport(
-        invariant="ip",
-        value=len(picked),
-        witness=witness,
-        exact=complete,
-        nodes_explored=cover.nodes,
-        elapsed=time.perf_counter() - start,
-    )
+    paths, complete = _enumerate_geodesics(g, distances(g), GEODESIC_CAP)
+    return _min_cover("ip", g, paths, complete, start)
 
 
 def _cycle_is_isometric(t: DistanceTable, cycle: Sequence[int]) -> bool:
@@ -676,80 +682,52 @@ def isometric_cycle_cover(g: Graph) -> InvariantReport:
     if g.n > 14:
         raise GraphError(f"cycle cover capped at 14 vertices, got {g.n}")
     start = time.perf_counter()
-    t = distances(g)
-    cycles = _enumerate_isometric_cycles(g, t)
-    masks = _dominance_filter(list(cycles))
-    covered = 0
-    for m in masks:
-        covered |= m
-    if covered != g.vertex_mask():
-        return InvariantReport(invariant="ic", value=0, witness=None, exact=True,
-                               coverable=False, elapsed=time.perf_counter() - start)
-    cover = _SetCoverSearch(g.vertex_mask(), masks)
-    picked = cover.run()
-    witness = [cycles[masks[i]] for i in picked]
-    return InvariantReport(
-        invariant="ic",
-        value=len(picked),
-        witness=witness,
-        exact=True,
-        nodes_explored=cover.nodes,
-        elapsed=time.perf_counter() - start,
-    )
+    return _min_cover("ic", g, _enumerate_isometric_cycles(g, distances(g)), True, start)
 
 
 # ---------------------------------------------------------------------------
 # Chromatic number
 
 
-def _max_clique_size(g: Graph) -> int:
-    """Largest clique found within the default budget; a floor for chi either way."""
-    checker = _CliqueChecker(g, None)
-    order = _static_order(g)
-    return _MaxSetSearch(checker, order, DEFAULT_NODE_BUDGET,
-                         witness=_greedy_set(checker, order)).best
+def _maximal_independent_sets(g: Graph) -> Iterator[VertexMask]:
+    """Every maximal independent set, once each.
 
+    Bron-Kerbosch with a pivot over the complement's rows: a maximal clique
+    of the complement is a maximal independent set.  ``r`` is the set so
+    far, ``p`` the vertices that may extend it, ``x`` those already tried.
+    """
+    full = g.vertex_mask()
+    co = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
 
-def _k_colorable(g: Graph, order: Sequence[int], k: int) -> Optional[list[int]]:
-    colors = [-1] * g.n
+    def expand(r: int, p: int, x: int) -> Iterator[VertexMask]:
+        if not p | x:
+            yield r
+            return
+        pivot = max(iter_bits(p | x), key=lambda u: (co[u] & p).bit_count())
+        for v in iter_bits(p & ~co[pivot]):
+            yield from expand(r | 1 << v, p & co[v], x & co[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        used_max = max(colors[order[j]] for j in range(i)) if i else -1
-        for c in range(min(k - 1, used_max + 1) + 1):
-            if all(colors[w] != c for w in iter_bits(g.adj[v])):
-                colors[v] = c
-                if assign(i + 1):
-                    return True
-                colors[v] = -1
-        return False
-
-    return colors if assign(0) else None
+    return expand(0, full, 0)
 
 
 def chromatic_number(g: Graph) -> InvariantReport:
-    """Exact chromatic number by iterative deepening, clique bound as floor."""
+    """Exact chromatic number: the fewest maximal independent sets covering V.
+
+    Moon-Moser bounds the number of maximal independent sets by 3^(n/3), 324
+    at the 16-vertex cap.  The witness lists colour classes: each vertex
+    takes the first chosen set that holds it.  A minimum cover has no
+    redundant set, so no class is empty.
+    """
     if g.n > 16:
         raise GraphError(f"chromatic number capped at 16 vertices, got {g.n}")
     start = time.perf_counter()
-    if g.n == 0:
-        return InvariantReport("chi", 0, witness=[], elapsed=0.0)
-    order = _static_order(g)
-    lo = max(1, _max_clique_size(g))
-    k = lo
-    while True:
-        colors = _k_colorable(g, order, k)
-        if colors is not None:
-            classes = [tuple(v for v in range(g.n) if colors[v] == c)
-                       for c in range(k)]
-            classes = [c for c in classes if c]
-            return InvariantReport(
-                invariant="chi",
-                value=k,
-                witness=classes,
-                exact=True,
-                elapsed=time.perf_counter() - start,
-            )
-        k += 1
+    report = _min_cover("chi", g, {m: m for m in _maximal_independent_sets(g)}, True, start)
+    coloured = 0
+    classes = []
+    for m in report.witness:
+        classes.append(tuple(iter_bits(m & ~coloured)))
+        coloured |= m
+    report.witness = classes
+    return report

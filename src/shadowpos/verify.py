@@ -174,7 +174,7 @@ def mu_shadow_bounds(n: int, mu: int, mu_i: int, max_degree: int) -> tuple[int, 
 @lru_cache(maxsize=8)
 def _connected_reps_g6(n_max: int) -> tuple[str, ...]:
     """graph6 of one connected graph per isomorphism class, orders 2..n_max."""
-    return tuple(graph_to_graph6(g) for g in enumerate_connected(n_max, dedup=True)
+    return tuple(graph_to_graph6(g) for g in enumerate_connected(n_max)
                  if g.n >= 2)
 
 
@@ -565,7 +565,7 @@ def fuzz(n_max: int, properties: Optional[Iterable[SetProperty]] = None,
                 raise ValueError(f"no fuzz check solves {prop!r}")
             suite_ids.extend(selected)
         suite_ids = list(dict.fromkeys(suite_ids))
-    for g in enumerate_connected(n_max, dedup=True):
+    for g in enumerate_connected(n_max):
         g6 = graph_to_graph6(g)
         profile = _GraphProfile(g6, budget, g)
         # Every check involves the shadow, which needs at least one edge.

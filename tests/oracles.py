@@ -170,10 +170,26 @@ def naive_max_set(code: str, g: Graph) -> int:
     return NaiveOracle(g).max_set(code)
 
 
-def naive_max_clique(g: Graph) -> int:
-    """Largest clique over all 2^n subsets."""
-    for size in range(g.n, 0, -1):
-        for combo in itertools.combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
-                return size
-    return 0
+def naive_chromatic_number(g: Graph) -> int:
+    """Fewest blocks over all partitions of V into independent sets."""
+    best = g.n
+    blocks: list[int] = []
+
+    # Vertex v joins an earlier block or opens a new one, so every set
+    # partition arises exactly once.
+    def place(v: int) -> None:
+        nonlocal best
+        if v == g.n:
+            best = min(best, len(blocks))
+            return
+        for i, block in enumerate(blocks):
+            if not block & g.adj[v]:
+                blocks[i] = block | 1 << v
+                place(v + 1)
+                blocks[i] = block
+        blocks.append(1 << v)
+        place(v + 1)
+        blocks.pop()
+
+    place(0)
+    return best

@@ -204,7 +204,7 @@ def test_c08_characterization_fuzz():
     p3 = canonical_key(generate(FamilySpec("path", (3,))))
     c3 = canonical_key(generate(FamilySpec("cycle", (3,))))
     bad = []
-    for g in enumerate_connected(6, dedup=True):
+    for g in enumerate_connected(6):
         if g.n < 2:
             continue  # S(K_1) is disconnected; mu is undefined there
         mu = _mu_shadow(g)
@@ -227,7 +227,7 @@ def test_c09_bound_fuzz():
     cliques = {canonical_key(generate(FamilySpec("complete", (k,))))
                for k in range(4, 7)}
     bad, documented, unconfirmed = [], [], []
-    for g in enumerate_connected(6, dedup=True):
+    for g in enumerate_connected(6):
         if g.n < 2:
             continue
         g6 = graph_to_graph6(g)
@@ -288,12 +288,12 @@ def test_c09_bound_fuzz():
 def test_c10_lemma_clauses():
     start = time.perf_counter()
     bad = []
-    for g in enumerate_connected(7, dedup=True):
+    for g in enumerate_connected(7):
         if g.n < 2:
             continue
         if shadow_distance_violations(shadow(g)):
             bad.append(("distance", graph_to_graph6(g)))
-    for g in enumerate_connected(6, dedup=True):
+    for g in enumerate_connected(6):
         if g.n < 2:
             continue
         sg = shadow(g)
@@ -334,7 +334,7 @@ def test_c12_balloon():
 def test_c13_oracle_equivalence():
     start = time.perf_counter()
     bad = []
-    for g in enumerate_connected(5, dedup=True):
+    for g in enumerate_connected(5):
         hosts = [g] + ([shadow(g).graph] if g.n >= 2 else [])
         for h in hosts:
             oracle = NaiveOracle(h)

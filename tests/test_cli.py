@@ -158,6 +158,16 @@ def test_verify_failing_suite_nonzero(runner):
     assert "FAIL" in result.output
 
 
+def test_verify_size_cap_exit_3(runner, tmp_path):
+    log = tmp_path / "run.jsonl"
+    result = runner.invoke(main, ["verify", "--suite", "mu-leaf", "--n-max", "8",
+                                  "--log", str(log), "--workers", "1"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: ") and "capped" in result.stderr
+    assert "Traceback" not in result.output
+    assert log.read_text() == ""
+
+
 def test_verify_log_unwritable_exit_5(runner):
     result = runner.invoke(main, ["verify", "--suite", "gp-cycles",
                                   "--log", "/no/such/dir/log.jsonl"])

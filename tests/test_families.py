@@ -116,21 +116,13 @@ def test_canonical_key_separates_non_isomorphic():
     assert len(keys) == 3
 
 
-def test_labeled_enumeration_counts():
-    # Connected labeled graphs: 1, 1, 4, 38 for n = 1..4 (classical values).
-    counts = {}
-    for g in enumerate_connected(4):
-        counts[g.n] = counts.get(g.n, 0) + 1
-    assert counts == {1: 1, 2: 1, 3: 4, 4: 38}
-
-
 def test_dedup_enumeration_counts():
     # Connected graphs up to isomorphism: 1, 1, 2, 6, 21, 112 for n = 1..6.
     counts = {}
-    for g in enumerate_connected(6, dedup=True):
+    for g in enumerate_connected(6):
         counts[g.n] = counts.get(g.n, 0) + 1
     assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-    keys = [canonical_key(g) for g in enumerate_connected(5, dedup=True)]
+    keys = [canonical_key(g) for g in enumerate_connected(5)]
     assert len(keys) == len(set(keys))
 
 

@@ -179,7 +179,7 @@ def test_structural_summary_of_disconnected_graph():
 
 
 def test_structural_diameter_is_largest_distance():
-    for g in enumerate_connected(6, dedup=True):
+    for g in enumerate_connected(6):
         s = structural_queries(g)
         assert s.connected
         assert s.diameter == max(max(row) for row in distances(g).d), g.edges()

@@ -20,9 +20,8 @@ from shadowpos.graph_core import (
 from shadowpos.shadow import shadow, star_shadow
 from shadowpos.solvers import (
     _Checker,
-    _CliqueChecker,
     _make_checker,
-    _max_clique_size,
+    _maximal_independent_sets,
     chromatic_number,
     isometric_cycle_cover,
     isometric_path_cover,
@@ -33,7 +32,7 @@ from shadowpos.solvers import (
 from shadowpos.visibility import SetProperty, check as check_property
 
 from conftest import random_connected_graph
-from oracles import NaiveOracle, naive_max_clique
+from oracles import NaiveOracle, naive_chromatic_number
 
 ALL_CODES = ("gp", "igp", "mu", "mui", "mut", "muit")
 
@@ -44,7 +43,7 @@ def _family(text):
 
 def test_exact_values_match_subset_enumeration_small():
     # Every connected graph of order <= 5 and its shadow (S(K_1) is disconnected).
-    bases = list(enumerate_connected(5, dedup=True))
+    bases = list(enumerate_connected(5))
     for g in bases + [shadow(b).graph for b in bases if b.n > 1]:
         oracle = NaiveOracle(g)
         for code in ALL_CODES:
@@ -107,7 +106,7 @@ def test_forward_check_filters_match_try_and_pop():
     for g in graphs:
         t = distances(g)
         checkers = [_make_checker(property_for_code(c), g, t) for c in ALL_CODES]
-        for checker in checkers + [_CliqueChecker(g, None)]:
+        for checker in checkers:
             for _ in range(3):
                 cands = _Checker.survivors(checker, range(g.n))
                 while cands:
@@ -205,12 +204,16 @@ def test_isometric_path_cover_values():
     assert isometric_path_cover(_family("star:4")).value == 2
     assert isometric_path_cover(shadow(_family("path:2")).graph).value == 1
     assert isometric_path_cover(shadow(_family("star:3")).graph).value == 3
+    assert isometric_path_cover(build_graph(8, [(3, v) for v in (0, 1, 2, 4, 5, 6, 7)])).value == 4
 
 
 def test_isometric_path_cover_is_a_cover_of_geodesics():
     rng = random.Random(23)
-    for _ in range(10):
-        g = random_connected_graph(rng.randint(3, 7), rng)
+    graphs = [g for g in enumerate_connected(6) if g.n > 1]
+    graphs += [random_connected_graph(rng.randint(3, 7), rng) for _ in range(10)]
+    # Leaves 0, 1, 2 lie on no common geodesic, so no path covers all three.
+    graphs.append(build_graph(8, [(3, v) for v in (0, 1, 2, 4, 5, 6, 7)]))
+    for g in graphs:
         r = isometric_path_cover(g)
         t = distances(g)
         covered = set()
@@ -252,28 +255,53 @@ def test_chromatic_number_values():
     assert chromatic_number(star_shadow(_family("cycle:5"))).value == 4
 
 
-def test_max_clique_size_matches_subset_enumeration():
-    graphs = list(enumerate_connected(6, dedup=True))
-    rng = random.Random(47)
-    for _ in range(40):
-        n = rng.randint(1, 12)
-        p = rng.random()
-        graphs.append(build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
-                                      if rng.random() < p]))
-    for g in graphs:
-        assert _max_clique_size(g) == naive_max_clique(g), (g.n, g.edges())
+def _random_graph(n, rng):
+    # Any density, so many of these graphs are disconnected.
+    p = rng.random()
+    return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                           if rng.random() < p])
 
 
-def test_chromatic_witness_is_a_proper_coloring():
-    g = star_shadow(_family("cycle:5"))
-    r = chromatic_number(g)
+def _assert_proper_coloring(g, classes):
     color = {}
-    for c, cls in enumerate(r.witness):
+    for c, cls in enumerate(classes):
+        assert cls, classes
         for v in cls:
+            assert v not in color, classes
             color[v] = c
     assert sorted(color) == list(range(g.n))
     for u, v in g.edges():
         assert color[u] != color[v]
+
+
+def test_chromatic_number_matches_partition_oracle():
+    rng = random.Random(53)
+    graphs = list(enumerate_connected(7))
+    graphs += [_random_graph(rng.randint(0, 10), rng) for _ in range(60)]
+    for g in graphs:
+        r = chromatic_number(g)
+        assert r.exact
+        assert r.value == naive_chromatic_number(g), (g.n, g.edges())
+        assert len(r.witness) == r.value
+        _assert_proper_coloring(g, r.witness)
+
+
+def test_maximal_independent_sets_each_once():
+    rng = random.Random(71)
+    graphs = list(enumerate_connected(5))
+    graphs += [_random_graph(rng.randint(0, 8), rng) for _ in range(40)]
+    for g in graphs:
+        expected = []
+        for s in range(1 << g.n):
+            independent = all(not g.adj[v] & s for v in iter_bits(s))
+            if independent and all(g.adj[v] & s for v in range(g.n) if not s >> v & 1):
+                expected.append(s)
+        assert sorted(_maximal_independent_sets(g)) == expected, (g.n, g.edges())
+
+
+def test_chromatic_witness_is_a_proper_coloring():
+    g = star_shadow(_family("cycle:5"))
+    _assert_proper_coloring(g, chromatic_number(g).witness)
 
 
 def test_invariant_report_serialization():

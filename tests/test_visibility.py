@@ -16,7 +16,7 @@ _ORACLE_CODE = {
 
 def test_predicates_agree_with_path_enumeration_exhaustively():
     # Every subset of every connected graph up to n = 4, all six properties.
-    for g in enumerate_connected(4, dedup=True):
+    for g in enumerate_connected(4):
         t = distances(g)
         oracle = NaiveOracle(g)
         for mask in range(1 << g.n):
@@ -53,7 +53,7 @@ def test_predicates_on_a_shadow_graph():
 
 
 def test_small_and_degenerate_sets():
-    g = next(iter(enumerate_connected(1, dedup=True)))
+    g = next(iter(enumerate_connected(1)))
     t = distances(g)
     for prop in SetProperty:
         assert check(prop, g, t, 0)
