@@ -30,6 +30,7 @@ from .shadow import ShadowGraph, shadow, star_shadow
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     INVARIANT_CODES,
+    SET_INVARIANT_CODES,
     chromatic_number,
     isometric_cycle_cover,
     isometric_path_cover,
@@ -46,8 +47,6 @@ EXIT_BUDGET = 4
 EXIT_UNWRITABLE = 5
 
 INDEX_CONVENTION = "twin of base vertex i is i + n; apex (star shadow) is 2n"
-
-_SET_INVARIANTS = ("gp", "igp", "mu", "mui", "mut", "muit")
 
 
 def _load_graph(source: str) -> tuple[Graph, str]:
@@ -124,7 +123,7 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
             g = shadow(g).graph
         elif apply_star:
             g = star_shadow(g)
-        if invariant in _SET_INVARIANTS:
+        if invariant in SET_INVARIANT_CODES:
             prop = property_for_code(invariant)
             if exact_mode:
                 report = max_set(prop, g, budget=budget,
@@ -132,12 +131,9 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
             else:
                 report = max_set_heuristic(prop, g, time_budget=time_budget,
                                            seed=seed)
-        elif invariant == "ip":
-            report = isometric_path_cover(g)
-        elif invariant == "ic":
-            report = isometric_cycle_cover(g)
         else:
-            report = chromatic_number(g)
+            report = {"ip": isometric_path_cover, "ic": isometric_cycle_cover,
+                      "chi": chromatic_number}[invariant](g)
     except GraphError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PRECONDITION)
@@ -203,7 +199,7 @@ def cmd_transform(source: str, op: str, out_path: str, fmt: str) -> None:
 @click.option("--log", "log_path", default=None,
               help="Append one JSONL run record per instance to this file.")
 @click.option("--workers", type=int, default=None,
-              help="Worker processes (default: SHADOWPOS_THREADS or CPU count).")
+              help="Worker processes (default: the CPUs this process may run on).")
 def cmd_verify(suite_id: str, n_max: Optional[int], seed: int,
                log_path: Optional[str], workers: Optional[int]) -> None:
     """Replay named verification suites; exit 0 iff no instance fails."""

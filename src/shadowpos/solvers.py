@@ -21,7 +21,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph_core import (
     DistanceTable,
@@ -33,6 +33,7 @@ from .graph_core import (
     geodesic_exists_avoiding,
     is_connected,
     iter_bits,
+    mask_of,
     mask_to_sorted_list,
 )
 from .visibility import SetProperty, check as check_property
@@ -42,8 +43,6 @@ DEFAULT_NODE_BUDGET = 10**8
 # Most distinct geodesic vertex sets the path cover enumerates; past it the
 # cover is reported with ``exact=False``.
 GEODESIC_CAP = 200_000
-
-INVARIANT_CODES = ("gp", "igp", "mu", "mui", "mut", "muit", "ip", "ic", "chi")
 
 _PROPERTY_CODE = {
     SetProperty.GP: "gp",
@@ -55,6 +54,9 @@ _PROPERTY_CODE = {
 }
 
 _CODE_PROPERTY = {v: k for k, v in _PROPERTY_CODE.items()}
+
+SET_INVARIANT_CODES = tuple(_PROPERTY_CODE.values())
+INVARIANT_CODES = SET_INVARIANT_CODES + ("ip", "ic", "chi")
 
 
 def property_for_code(code: str) -> SetProperty:
@@ -308,13 +310,20 @@ def _static_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def _greedy_set(checker: _Checker, order: Sequence[int]) -> VertexMask:
-    for w in order:
-        checker.try_add(w)
-    mask = checker.mask
+def _refill(checker: _Checker, keep: Sequence[int], order: Iterable[int]) -> VertexMask:
+    """Pop the set empty, re-add ``keep``, then add greedily in ``order``.
+
+    ``keep`` must be part of a feasible set, in the order its members
+    joined, so it re-joins untested.
+    """
     while checker.members:
         checker.pop()
-    return mask
+    for w in keep:
+        checker.add(w)
+    for w in order:
+        if not checker.mask >> w & 1:
+            checker.try_add(w)
+    return checker.mask
 
 
 class _TargetReached(Exception):
@@ -404,7 +413,9 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     t = distances(g)
     order = _static_order(g)
     checker = _make_checker(prop, g, t)
-    search = _MaxSetSearch(checker, order, budget, witness=_greedy_set(checker, order))
+    greedy = _refill(checker, (), order)
+    _refill(checker, (), ())  # the search starts from the empty set
+    search = _MaxSetSearch(checker, order, budget, witness=greedy)
     value, witness, nodes, exact = search.best, search.witness, search.nodes, search.exact
     if canonical_witness and exact and value > 0:
         first = _MaxSetSearch(_make_checker(prop, g, t), range(g.n), budget - nodes,
@@ -415,16 +426,20 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
             witness = first.witness
         elif exact:
             raise RuntimeError(f"canonical witness search found no set of size {value}")
+    return _certified_set(prop, g, t, witness, exact, nodes, start)
+
+
+def _certified_set(prop: SetProperty, g: Graph, t: DistanceTable, witness: VertexMask,
+                   exact: bool, nodes: int, start: float) -> InvariantReport:
+    """The report of a ``prop`` set search, once its witness is checked.
+
+    The check raises rather than asserts, so it still runs under ``python -O``.
+    """
     if not check_property(prop, g, t, witness):
-        raise RuntimeError(f"max_set witness failed the {prop.value} certification")
-    return InvariantReport(
-        invariant=_PROPERTY_CODE[prop],
-        value=value,
-        witness=witness,
-        exact=exact,
-        nodes_explored=nodes,
-        elapsed=time.perf_counter() - start,
-    )
+        raise RuntimeError(f"{_PROPERTY_CODE[prop]} witness failed the {prop.value} certification")
+    return InvariantReport(invariant=_PROPERTY_CODE[prop], value=witness.bit_count(),
+                           witness=witness, exact=exact, nodes_explored=nodes,
+                           elapsed=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -432,77 +447,50 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
 
 
 def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
-                      seed: int = 0, max_restarts: int = 10**6,
-                      target: Optional[int] = None) -> InvariantReport:
+                      seed: int = 0, max_restarts: int = 10**6) -> InvariantReport:
     """Greedy seeding plus add/kick local search; returns a certified lower bound.
 
-    Restart r uses rng seeded by ``seed * 0x9E3779B9 + r`` so runs are
-    reproducible per seed.  The witness is re-verified before reporting.
-    When ``target`` is given the search stops early once a set of at least
-    that size is found.
+    Each restart fills one checker greedily, then makes up to 40 kicks:
+    drop a few members and refill in a fresh random order.  Restart r uses
+    an rng seeded by ``seed * 0x9E3779B9 + r``, so a run repeats per seed
+    only at a fixed restart count; ``time_budget`` cuts restarts and kicks
+    at a wall-clock time, which makes their count machine-dependent.
     """
     if not is_connected(g):
         raise GraphError("heuristic search requires a connected graph")
     start = time.perf_counter()
     t = distances(g)
     n = g.n
-    best_mask = 0
+    checker = _make_checker(prop, g, t)
+    best = 0
     nodes = 0
     deg_desc = _static_order(g)
-    deg_asc = list(reversed(deg_desc))
-    restart = 0
-    while restart < max_restarts:
-        if target is not None and best_mask.bit_count() >= target:
-            break
+    for restart in range(max_restarts):
         if restart > 0 and time.perf_counter() - start > time_budget:
             break
         rng = random.Random(seed * 0x9E3779B9 + restart)
-        if restart == 0:
-            order = deg_desc
-        elif restart == 1:
-            order = deg_asc
+        if restart < 2:
+            order = deg_desc if restart == 0 else deg_desc[::-1]
         else:
             order = list(range(n))
             rng.shuffle(order)
-        checker = _make_checker(prop, g, t)
-        for w in order:
-            nodes += 1
-            checker.try_add(w)
-        if checker.mask.bit_count() > best_mask.bit_count():
-            best_mask = checker.mask
-        # Kick moves: drop a few members, re-greedy in a fresh random order.
-        kicks = 0
-        if target is not None and best_mask.bit_count() >= target:
-            break
-        while kicks < 40 and time.perf_counter() - start <= time_budget:
-            kicks += 1
-            members = checker.members[:]
+        nodes += n
+        if _refill(checker, (), order).bit_count() > best.bit_count():
+            best = checker.mask
+        # Kick moves: drop a few members, refill in a fresh random order.
+        for _ in range(40):
+            if time.perf_counter() - start > time_budget:
+                break
+            members = checker.members
             drop = set(rng.sample(members, min(len(members), rng.randint(1, 3)))) \
                 if members else set()
-            rebuilt = _make_checker(prop, g, t)
-            for w in members:
-                if w not in drop:
-                    rebuilt.try_add(w)
-            order2 = list(range(n))
-            rng.shuffle(order2)
-            for w in order2:
-                nodes += 1
-                if not rebuilt.mask >> w & 1:
-                    rebuilt.try_add(w)
-            checker = rebuilt
-            if checker.mask.bit_count() > best_mask.bit_count():
-                best_mask = checker.mask
-        restart += 1
-    if not check_property(prop, g, t, best_mask):
-        raise RuntimeError(f"heuristic witness failed the {prop.value} certification")
-    return InvariantReport(
-        invariant=_PROPERTY_CODE[prop],
-        value=best_mask.bit_count(),
-        witness=best_mask,
-        exact=False,
-        nodes_explored=nodes,
-        elapsed=time.perf_counter() - start,
-    )
+            order = list(range(n))
+            rng.shuffle(order)
+            nodes += n
+            if _refill(checker, [w for w in members if w not in drop], order).bit_count() \
+                    > best.bit_count():
+                best = checker.mask
+    return _certified_set(prop, g, t, best, False, nodes, start)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +517,7 @@ def _enumerate_geodesics(g: Graph, t: DistanceTable,
             while stack:
                 x, seq = stack.pop()
                 if x == v:
-                    mask = 0
-                    for z in seq:
-                        mask |= 1 << z
+                    mask = mask_of(seq)
                     if mask not in paths:
                         if len(paths) >= cap:
                             complete = False
@@ -602,12 +588,13 @@ class _SetCoverSearch:
             chosen.pop()
 
 
-def _min_cover(invariant: str, g: Graph, sets: dict[int, object], exact: bool,
-               start: float) -> InvariantReport:
-    """Fewest of ``sets`` (vertex mask -> witness) that cover every vertex.
+def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[int, tuple],
+               exact: bool, start: float) -> InvariantReport:
+    """Fewest of ``sets`` (vertex mask -> vertex sequence) that cover every vertex.
 
     If their union misses a vertex the instance is not coverable; the report
-    flags that instead of inventing a value.
+    flags that instead of inventing a value.  The reported cover is
+    certified by :func:`_certify_cover`.
     """
     masks = _dominance_filter(list(sets))
     covered = 0
@@ -619,14 +606,49 @@ def _min_cover(invariant: str, g: Graph, sets: dict[int, object], exact: bool,
     # Witnesses survive dominance filtering by mask identity.
     cover = _SetCoverSearch(g.vertex_mask(), masks)
     picked = cover.run()
-    return InvariantReport(
-        invariant=invariant,
-        value=len(picked),
-        witness=[sets[masks[i]] for i in picked],
-        exact=exact,
-        nodes_explored=cover.nodes,
-        elapsed=time.perf_counter() - start,
-    )
+    report = InvariantReport(invariant=invariant, value=len(picked),
+                             witness=[sets[masks[i]] for i in picked], exact=exact,
+                             nodes_explored=cover.nodes, elapsed=time.perf_counter() - start)
+    return _certify_cover(report, g, t)
+
+
+def _is_geodesic(g: Graph, t: DistanceTable, seq: Sequence[int]) -> bool:
+    # A walk as long as the distance between its ends has distinct vertices.
+    return (len(seq) > 0 and t.d[seq[0]][seq[-1]] == len(seq) - 1
+            and all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])))
+
+
+def _is_isometric_cycle(g: Graph, t: DistanceTable, cycle: Sequence[int]) -> bool:
+    # Distance 1 between cyclic neighbours and >= 1 elsewhere: a simple cycle.
+    k = len(cycle)
+    return k >= 3 and all(t.d[cycle[i]][cycle[j]] == min(j - i, k - j + i)
+                          for i, j in itertools.combinations(range(k), 2))
+
+
+def _is_independent(g: Graph, t: Optional[DistanceTable], seq: Sequence[int]) -> bool:
+    return len(seq) > 0 and not any(g.adj[v] & mask_of(seq) for v in seq)
+
+
+_COVER_PART = {"ip": _is_geodesic, "ic": _is_isometric_cycle, "chi": _is_independent}
+
+
+def _certify_cover(report: InvariantReport, g: Graph, t: Optional[DistanceTable],
+                   disjoint: bool = False) -> InvariantReport:
+    """Return ``report`` once its witness is checked: ``value`` parts that
+    cover V, each a geodesic (ip), an isometric cycle (ic) or a non-empty
+    independent set (chi), and with ``disjoint`` no two sharing a vertex.
+    The check raises rather than asserts, so it still runs under ``python -O``.
+    """
+    part_ok = _COVER_PART[report.invariant]
+    covered = 0
+    for part in report.witness:
+        mask = mask_of(part)
+        if not part_ok(g, t, part) or (disjoint and mask & covered):
+            raise RuntimeError(f"{report.invariant} witness part {list(part)} failed certification")
+        covered |= mask
+    if covered != g.vertex_mask() or report.value != len(report.witness):
+        raise RuntimeError(f"{report.invariant} witness is no cover of V by {report.value} parts")
+    return report
 
 
 def isometric_path_cover(g: Graph) -> InvariantReport:
@@ -634,18 +656,9 @@ def isometric_path_cover(g: Graph) -> InvariantReport:
     if not is_connected(g):
         raise GraphError("path cover requires a connected graph")
     start = time.perf_counter()
-    paths, complete = _enumerate_geodesics(g, distances(g), GEODESIC_CAP)
-    return _min_cover("ip", g, paths, complete, start)
-
-
-def _cycle_is_isometric(t: DistanceTable, cycle: Sequence[int]) -> bool:
-    k = len(cycle)
-    for i in range(k):
-        for j in range(i + 1, k):
-            along = min(j - i, k - (j - i))
-            if t.d[cycle[i]][cycle[j]] != along:
-                return False
-    return True
+    t = distances(g)
+    paths, complete = _enumerate_geodesics(g, t, GEODESIC_CAP)
+    return _min_cover("ip", g, t, paths, complete, start)
 
 
 def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[int, ...]]:
@@ -665,9 +678,8 @@ def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[i
             for y in iter_bits(g.adj[last] & allowed & ~mask):
                 stack.append((path + (y,), mask | (1 << y)))
             if len(path) >= 3 and g.adj[last] >> s & 1 and path[1] < path[-1]:
-                cyc_mask = mask
-                if cyc_mask not in out and _cycle_is_isometric(t, path):
-                    out[cyc_mask] = path
+                if mask not in out and _is_isometric_cycle(g, t, path):
+                    out[mask] = path
     return out
 
 
@@ -682,7 +694,8 @@ def isometric_cycle_cover(g: Graph) -> InvariantReport:
     if g.n > 14:
         raise GraphError(f"cycle cover capped at 14 vertices, got {g.n}")
     start = time.perf_counter()
-    return _min_cover("ic", g, _enumerate_isometric_cycles(g, distances(g)), True, start)
+    t = distances(g)
+    return _min_cover("ic", g, t, _enumerate_isometric_cycles(g, t), True, start)
 
 
 # ---------------------------------------------------------------------------
@@ -718,16 +731,17 @@ def chromatic_number(g: Graph) -> InvariantReport:
     Moon-Moser bounds the number of maximal independent sets by 3^(n/3), 324
     at the 16-vertex cap.  The witness lists colour classes: each vertex
     takes the first chosen set that holds it.  A minimum cover has no
-    redundant set, so no class is empty.
+    redundant set, so no class is empty; the classes are certified too.
     """
     if g.n > 16:
         raise GraphError(f"chromatic number capped at 16 vertices, got {g.n}")
     start = time.perf_counter()
-    report = _min_cover("chi", g, {m: m for m in _maximal_independent_sets(g)}, True, start)
+    sets = {m: tuple(iter_bits(m)) for m in _maximal_independent_sets(g)}
+    report = _min_cover("chi", g, None, sets, True, start)
     coloured = 0
     classes = []
-    for m in report.witness:
-        classes.append(tuple(iter_bits(m & ~coloured)))
-        coloured |= m
+    for part in report.witness:
+        classes.append(tuple(v for v in part if not coloured >> v & 1))
+        coloured |= mask_of(part)
     report.witness = classes
-    return report
+    return _certify_cover(report, g, None, disjoint=True)

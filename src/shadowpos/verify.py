@@ -7,12 +7,13 @@ shadow of every family member.  The per-graph fuzz checks test a bound or
 a structural lemma on every small connected graph up to isomorphism, as
 predicates over one profile per graph that solves each exact value once;
 :func:`fuzz` hands every check of a graph the same profile.
-``mu-balloon`` looks for a mutual-visibility set of the claimed size with
-the heuristic search.
+``mu-balloon`` checks mu_t = 0 on a balloon and the claimed lower bound on
+mu of its shadow, both with the exact search.
 
-Failures carry a serialized counterexample (graph6 plus witness) so they
-can be replayed in isolation.  Instances whose search budget runs out are
-reported SKIPPED, never silently passed.
+Every value a suite compares is exact.  Failures carry a serialized
+counterexample (graph6 plus witness) so they can be replayed in isolation.
+Instances whose search budget runs out are reported SKIPPED, never
+silently passed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional
 
-from .families import FamilySpec, canonical_key, enumerate_connected, generate, random_tree
+from .families import FamilySpec, enumerate_connected, generate, random_tree
 from .formats import graph6_to_graph, graph_to_graph6
 from .graph_core import (
     Graph,
@@ -40,7 +41,6 @@ from .solvers import (
     isometric_cycle_cover,
     isometric_path_cover,
     max_set,
-    max_set_heuristic,
 )
 from .visibility import SetProperty
 
@@ -54,7 +54,6 @@ class SuiteParams:
     n_max: Optional[int] = None
     seed: int = 0
     tree_count: int = 50
-    heuristic_time: float = 60.0
     budget: int = DEFAULT_NODE_BUDGET
 
 
@@ -104,12 +103,7 @@ class SuiteReport:
 
 
 def worker_count() -> int:
-    raw = os.environ.get("SHADOWPOS_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise GraphError(f"SHADOWPOS_THREADS must be an integer, got {raw!r}") from None
+    """The CPUs this process may run on, else all CPUs of the machine."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -372,21 +366,18 @@ def _check_mu_muit(p: _GraphProfile) -> InstanceResult:
     return p.result(r.value, f">= {exp}", r.value >= exp, r.witness)
 
 
-_P2_KEY = canonical_key(generate(FamilySpec("path", (2,))))
-_P3_KEY = canonical_key(generate(FamilySpec("path", (3,))))
-_C3_KEY = canonical_key(generate(FamilySpec("cycle", (3,))))
-
-
 def _check_mu_char(p: _GraphProfile) -> InstanceResult:
+    # G is connected: the single edge is its only graph of order 2, and the
+    # 3-path and the 3-cycle are its only graphs of order 3.
     r = p.exact(SetProperty.MV, on_shadow=True)
     value = r.value
-    ck = canonical_key(p.graph)
+    n = p.graph.n
     problems = []
     if value in (3, 5):
         problems.append(f"mu(S(G)) = {value} should never occur")
-    if (value == 2) != (ck == _P2_KEY):
+    if (value == 2) != (n == 2):
         problems.append("mu(S(G)) = 2 should hold exactly for the single edge")
-    if (value == 4) != (ck in (_P3_KEY, _C3_KEY)):
+    if (value == 4) != (n == 3):
         problems.append("mu(S(G)) = 4 should hold exactly for the 3-path/3-cycle")
     return p.result(value, "characterization of small values", not problems, r.witness,
                     "; ".join(problems))
@@ -420,30 +411,28 @@ def _check_ip_ic_bounds(p: _GraphProfile) -> InstanceResult:
 
 
 def _instances_mu_balloon(p: SuiteParams) -> list[dict]:
-    return [{"k": 2, "seed": p.seed, "time": p.heuristic_time, "budget": p.budget}]
+    return [{"k": 2, "budget": p.budget}]
 
 
 def _check_mu_balloon(payload: dict) -> InstanceResult:
     k = payload["k"]
+    key = f"balloon({k})"
     g = generate(FamilySpec("balloon", (k,)))
     mut = max_set(SetProperty.TMV, g, budget=payload["budget"])
     if not mut.exact:
-        return InstanceResult(f"balloon({k})", SKIPPED, actual="budget exhausted",
-                              graph6=graph_to_graph6(g))
+        return InstanceResult(key, SKIPPED, actual="budget exhausted", graph6=graph_to_graph6(g))
     if mut.value != 0:
-        return InstanceResult(f"balloon({k})", FAIL, "total visibility number 0",
+        return InstanceResult(key, FAIL, "total visibility number 0",
                               str(mut.value), graph6=graph_to_graph6(g))
     sg = shadow(g).graph
+    mu = max_set(SetProperty.MV, sg, budget=payload["budget"])
+    if not mu.exact:
+        return InstanceResult(key, SKIPPED, actual="budget exhausted", graph6=graph_to_graph6(sg))
     target = 6 * k + 1
-    heur = max_set_heuristic(SetProperty.MV, sg, time_budget=payload["time"],
-                             seed=payload["seed"], target=target)
-    if heur.value < target:
-        return InstanceResult(
-            f"balloon({k})", FAIL, f"mv set of size >= {target} in S(G)",
-            str(heur.value), graph6=graph_to_graph6(sg),
-            note="discrepancy: heuristic found no witness of the claimed size")
-    return InstanceResult(f"balloon({k})", PASS, f">= {target}", str(heur.value),
-                          witness=mask_to_sorted_list(heur.witness))
+    ok = mu.value >= target
+    return InstanceResult(key, PASS if ok else FAIL, f">= {target}", str(mu.value),
+                          graph6=None if ok else graph_to_graph6(sg),
+                          witness=mask_to_sorted_list(mu.witness))
 
 
 @dataclass(frozen=True)

@@ -178,23 +178,17 @@ def test_heuristic_is_valid_deterministic_and_bounded():
     rng = random.Random(8)
     for _ in range(5):
         g = random_connected_graph(rng.randint(5, 8), rng)
-        exact = max_set(SetProperty.MV, g).value
-        # Bound by restarts, not wall time, so the run is deterministic.
-        h1 = max_set_heuristic(SetProperty.MV, g, time_budget=30.0, seed=5,
-                               max_restarts=3)
-        h2 = max_set_heuristic(SetProperty.MV, g, time_budget=30.0, seed=5,
-                               max_restarts=3)
-        assert h1.value == h2.value and h1.witness == h2.witness
-        assert h1.value <= exact
-        assert not h1.exact
-        assert check_property(SetProperty.MV, g, distances(g), h1.witness)
-
-
-def test_heuristic_target_early_stop():
-    g = shadow(_family("balloon:2")).graph
-    r = max_set_heuristic(SetProperty.MV, g, time_budget=60.0, seed=0, target=13)
-    assert r.value >= 13
-    assert r.elapsed < 30.0
+        for code in ALL_CODES:
+            prop = property_for_code(code)
+            exact = max_set(prop, g).value
+            # Bound by restarts, not wall time, so the run is deterministic.
+            h1 = max_set_heuristic(prop, g, time_budget=30.0, seed=5, max_restarts=3)
+            h2 = max_set_heuristic(prop, g, time_budget=30.0, seed=5, max_restarts=3)
+            assert h1.value == h2.value and h1.witness == h2.witness, code
+            assert h1.nodes_explored == h2.nodes_explored
+            assert h1.value <= exact
+            assert not h1.exact
+            assert check_property(prop, g, distances(g), h1.witness)
 
 
 def test_isometric_path_cover_values():
@@ -245,6 +239,59 @@ def test_isometric_cycle_cover_certificate():
         for j, v in enumerate(cyc):
             hop = min(abs(i - j), k - abs(i - j))
             assert t.d[u][v] == hop
+
+
+# Run in-process and under `python -O`: each broken witness must raise.
+_BROKEN_COVERS = """
+from shadowpos.graph_core import build_graph, distances
+from shadowpos.solvers import InvariantReport, _certify_cover, _min_cover
+
+c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+p2 = build_graph(2, [(0, 1)])
+c6_chord = build_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+t4, t6 = distances(c4), distances(c6_chord)
+# Near misses of the broken witnesses below, which must pass.
+_certify_cover(InvariantReport("ip", 2, [(0, 1), (2, 3)]), c4, t4)
+_certify_cover(InvariantReport("ic", 1, [(0, 1, 2, 3)]), c4, t4)
+_certify_cover(InvariantReport("chi", 2, [(0, 2), (1, 3)]), c4, None, disjoint=True)
+broken = {
+    "non-geodesic path": lambda: _certify_cover(
+        InvariantReport("ip", 1, [(0, 1, 2, 3)]), c4, t4),
+    "one vertex filed under mask 3": lambda: _min_cover(
+        "ip", p2, distances(p2), {0b11: (0,)}, True, 0.0),
+    "non-isometric cycle": lambda: _certify_cover(
+        InvariantReport("ic", 1, [(0, 1, 2, 3, 4, 5)]), c6_chord, t6),
+    "class holding an edge": lambda: _certify_cover(
+        InvariantReport("chi", 2, [(0, 1), (2, 3)]), c4, None, disjoint=True),
+    "overlapping classes": lambda: _certify_cover(
+        InvariantReport("chi", 3, [(0, 2), (1, 3), (2,)]), c4, None, disjoint=True),
+    "empty class": lambda: _certify_cover(
+        InvariantReport("chi", 3, [(0, 2), (1, 3), ()]), c4, None, disjoint=True),
+    "cover missing a vertex": lambda: _certify_cover(
+        InvariantReport("ip", 2, [(0, 1), (1, 2)]), c4, t4),
+    "value not the witness count": lambda: _certify_cover(
+        InvariantReport("ip", 1, [(0, 1), (2, 3)]), c4, t4),
+}
+accepted = []
+for name, certify in broken.items():
+    try:
+        certify()
+    except RuntimeError:
+        continue
+    accepted.append(name)
+"""
+
+
+def test_cover_certification_rejects_broken_witnesses():
+    ns = {}
+    exec(_BROKEN_COVERS, ns)
+    assert ns["accepted"] == []
+    script = ("if __debug__:\n    raise SystemExit('not running under -O')\n" + _BROKEN_COVERS
+              + "raise SystemExit(f'accepted {accepted}' if accepted else 0)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(shadowpos.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_chromatic_number_values():

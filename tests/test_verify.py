@@ -4,7 +4,11 @@ from collections import Counter
 import pytest
 
 from shadowpos import verify
+from shadowpos.families import FamilySpec, generate
+from shadowpos.formats import graph_to_graph6
 from shadowpos.graph_core import GraphError
+from shadowpos.shadow import shadow
+from shadowpos.solvers import max_set
 from shadowpos.visibility import SetProperty
 from shadowpos.verify import (
     FAIL,
@@ -161,8 +165,18 @@ def test_tree_suites_pass():
 
 
 def test_balloon_suite():
-    rep = run_suite("mu-balloon", SuiteParams(heuristic_time=30.0), workers=1)
+    rep = run_suite("mu-balloon", SuiteParams(), workers=1)
     assert rep.failed == 0 and rep.results[0].status == PASS
+
+
+def test_balloon_suite_honours_the_budget():
+    # Enough budget for exact mu_t on balloon(2), too little for mu of its
+    # shadow: the instance is SKIPPED, not decided.
+    g = generate(FamilySpec("balloon", (2,)))
+    budget = max_set(SetProperty.TMV, g).nodes_explored
+    [r] = run_suite("mu-balloon", SuiteParams(budget=budget), workers=1).results
+    assert r.status == SKIPPED and r.actual == "budget exhausted"
+    assert r.graph6 == graph_to_graph6(shadow(g).graph)
 
 
 def test_parallel_matches_serial():
@@ -237,19 +251,10 @@ def test_fuzz_solves_each_pair_once_per_call(monkeypatch):
 
 
 def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SHADOWPOS_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("SHADOWPOS_THREADS", "zero")
-    with pytest.raises(GraphError):
-        worker_count()
-    monkeypatch.delenv("SHADOWPOS_THREADS")
     assert worker_count() >= 1
     # The CPUs this process may run on count, not all CPUs of the machine.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert worker_count() == 2
-    monkeypatch.setenv("SHADOWPOS_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("SHADOWPOS_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")
     assert worker_count() == 8
