@@ -11,6 +11,7 @@ at the repo root) under ``--label``, next to the runs already there.
 The instances are MV on S(C_14) and S(C_18), GP on S(C_18) and S(C_40), and
 the 160 seed-0 trees of the ``search`` benchmark workload (MV on S(T) for
 random trees T of order 8 and diameter at least 3), timed as one batch.
+MV on S(C_14) and the trees run again with ``canonical_witness=True``.
 The trees come from ``perfbench/workloads.py`` itself, so they stay the
 workload's trees.  For each instance the record gives the value,
 ``nodes_explored`` (which does not depend on the machine) and the best of
@@ -78,11 +79,16 @@ def main() -> None:
     trees = [case.graph for case in workloads.search_inputs(0)[len(workloads.SEARCH_FIXED):]]
     instances[f"MV S(T), {len(trees)} seed-0 trees"] = (
         lambda: [solvers.max_set(SetProperty.MV, g) for g in trees])
+    c14 = shadow(families.generate(families.parse_family_spec("cycle:14"))).graph
+    instances["MV S(cycle:14), canonical"] = (
+        lambda: [solvers.max_set(SetProperty.MV, c14, canonical_witness=True)])
+    instances[f"MV S(T), {len(trees)} seed-0 trees, canonical"] = (
+        lambda: [solvers.max_set(SetProperty.MV, g, canonical_witness=True) for g in trees])
 
     results = {}
     for name, solve in instances.items():
         results[name] = summary(*measure(solve))
-        print(f"{name:28} {json.dumps(results[name])}", flush=True)
+        print(f"{name:38} {json.dumps(results[name])}", flush=True)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("runs", {})[args.label] = {

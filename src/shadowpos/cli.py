@@ -15,6 +15,7 @@ import sys
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from .families import generate, parse_family_spec
 from .formats import (
@@ -112,6 +113,22 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
     if apply_shadow and apply_star:
         click.echo("error: --shadow and --star-shadow are mutually exclusive",
                    err=True)
+        sys.exit(EXIT_PARSE)
+    ctx = click.get_current_context()
+    given = {opt for opt, name in (("--time", "time_budget"), ("--seed", "seed"),
+                                   ("--budget", "budget"),
+                                   ("--canonical-witness", "canonical_witness"))
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
+    if not exact_mode:
+        given.add("--heuristic")
+    if invariant not in SET_INVARIANT_CODES:
+        unused, where = given, f"--invariant {invariant}"
+    elif exact_mode:
+        unused, where = given & {"--time", "--seed"}, "exact mode"
+    else:
+        unused, where = given & {"--canonical-witness", "--budget"}, "--heuristic"
+    if unused:
+        click.echo(f"error: {where} takes no {', '.join(sorted(unused))}", err=True)
         sys.exit(EXIT_PARSE)
     try:
         g, identifier = _load_graph(source)

@@ -7,8 +7,8 @@ property contributes an incremental feasibility checker.  Adding a vertex
 branches over candidate lists: after ``w`` joins, the checker's forward check
 drops the candidates that can no longer join (a test of only what ``w`` can
 break, for GP and MV), and a subtree is pruned by its size plus its
-candidates.  The same engine also finds the canonical (lexicographically
-smallest) witness, as a first-hit search.
+candidates.  The same search over ``0..n-1`` finds the canonical
+(lexicographically smallest) witness.
 
 The one other search is an exact minimum set cover.  It serves the isometric
 path and cycle covers and the chromatic number, a minimum cover of the
@@ -139,13 +139,13 @@ class _Checker:
         self.blocked = 0
         self._stack: list[int] = []
 
-    def _push(self, w: int, new_mask: VertexMask, newly_blocked: VertexMask) -> None:
+    def _push(self, w: int, newly_blocked: VertexMask) -> None:
         self._stack.append(self.blocked)
         if self.independent:
             newly_blocked |= self.adj[w]
         self.blocked |= newly_blocked
         self.members.append(w)
-        self.mask = new_mask
+        self.mask |= 1 << w
 
     def pop(self) -> None:
         w = self.members.pop()
@@ -153,7 +153,7 @@ class _Checker:
         self.blocked = self._stack.pop()
 
     def add(self, w: int) -> None:
-        self._push(w, self.mask | (1 << w), 0)
+        self._push(w, 0)
 
     def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
         out = []
@@ -181,7 +181,7 @@ class _GpChecker(_Checker):
             if between & mask:
                 return False
             newly_blocked |= between
-        self._push(w, mask | (1 << w), newly_blocked)
+        self._push(w, newly_blocked)
         return True
 
     def add(self, w: int) -> None:
@@ -189,7 +189,7 @@ class _GpChecker(_Checker):
         newly_blocked = 0
         for x in self.members:
             newly_blocked |= btw[x]
-        self._push(w, self.mask | (1 << w), newly_blocked)
+        self._push(w, newly_blocked)
 
     def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
         # x already passed with the set before w: only the triples holding
@@ -228,7 +228,7 @@ class _MvChecker(_Checker):
         for x, y in itertools.combinations(self.members, 2):
             if btw[x][y] >> w & 1 and not geodesic_exists_avoiding(t, g, x, y, new_mask):
                 return False
-        self._push(w, new_mask, 0)
+        self._push(w, 0)
         return True
 
     def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
@@ -288,7 +288,7 @@ class _TmvChecker(_Checker):
         for u, v in self.pairs_through[w]:
             if not geodesic_exists_avoiding(t, g, u, v, new_mask):
                 return False
-        self._push(w, new_mask, 0)
+        self._push(w, 0)
         return True
 
 
@@ -326,44 +326,37 @@ def _refill(checker: _Checker, keep: Sequence[int], order: Iterable[int]) -> Ver
     return checker.mask
 
 
-class _TargetReached(Exception):
-    """Internal signal: a first-hit search found a set of the target size."""
-
-
 class _MaxSetSearch:
     """Depth-first branch and bound over candidate lists, include before skip.
 
-    A node is one candidate branched on, and ``budget`` caps the nodes.
-    After a vertex joins, :meth:`_Checker.survivors` keeps the later
-    candidates that can still join: the property is hereditary, so a vertex
-    that cannot join at a node cannot join anywhere below it.  That forward
-    check makes at most one test per candidate per node, none of them
-    counted as nodes, and it stops once too few candidates are left to beat
-    the best.  A node's subtree is pruned when its size plus its candidates
-    cannot beat the best.  Dropping only vertices and subtrees that hold no
-    larger set, the search meets its improvements in the same order as a
-    plain include-before-skip enumeration of ``order``.
+    The search seeds itself with the greedy set in ``order``, so pruning
+    bites immediately, then must beat it.  A node is one candidate branched
+    on, and ``budget`` caps the nodes.  After a vertex joins,
+    :meth:`_Checker.survivors` keeps the later candidates that can still
+    join: the property is hereditary, so a vertex that cannot join at a node
+    cannot join anywhere below it.  That forward check makes at most one
+    test per candidate per node, none of them counted as nodes, and it stops
+    once too few candidates are left to beat the best.  A node's subtree is
+    pruned when its size plus its candidates cannot beat the best.
 
-    The search must beat ``floor``, by default the size of the known-feasible
-    ``witness`` it starts from, so pruning bites immediately.  With
-    ``stop_at`` it stops at the first set of that size, so for order
-    ``0..n-1`` that first set is the lexicographically smallest of its size.
-    ``exact`` is False when the node budget ran out.
+    Dropping only vertices and subtrees that hold no larger set, the search
+    meets its improvements in the same order as a plain include-before-skip
+    enumeration of ``order``, which visits the sets of each size in
+    lexicographic order of ``order``.  So for order ``0..n-1`` the witness
+    is the lexicographically smallest maximum set: the first one met, or the
+    greedy seed, which is the smallest set of its size whenever it is
+    maximum.  ``exact`` is False when the node budget ran out.
     """
 
-    def __init__(self, checker: _Checker, order: Sequence[int], budget: int,
-                 witness: VertexMask = 0, floor: Optional[int] = None,
-                 stop_at: Optional[int] = None):
+    def __init__(self, checker: _Checker, order: Sequence[int], budget: int):
         self.checker = checker
         self.budget = budget
-        self.stop_at = stop_at
         self.nodes = 0
-        self.witness = witness
-        self.best = witness.bit_count() if floor is None else floor
+        self.witness = _refill(checker, (), order)
+        self.best = self.witness.bit_count()
+        _refill(checker, (), ())  # the search starts from the empty set
         try:
             self._extend(list(order), 0, tested=False)
-            self.exact = True
-        except _TargetReached:
             self.exact = True
         except BudgetExhausted:
             self.exact = False
@@ -386,8 +379,6 @@ class _MaxSetSearch:
             if size + 1 > self.best:
                 self.best = size + 1
                 self.witness = checker.mask
-                if self.best == self.stop_at:
-                    raise _TargetReached
             rest = checker.survivors(cands[j + 1:], self.best - size)
             if size + 1 + len(rest) > self.best:
                 self._extend(rest, size + 1)
@@ -398,35 +389,23 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
             canonical_witness: bool = False) -> InvariantReport:
     """Exact maximum-cardinality set with the given hereditary property.
 
-    Sequential branch and bound with forward checking (:class:`_MaxSetSearch`),
-    its candidates first taken in degree-descending order.  ``nodes_explored``
-    counts the candidates branched on; each that joins also pays for at
-    most one forward-check test per later candidate.  If the node budget
-    runs out the best set found so far is returned with ``exact=False``;
-    that value is still a certified lower bound because every reported
-    witness is feasibility-checked.  The canonical witness is a first-hit
-    search over ``0..n-1`` with the budget left.
+    One branch and bound with forward checking (:class:`_MaxSetSearch`),
+    its candidates taken in degree-descending order, or in order ``0..n-1``
+    with ``canonical_witness``, which makes the witness the
+    lexicographically smallest maximum set.  ``nodes_explored`` counts the
+    candidates branched on; each that joins also pays for at most one
+    forward-check test per later candidate.  If the node budget runs out
+    the best set found so far is returned with ``exact=False``; that value
+    is still a certified lower bound because every reported witness is
+    feasibility-checked.
     """
     if not is_connected(g):
         raise GraphError("maximum-set search requires a connected graph")
     start = time.perf_counter()
     t = distances(g)
-    order = _static_order(g)
-    checker = _make_checker(prop, g, t)
-    greedy = _refill(checker, (), order)
-    _refill(checker, (), ())  # the search starts from the empty set
-    search = _MaxSetSearch(checker, order, budget, witness=greedy)
-    value, witness, nodes, exact = search.best, search.witness, search.nodes, search.exact
-    if canonical_witness and exact and value > 0:
-        first = _MaxSetSearch(_make_checker(prop, g, t), range(g.n), budget - nodes,
-                              floor=value - 1, stop_at=value)
-        nodes += first.nodes
-        exact = first.exact
-        if first.best == value:
-            witness = first.witness
-        elif exact:
-            raise RuntimeError(f"canonical witness search found no set of size {value}")
-    return _certified_set(prop, g, t, witness, exact, nodes, start)
+    order = range(g.n) if canonical_witness else _static_order(g)
+    search = _MaxSetSearch(_make_checker(prop, g, t), order, budget)
+    return _certified_set(prop, g, t, search.witness, search.exact, search.nodes, start)
 
 
 def _certified_set(prop: SetProperty, g: Graph, t: DistanceTable, witness: VertexMask,
@@ -497,12 +476,11 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
 # Isometric path / cycle covers
 
 
-def _enumerate_geodesics(g: Graph, t: DistanceTable,
-                         cap: int) -> tuple[dict[int, tuple[int, ...]], bool]:
+def _enumerate_geodesics(g: Graph, t: DistanceTable) -> tuple[dict[int, tuple[int, ...]], bool]:
     """All geodesic vertex sets, as mask -> one representative sequence.
 
     Includes single vertices (length-0 geodesics).  Returns (mapping,
-    complete); ``complete`` is False when the cap was hit.
+    complete); ``complete`` is False when ``GEODESIC_CAP`` was hit.
     """
     paths: dict[int, tuple[int, ...]] = {1 << v: (v,) for v in range(g.n)}
     complete = True
@@ -519,7 +497,7 @@ def _enumerate_geodesics(g: Graph, t: DistanceTable,
                 if x == v:
                     mask = mask_of(seq)
                     if mask not in paths:
-                        if len(paths) >= cap:
+                        if len(paths) >= GEODESIC_CAP:
                             complete = False
                             stack = []
                             break
@@ -657,7 +635,7 @@ def isometric_path_cover(g: Graph) -> InvariantReport:
         raise GraphError("path cover requires a connected graph")
     start = time.perf_counter()
     t = distances(g)
-    paths, complete = _enumerate_geodesics(g, t, GEODESIC_CAP)
+    paths, complete = _enumerate_geodesics(g, t)
     return _min_cover("ip", g, t, paths, complete, start)
 
 

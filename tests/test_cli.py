@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from shadowpos import solvers
 from shadowpos.cli import main
+from shadowpos.solvers import DEFAULT_NODE_BUDGET
 from shadowpos.formats import graph6_to_graph, text_to_edges
 
 
@@ -87,6 +89,43 @@ def test_compute_budget_exit_4(runner):
                                "cycle:9", "--shadow", "--budget", "10")
     assert result.exit_code == 4
     assert payload is not None and payload["exact"] is False
+
+
+def test_compute_geodesic_cap_exit_4(runner, monkeypatch):
+    monkeypatch.setattr(solvers, "GEODESIC_CAP", 5)
+    result, payload = _compute(runner, "--invariant", "ip", "--graph", "path:5")
+    assert result.exit_code == 4
+    assert payload["exact"] is False and payload["value"] >= 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (("gp", "cycle:6", "--heuristic", "--canonical-witness"),
+     "--heuristic takes no --canonical-witness"),
+    (("mu", "cycle:9", "--shadow", "--heuristic", "--budget", "10"),
+     "--heuristic takes no --budget"),
+    (("mu", "cycle:6", "--heuristic", "--budget", str(DEFAULT_NODE_BUDGET)),
+     "--heuristic takes no --budget"),
+    (("ip", "cycle:6", "--heuristic"), "--invariant ip takes no --heuristic"),
+    (("ic", "cycle:5", "--budget", "3", "--seed", "0"), "--invariant ic takes no --budget, --seed"),
+    (("chi", "cycle:5", "--canonical-witness"), "--invariant chi takes no --canonical-witness"),
+    (("gp", "cycle:6", "--time", "2"), "exact mode takes no --time"),
+    (("mu", "cycle:6", "--exact", "--seed", "0"), "exact mode takes no --seed"),
+])
+def test_compute_refuses_unused_options(runner, args, message):
+    invariant, graph, *rest = args
+    result, payload = _compute(runner, "--invariant", invariant, "--graph", graph, *rest)
+    assert result.exit_code == 2 and payload is None
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_compute_accepts_options_that_apply(runner):
+    for args in (("ip", "cycle:6", "--exact"),
+                 ("gp", "cycle:6", "--exact", "--budget", str(DEFAULT_NODE_BUDGET),
+                  "--canonical-witness"),
+                 ("mu", "cycle:6", "--heuristic", "--time", "0.05", "--seed", "3")):
+        invariant, graph, *rest = args
+        result, payload = _compute(runner, "--invariant", invariant, "--graph", graph, *rest)
+        assert result.exit_code == 0 and payload["invariant"] == invariant, args
 
 
 def test_transform_shadow_g6(runner, tmp_path):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import shadowpos
+from shadowpos import solvers
 from shadowpos.families import enumerate_connected, generate, parse_family_spec
 from shadowpos.graph_core import (
     GraphError,
@@ -76,6 +77,11 @@ def test_canonical_witness_is_lexicographically_smallest():
     graphs = {text: _family(text) for text in ["cycle:6", "path:5", "bipartite:2,3", "complete:4"]}
     graphs.update({f"S({text})": shadow(_family(text)).graph
                    for text in ["cycle:5", "star:3", "path:4", "cycle:4"]})
+    # Every connected graph of order <= 5 and its shadow (S(K_1) is disconnected).
+    for b in enumerate_connected(5):
+        graphs[str(b.edges())] = b
+        if b.n > 1:
+            graphs[f"S({b.edges()})"] = shadow(b).graph
     for text, g in graphs.items():
         for code in ALL_CODES:
             prop = property_for_code(code)
@@ -139,18 +145,20 @@ def test_budget_exhaustion_reports_lower_bound():
     assert full.exact
     assert r.value <= full.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
-    # One node more than the main search leaves the canonical-witness search
-    # a single node, so it runs out; the report must count its nodes too.
+    # The canonical witness comes from the same search over 0..n-1: one node
+    # short of its own count it runs out, and the report counts that node.
     g = shadow(_family("cycle:7")).graph
-    budget = max_set(SetProperty.MV, g).nodes_explored + 1
-    # The budget covers the main search, so it runs out in the canonical pass.
-    assert max_set(SetProperty.MV, g, budget=budget).exact
+    canonical = max_set(SetProperty.MV, g, canonical_witness=True)
+    assert canonical.exact and canonical.value == 7
+    budget = canonical.nodes_explored - 1
     r = max_set(SetProperty.MV, g, budget=budget, canonical_witness=True)
     assert r.exact is False
-    assert r.value == 7
+    assert r.nodes_explored == budget + 1
+    assert r.value <= canonical.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
     assert r.witness.bit_count() == r.value
-    assert r.nodes_explored == budget + 1
+    r = max_set(SetProperty.MV, g, budget=canonical.nodes_explored, canonical_witness=True)
+    assert r.exact and r.witness == canonical.witness
 
 
 def test_certification_survives_optimize_flag():
@@ -189,6 +197,17 @@ def test_heuristic_is_valid_deterministic_and_bounded():
             assert h1.value <= exact
             assert not h1.exact
             assert check_property(prop, g, distances(g), h1.witness)
+
+
+def test_isometric_path_cover_past_the_geodesic_cap(monkeypatch):
+    # Five geodesic sets are the five single vertices of P_5, so the cap
+    # stops the enumeration there and the cover is an upper bound.
+    monkeypatch.setattr(solvers, "GEODESIC_CAP", 5)
+    g = _family("path:5")
+    r = isometric_path_cover(g)
+    assert r.exact is False
+    assert r.value >= 1 and r.value == len(r.witness)
+    assert sorted(v for path in r.witness for v in path) == list(range(g.n))
 
 
 def test_isometric_path_cover_values():
