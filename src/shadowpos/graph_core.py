@@ -8,12 +8,13 @@ bitmasks throughout the package (see :data:`VertexMask`).
 The one metric primitive is the per-source BFS layer mask: the vertices at
 hop k from s.  Distances, geodesic intervals, the layers of each geodesic
 DAG, connectivity and the diameter are all read off these masks (see
-:class:`DistanceTable`).
+:class:`DistanceTable`); the intervals only when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 INF = float("inf")
@@ -123,6 +124,14 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
     return Graph(n, tuple(rows), lab)
 
 
+def _neighbourhood(adj: Sequence[int], mask: int) -> VertexMask:
+    out = 0
+    while mask:
+        out |= adj[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return out
+
+
 def _bfs_layers(adj: Sequence[int], source: int) -> list[int]:
     """Masks of the vertices at hop 0, 1, 2, ... from ``source``.
 
@@ -132,10 +141,7 @@ def _bfs_layers(adj: Sequence[int], source: int) -> list[int]:
     layers = [1 << source]
     seen = frontier = 1 << source
     while True:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
+        frontier = _neighbourhood(adj, frontier) & ~seen
         if not frontier:
             return layers
         seen |= frontier
@@ -147,7 +153,7 @@ class DistanceTable:
     """All-pairs hop distances and geodesic intervals, from BFS layer masks.
 
     ``layers[s][k]`` is the mask of the vertices at hop k from ``s``; it is
-    the one metric primitive, and the other two fields are read off it.
+    the one metric primitive, and ``d`` and ``between`` are read off it.
     ``d[u][v]`` is the hop distance, with :data:`INF` for disconnected pairs.
     ``between[u][v]`` is the mask of the vertices strictly inside some
     ``u,v``-geodesic.  A vertex lies on such a geodesic at hop k from ``u``
@@ -156,38 +162,43 @@ class DistanceTable:
 
         between[u][v] = OR over 0 < k < d of layers[u][k] & layers[v][d - k]
 
-    and each term of that OR is the k-th layer of the geodesic DAG.
+    and each term of that OR is the k-th layer of the geodesic DAG.  That is
+    O(n^2 * diameter) work, so ``between`` is built on first read and kept.
     """
 
     d: tuple[tuple, ...]
-    between: tuple[tuple[int, ...], ...] = field(repr=False)
     layers: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def between(self) -> tuple[tuple[int, ...], ...]:
+        d, layers, n = self.d, self.layers, len(self.d)
+        between = [[0] * n for _ in range(n)]
+        for u, lu in enumerate(layers):
+            for v in range(u + 1, n):
+                duv = d[u][v]
+                if duv == INF:
+                    continue
+                lv = layers[v]
+                m = 0
+                for k in range(1, duv):
+                    m |= lu[k] & lv[duv - k]
+                between[u][v] = between[v][u] = m
+        return tuple(tuple(row) for row in between)
 
 
 def distances(g: Graph) -> DistanceTable:
-    """One BFS per source; distances and between-masks come from its layers."""
+    """One BFS per source; distances come from its layers, intervals on first read."""
     n = g.n
     layers = tuple(tuple(_bfs_layers(g.adj, s)) for s in range(n))
     d = []
     for row_layers in layers:
         row = [INF] * n
         for k, layer in enumerate(row_layers):
-            for w in iter_bits(layer):
-                row[w] = k
+            while layer:
+                row[(layer & -layer).bit_length() - 1] = k
+                layer &= layer - 1
         d.append(tuple(row))
-    between = [[0] * n for _ in range(n)]
-    for u in range(n):
-        lu = layers[u]
-        for v in range(u + 1, n):
-            duv = d[u][v]
-            if duv == INF:
-                continue
-            lv = layers[v]
-            m = 0
-            for k in range(1, duv):
-                m |= lu[k] & lv[duv - k]
-            between[u][v] = between[v][u] = m
-    return DistanceTable(tuple(d), tuple(tuple(row) for row in between), layers)
+    return DistanceTable(tuple(d), layers)
 
 
 @dataclass(frozen=True)
@@ -214,8 +225,9 @@ def structural_queries(g: Graph) -> StructuralSummary:
     """Exact basic structure: connectivity, diameter, degrees, leaves, etc."""
     n = g.n
     degs = [g.degree(u) for u in range(n)]
-    diameter = max((len(_bfs_layers(g.adj, s)) - 1 for s in range(n)),
-                   default=0) if is_connected(g) else INF
+    # The largest eccentricity; INF from a source whose layers miss a vertex.
+    diameter = max((len(ls) - 1 if sum(map(int.bit_count, ls)) == n else INF
+                    for ls in (_bfs_layers(g.adj, s) for s in range(n))), default=0)
     leaves = mask_of(u for u in range(n) if degs[u] == 1)
     tri_free = True
     for u in range(n):
@@ -243,22 +255,20 @@ def geodesic_exists_avoiding(t: DistanceTable, g: Graph, u: int, v: int,
 
     Layered dynamic programming over the geodesic DAG: a vertex of the DAG's
     layer k, ``layers[u][k] & layers[v][d - k]``, is reachable when it has a
-    reachable neighbor in layer k-1.  Every vertex of layer d-1 is adjacent
-    to ``v``, so the sweep stops there.  The endpoints are exempt from
-    ``forbidden``.
+    reachable neighbor in layer k-1; the sweep runs from layer 1, all next
+    to ``u``, to layer d-1, all next to ``v``.  The endpoints are exempt
+    from ``forbidden``, so a pair at distance 0 or 1 always sees each other.
     """
     duv = t.d[u][v]
     if duv == INF:
         raise GraphError(f"no path between {u} and {v}")
+    if duv <= 1:
+        return True
     lu, lv = t.layers[u], t.layers[v]
     allowed = ~forbidden
-    adj = g.adj
-    reach = 1 << u
-    for k in range(1, duv):
-        nxt = 0
-        for x in iter_bits(reach):
-            nxt |= adj[x]
-        reach = nxt & lu[k] & lv[duv - k] & allowed
+    reach = lu[1] & lv[duv - 1] & allowed
+    for k in range(2, duv):
         if not reach:
             return False
-    return True
+        reach = _neighbourhood(g.adj, reach) & lu[k] & lv[duv - k] & allowed
+    return reach != 0

@@ -40,8 +40,8 @@ def is_independent(g: Graph, s: VertexMask) -> bool:
 def is_gp_set(t: DistanceTable, s: VertexMask) -> bool:
     """True iff no vertex of ``s`` lies strictly between two others of ``s``.
 
-    Uses the betweenness test d(u,w) + d(w,v) = d(u,v); equivalent to "no
-    geodesic carries three set members".
+    Reads the interval masks ``t.between``: no pair of members may have a
+    third member strictly inside its interval, so no geodesic carries three.
     """
     members = list(iter_bits(s))
     for u, v in itertools.combinations(members, 2):

@@ -1,9 +1,11 @@
+import importlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from shadowpos.families import enumerate_connected
+from shadowpos import graph_core, solvers
+from shadowpos.families import enumerate_connected, generate, parse_family_spec
 from shadowpos.graph_core import (
     INF,
     GraphError,
@@ -16,7 +18,8 @@ from shadowpos.graph_core import (
     mask_to_sorted_list,
     structural_queries,
 )
-from shadowpos.shadow import shadow
+from shadowpos.shadow import shadow, shadow_distance_violations
+from shadowpos.visibility import SetProperty
 
 from conftest import random_connected_graph
 from oracles import all_geodesics, interval_vertices, matrix_power_distances
@@ -137,6 +140,46 @@ def test_geodesic_layers_partition_the_interval():
                     assert part and not part & union
                     union |= part
                 assert union == t.between[u][v]
+
+
+def test_between_is_built_on_first_read_and_kept():
+    t = distances(generate(parse_family_spec("cycle:7")))
+    assert "between" not in vars(t)
+    first = t.between
+    assert "between" in vars(t)
+    assert t.between is first
+    assert first[0][3] == mask_of([1, 2])
+
+
+def test_distance_only_callers_build_no_intervals(monkeypatch):
+    tables = []
+
+    def recording_distances(g):
+        tables.append(graph_core.distances(g))
+        return tables[-1]
+
+    # The package exports the function ``shadow`` under the module's name.
+    shadow_module = importlib.import_module("shadowpos.shadow")
+    monkeypatch.setattr(shadow_module, "distances", recording_distances)
+    monkeypatch.setattr(solvers, "distances", recording_distances)
+    g = generate(parse_family_spec("cycle:6"))
+    assert shadow_distance_violations(shadow(g)) == []
+    assert solvers.isometric_cycle_cover(g).value == 1
+    assert len(tables) == 3
+    assert not any("between" in vars(t) for t in tables)
+    solvers.max_set(SetProperty.GP, g)
+    assert len(tables) == 4 and "between" in vars(tables[-1])
+
+
+def test_close_endpoints_always_see_each_other():
+    # d(u,v) <= 1 leaves no internal vertex, whatever ``forbidden`` holds.
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    t = distances(g)
+    for forbidden in range(1 << g.n):
+        for u in range(g.n):
+            assert geodesic_exists_avoiding(t, g, u, u, forbidden)
+            for v in iter_bits(g.adj[u]):
+                assert geodesic_exists_avoiding(t, g, u, v, forbidden)
 
 
 def test_geodesic_avoidance_matches_path_enumeration():
