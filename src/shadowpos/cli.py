@@ -98,12 +98,12 @@ def main() -> None:
               help="Apply the star shadow construction before solving.")
 @click.option("--exact/--heuristic", "exact_mode", default=True,
               help="Exact branch and bound (default) or restart heuristic.")
-@click.option("--time", "time_budget", type=float, default=1.0, show_default=True,
-              help="Heuristic time budget in seconds.")
+@click.option("--time", "time_budget", type=click.FloatRange(min=0), default=1.0,
+              show_default=True, help="Heuristic time budget in seconds.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Heuristic random seed.")
-@click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True,
-              help="Exact-search node budget.")
+@click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_NODE_BUDGET,
+              show_default=True, help="Exact-search node budget.")
 @click.option("--canonical-witness", is_flag=True,
               help="Report the lexicographically smallest maximum witness.")
 def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: bool,
@@ -215,7 +215,7 @@ def cmd_transform(source: str, op: str, out_path: str, fmt: str) -> None:
               help="Seed for randomized instances.")
 @click.option("--log", "log_path", default=None,
               help="Append one JSONL run record per instance to this file.")
-@click.option("--workers", type=int, default=None,
+@click.option("--workers", type=click.IntRange(min=1), default=None,
               help="Worker processes (default: the CPUs this process may run on).")
 def cmd_verify(suite_id: str, n_max: Optional[int], seed: int,
                log_path: Optional[str], workers: Optional[int]) -> None:

@@ -4,9 +4,10 @@ One branch-and-bound engine drives all six hereditary set properties; each
 property contributes an incremental feasibility checker.  Adding a vertex
 ``w`` to a partial set only affects pairs whose geodesics can pass through
 ``w``, so the incremental checks are exact, not merely a filter.  The search
-branches over candidate lists: after ``w`` joins, the checker's forward check
-drops the candidates that can no longer join (a test of only what ``w`` can
-break, for GP and MV), and a subtree is pruned by its size plus its
+branches over candidate lists: its root holds the vertices that form a
+one-vertex set, after ``w`` joins the checker's forward check drops the
+candidates that can no longer join (for all six properties a test of only
+what ``w`` can break), and a subtree is pruned by its size plus its
 candidates.  The same search over ``0..n-1`` finds the canonical
 (lexicographically smallest) witness.
 
@@ -21,7 +22,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph_core import (
     DistanceTable,
@@ -117,16 +118,16 @@ class _Checker:
 
     ``blocked`` holds the vertices that can no longer join the set: those
     between two members (GP) and, for the independent variants, the members'
-    neighbours.  A subclass's ``try_add`` tests only its own property and
-    admits ``w`` through :meth:`_push`.
+    neighbours.
 
-    :meth:`survivors` is the search's forward check.  It runs after ``w``
-    joins, on candidates that could each join the set as it was before
-    ``w``, and returns, in order, those that can still join it.  It may stop
-    early, with fewer than ``need`` of them, once fewer than ``need`` can
-    remain.  This default tries and pops each candidate; a subclass may
-    override it with a test of only what ``w`` can break.  Having passed that
-    check, a candidate joins through :meth:`add`, which does not test again.
+    A subclass's :meth:`survivors` is its property's only feasibility test.
+    On the empty set it returns, in order, the candidates that form a
+    one-vertex set.  After ``w`` joins, it takes candidates that could each
+    join the set as it was before ``w`` and returns, in order, those that can
+    still join it; every property is hereditary, so it tests only what ``w``
+    can break.  It may stop early, with fewer than ``need`` of them, once
+    fewer than ``need`` can remain.  Having passed that check, a candidate
+    joins through :meth:`add`, which does not test again.
     """
 
     def __init__(self, g: Graph, t: DistanceTable, independent: bool = False):
@@ -155,35 +156,8 @@ class _Checker:
     def add(self, w: int) -> None:
         self._push(w, 0)
 
-    def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
-        out = []
-        spare = len(cands) - need
-        for x in cands:
-            if self.try_add(x):
-                self.pop()
-                out.append(x)
-                continue
-            spare -= 1
-            if spare < 0:
-                break
-        return out
-
 
 class _GpChecker(_Checker):
-    def try_add(self, w: int) -> bool:
-        if self.blocked >> w & 1:
-            return False
-        btw = self.t.between[w]
-        mask = self.mask
-        newly_blocked = 0
-        for x in self.members:
-            between = btw[x]
-            if between & mask:
-                return False
-            newly_blocked |= between
-        self._push(w, newly_blocked)
-        return True
-
     def add(self, w: int) -> None:
         btw = self.t.between[w]
         newly_blocked = 0
@@ -195,6 +169,8 @@ class _GpChecker(_Checker):
         # x already passed with the set before w: only the triples holding
         # both w and x can fail now, and those with x between two members
         # (or, for IGP, x next to w) are in ``blocked``.
+        if not self.members:
+            return list(cands)
         members = self.members[:-1]
         w = self.members[-1]
         btw = self.t.between
@@ -214,28 +190,13 @@ class _GpChecker(_Checker):
 
 
 class _MvChecker(_Checker):
-    def try_add(self, w: int) -> bool:
-        if self.blocked >> w & 1:
-            return False
-        new_mask = self.mask | (1 << w)
-        g, t = self.g, self.t
-        btw = t.between
-        btw_w = btw[w]
-        for x in self.members:
-            if btw_w[x] & new_mask and not geodesic_exists_avoiding(t, g, w, x, new_mask):
-                return False
-        # Pairs already in the set are only affected when w can lie between them.
-        for x, y in itertools.combinations(self.members, 2):
-            if btw[x][y] >> w & 1 and not geodesic_exists_avoiding(t, g, x, y, new_mask):
-                return False
-        self._push(w, 0)
-        return True
-
     def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
         # x already passed with the set before w, so a pair needs a new
         # geodesic only if the newcomer it did not avoid is between its ends:
         # (x, w); (x, y) with w between; (w, y) with x between; and a member
         # pair with both w and x between.
+        if not self.members:
+            return list(cands)
         members = self.members[:-1]
         w = self.members[-1]
         g, t = self.g, self.t
@@ -280,16 +241,23 @@ class _TmvChecker(_Checker):
                 for w in iter_bits(t.between[u][v]):
                     self.pairs_through[w].append((u, v))
 
-    def try_add(self, w: int) -> bool:
-        if self.blocked >> w & 1:
-            return False
-        new_mask = self.mask | (1 << w)
+    def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
+        # Every pair of G must see each other around the set.  x already
+        # passed with the set before w, so a pair needs a new geodesic only
+        # when both w and x lie between its ends.
         g, t = self.g, self.t
-        for u, v in self.pairs_through[w]:
-            if not geodesic_exists_avoiding(t, g, u, v, new_mask):
-                return False
-        self._push(w, 0)
-        return True
+        if not self.members:
+            return [x for x in cands
+                    if all(geodesic_exists_avoiding(t, g, u, v, 1 << x)
+                           for u, v in self.pairs_through[x])]
+        btw = t.between
+        mask = self.mask
+        live = mask_of(cands) & ~self.blocked
+        for u, v in self.pairs_through[self.members[-1]]:
+            for x in iter_bits(btw[u][v] & live):
+                if not geodesic_exists_avoiding(t, g, u, v, mask | 1 << x):
+                    live &= ~(1 << x)
+        return [x for x in cands if live >> x & 1]
 
 
 def _make_checker(prop: SetProperty, g: Graph, t: DistanceTable) -> _Checker:
@@ -310,19 +278,14 @@ def _static_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def _refill(checker: _Checker, keep: Sequence[int], order: Iterable[int]) -> VertexMask:
-    """Pop the set empty, re-add ``keep``, then add greedily in ``order``.
-
-    ``keep`` must be part of a feasible set, in the order its members
-    joined, so it re-joins untested.
-    """
+def _greedy(checker: _Checker, order: Sequence[int]) -> VertexMask:
+    """Pop the set empty, then add, in ``order``, each vertex that can join."""
     while checker.members:
         checker.pop()
-    for w in keep:
-        checker.add(w)
-    for w in order:
-        if not checker.mask >> w & 1:
-            checker.try_add(w)
+    cands = checker.survivors(order)
+    while cands:
+        checker.add(cands[0])
+        cands = checker.survivors(cands[1:])
     return checker.mask
 
 
@@ -330,9 +293,10 @@ class _MaxSetSearch:
     """Depth-first branch and bound over candidate lists, include before skip.
 
     The search seeds itself with the greedy set in ``order``, so pruning
-    bites immediately, then must beat it.  A node is one candidate branched
+    bites immediately, then must beat it.  Its root candidates are those of
+    ``order`` that form a one-vertex set.  A node is one candidate branched
     on, and ``budget`` caps the nodes.  After a vertex joins,
-    :meth:`_Checker.survivors` keeps the later candidates that can still
+    :meth:`_Checker.survivors` returns the later candidates that can still
     join: the property is hereditary, so a vertex that cannot join at a node
     cannot join anywhere below it.  That forward check makes at most one
     test per candidate per node, none of them counted as nodes, and it stops
@@ -352,19 +316,18 @@ class _MaxSetSearch:
         self.checker = checker
         self.budget = budget
         self.nodes = 0
-        self.witness = _refill(checker, (), order)
+        self.witness = _greedy(checker, order)
         self.best = self.witness.bit_count()
-        _refill(checker, (), ())  # the search starts from the empty set
+        while checker.members:  # the search starts from the empty set
+            checker.pop()
         try:
-            self._extend(list(order), 0, tested=False)
+            self._extend(checker.survivors(order), 0)
             self.exact = True
         except BudgetExhausted:
             self.exact = False
 
-    def _extend(self, cands: list[int], size: int, tested: bool = True) -> None:
-        # Below the root every candidate has passed the forward check.  The
-        # root's are tested here, so its nodes count them; a single vertex is
-        # always a GP or MV set, as the overridden filters assume.
+    def _extend(self, cands: list[int], size: int) -> None:
+        # Every candidate has passed the forward check, so it joins as it is.
         checker = self.checker
         for j, w in enumerate(cands):
             if size + (len(cands) - j) <= self.best:
@@ -372,10 +335,7 @@ class _MaxSetSearch:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExhausted
-            if tested:
-                checker.add(w)
-            elif not checker.try_add(w):
-                continue
+            checker.add(w)
             if size + 1 > self.best:
                 self.best = size + 1
                 self.witness = checker.mask
@@ -392,9 +352,11 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     One branch and bound with forward checking (:class:`_MaxSetSearch`),
     its candidates taken in degree-descending order, or in order ``0..n-1``
     with ``canonical_witness``, which makes the witness the
-    lexicographically smallest maximum set.  ``nodes_explored`` counts the
-    candidates branched on; each that joins also pays for at most one
-    forward-check test per later candidate.  If the node budget runs out
+    lexicographically smallest maximum set.  The root's candidates are
+    pre-filtered to the vertices that form a one-vertex set, which every
+    vertex does for GP and MV.  ``nodes_explored`` counts the candidates
+    branched on; each that joins also pays for at most one forward-check
+    test per later candidate.  If the node budget runs out
     the best set found so far is returned with ``exact=False``; that value
     is still a certified lower bound because every reported witness is
     feasibility-checked.
@@ -454,7 +416,7 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
             order = list(range(n))
             rng.shuffle(order)
         nodes += n
-        if _refill(checker, (), order).bit_count() > best.bit_count():
+        if _greedy(checker, order).bit_count() > best.bit_count():
             best = checker.mask
         # Kick moves: drop a few members, refill in a fresh random order.
         for _ in range(40):
@@ -466,8 +428,10 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
             order = list(range(n))
             rng.shuffle(order)
             nodes += n
-            if _refill(checker, [w for w in members if w not in drop], order).bit_count() \
-                    > best.bit_count():
+            # The members not dropped lead the order, so they all re-join.
+            order = [w for w in members if w not in drop] \
+                + [w for w in order if w in drop or not checker.mask >> w & 1]
+            if _greedy(checker, order).bit_count() > best.bit_count():
                 best = checker.mask
     return _certified_set(prop, g, t, best, False, nodes, start)
 

@@ -118,6 +118,17 @@ def test_compute_refuses_unused_options(runner, args, message):
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("args", [
+    ("compute", "--invariant", "mu", "--graph", "cycle:9", "--shadow", "--budget", "-1"),
+    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--heuristic", "--time", "-0.5"),
+    ("verify", "--suite", "gp-cycles", "--workers", "0"),
+])
+def test_out_of_range_numbers_exit_2(runner, args):
+    result = runner.invoke(main, list(args))
+    assert result.exit_code == 2
+    assert f"Invalid value for '{args[-2]}'" in result.stderr
+
+
 def test_compute_accepts_options_that_apply(runner):
     for args in (("ip", "cycle:6", "--exact"),
                  ("gp", "cycle:6", "--exact", "--budget", str(DEFAULT_NODE_BUDGET),

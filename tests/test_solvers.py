@@ -20,7 +20,6 @@ from shadowpos.graph_core import (
 )
 from shadowpos.shadow import shadow, star_shadow
 from shadowpos.solvers import (
-    _Checker,
     _make_checker,
     _maximal_independent_sets,
     chromatic_number,
@@ -99,42 +98,49 @@ def test_canonical_witness_is_lexicographically_smallest():
             assert tuple(mask_to_sorted_list(r.witness)) == best, (text, code)
 
 
-def test_forward_check_filters_match_try_and_pop():
-    # Each checker's survivors() override must keep exactly the candidates
-    # that the default filter (try_add, then pop) keeps, in the same order, on states
-    # the search can reach: after w joins, with candidates that could each
-    # join the set as it was before w.  add(w) must leave the state that a
-    # successful try_add(w) leaves.  With ``need``, a filter may stop early
-    # only when fewer than ``need`` candidates survive.
+def test_forward_check_filters_match_the_certifier():
+    # Each checker's survivors() must keep exactly the candidates whose
+    # addition the certifier accepts, in the same order, on states the
+    # search can reach: from the empty set, and after w joins, with
+    # candidates that could each join the set as it was before w.  Every
+    # add() must leave a set the certifier accepts.  With ``need``, a filter
+    # may stop early only when fewer than ``need`` candidates survive.
     rng = random.Random(606)
     graphs = [shadow(random_connected_graph(rng.randint(2, 6), rng)).graph for _ in range(10)]
     graphs += [random_connected_graph(rng.randint(3, 12), rng) for _ in range(10)]
     for g in graphs:
         t = distances(g)
-        checkers = [_make_checker(property_for_code(c), g, t) for c in ALL_CODES]
-        for checker in checkers:
+        for code in ALL_CODES:
+            prop = property_for_code(code)
+            checker = _make_checker(prop, g, t)
             for _ in range(3):
-                cands = _Checker.survivors(checker, range(g.n))
-                while cands:
-                    w = rng.choice(cands)
-                    cands.remove(w)
-                    rng.shuffle(cands)
-                    assert checker.try_add(w)
-                    state = (checker.mask, checker.blocked, list(checker.members))
-                    checker.pop()
-                    checker.add(w)
-                    assert (checker.mask, checker.blocked, checker.members) == state
+                cands = list(range(g.n))
+                rng.shuffle(cands)
+                while True:
                     kept = checker.survivors(cands)
-                    assert (checker.mask, checker.blocked, checker.members) == state
-                    assert kept == _Checker.survivors(checker, cands), \
-                        (type(checker).__name__, g.edges(), checker.members, cands)
+                    assert kept == [x for x in cands
+                                    if check_property(prop, g, t, checker.mask | 1 << x)], \
+                        (code, g.edges(), checker.members, cands)
                     need = rng.randint(1, len(cands) + 1)
-                    for early in (checker.survivors(cands, need), _Checker.survivors(checker, cands, need)):
-                        assert early == kept or (len(kept) < need and len(early) < need
-                                                 and early == kept[:len(early)])
-                    cands = kept
+                    early = checker.survivors(cands, need)
+                    assert early == kept or (len(kept) < need and len(early) < need
+                                             and early == kept[:len(early)])
+                    if not kept:
+                        break
+                    w = rng.choice(kept)
+                    cands = [x for x in kept if x != w]
+                    rng.shuffle(cands)
+                    checker.add(w)
+                    assert check_property(prop, g, t, checker.mask), (code, checker.members)
                 while checker.members:
                     checker.pop()
+
+
+def test_tmv_root_holds_only_vertices_that_stand_alone():
+    # No vertex of balloon(2) is a total mutual-visibility set by itself, so
+    # the search's root has no candidate and it branches on none.
+    r = max_set(SetProperty.TMV, _family("balloon:2"))
+    assert r.exact and r.value == 0 and r.nodes_explored == 0
 
 
 def test_budget_exhaustion_reports_lower_bound():
