@@ -209,7 +209,7 @@ def cmd_transform(source: str, op: str, out_path: str, fmt: str) -> None:
 @main.command("verify")
 @click.option("--suite", "suite_id", required=True,
               help="Suite identifier or 'all'.")
-@click.option("--n-max", type=int, default=None,
+@click.option("--n-max", type=click.IntRange(min=2), default=None,
               help="Override the suite's default size range.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for randomized instances.")

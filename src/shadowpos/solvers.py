@@ -9,7 +9,9 @@ one-vertex set, after ``w`` joins the checker's forward check drops the
 candidates that can no longer join (for all six properties a test of only
 what ``w`` can break), and a subtree is pruned by its size plus its
 candidates.  The same search over ``0..n-1`` finds the canonical
-(lexicographically smallest) witness.
+(lexicographically smallest) witness.  The heuristic is that search again:
+restarts with growing node budgets and a wall-clock deadline, which report
+``exact`` once one of them finishes.
 
 The one other search is an exact minimum set cover.  It serves the isometric
 path and cycle covers and the chromatic number, a minimum cover of the
@@ -37,7 +39,7 @@ from .graph_core import (
     mask_of,
     mask_to_sorted_list,
 )
-from .visibility import SetProperty, check as check_property
+from .visibility import SetProperty, check as check_property, is_independent
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -278,30 +280,21 @@ def _static_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def _greedy(checker: _Checker, order: Sequence[int]) -> VertexMask:
-    """Pop the set empty, then add, in ``order``, each vertex that can join."""
-    while checker.members:
-        checker.pop()
-    cands = checker.survivors(order)
-    while cands:
-        checker.add(cands[0])
-        cands = checker.survivors(cands[1:])
-    return checker.mask
-
-
 class _MaxSetSearch:
     """Depth-first branch and bound over candidate lists, include before skip.
 
     The search seeds itself with the greedy set in ``order``, so pruning
     bites immediately, then must beat it.  Its root candidates are those of
-    ``order`` that form a one-vertex set.  A node is one candidate branched
-    on, and ``budget`` caps the nodes.  After a vertex joins,
-    :meth:`_Checker.survivors` returns the later candidates that can still
-    join: the property is hereditary, so a vertex that cannot join at a node
-    cannot join anywhere below it.  That forward check makes at most one
-    test per candidate per node, none of them counted as nodes, and it stops
-    once too few candidates are left to beat the best.  A node's subtree is
-    pruned when its size plus its candidates cannot beat the best.
+    ``order`` that form a one-vertex set; the greedy seed adds, in turn, the
+    first of them and then the first survivor after each join.  A node is
+    one candidate branched on, and ``budget`` caps the nodes.  After a
+    vertex joins, :meth:`_Checker.survivors` returns the later candidates
+    that can still join: the property is hereditary, so a vertex that cannot
+    join at a node cannot join anywhere below it.  That forward check makes
+    at most one test per candidate per node, none of them counted as nodes,
+    and it stops once too few candidates are left to beat the best.  A
+    node's subtree is pruned when its size plus its candidates cannot beat
+    the best.
 
     Dropping only vertices and subtrees that hold no larger set, the search
     meets its improvements in the same order as a plain include-before-skip
@@ -309,19 +302,32 @@ class _MaxSetSearch:
     lexicographic order of ``order``.  So for order ``0..n-1`` the witness
     is the lexicographically smallest maximum set: the first one met, or the
     greedy seed, which is the smallest set of its size whenever it is
-    maximum.  ``exact`` is False when the node budget ran out.
+    maximum.  ``exact`` is False when the node budget ran out or the clock
+    read past ``deadline`` (a :func:`time.perf_counter` reading).  The clock
+    is read at node 1 and every 64 nodes after it, so the greedy seed, a
+    started forward check and the nodes up to the next read may run past
+    the deadline.  :func:`max_set_heuristic` restarts this search with
+    growing budgets, one checker for all its runs.
     """
 
-    def __init__(self, checker: _Checker, order: Sequence[int], budget: int):
+    def __init__(self, checker: _Checker, order: Sequence[int], budget: int,
+                 deadline: float = INF):
         self.checker = checker
         self.budget = budget
+        self.deadline = deadline
         self.nodes = 0
-        self.witness = _greedy(checker, order)
+        while checker.members:  # a cut search leaves its set on the checker
+            checker.pop()
+        root = cands = checker.survivors(order)
+        while cands:
+            checker.add(cands[0])
+            cands = checker.survivors(cands[1:])
+        self.witness = checker.mask
         self.best = self.witness.bit_count()
         while checker.members:  # the search starts from the empty set
             checker.pop()
         try:
-            self._extend(checker.survivors(order), 0)
+            self._extend(root, 0)
             self.exact = True
         except BudgetExhausted:
             self.exact = False
@@ -333,7 +339,9 @@ class _MaxSetSearch:
             if size + (len(cands) - j) <= self.best:
                 return
             self.nodes += 1
-            if self.nodes > self.budget:
+            # The clock is read at node 1 and every 64 nodes after it.
+            if self.nodes > self.budget or (self.nodes & 63 == 1
+                                            and time.perf_counter() > self.deadline):
                 raise BudgetExhausted
             checker.add(w)
             if size + 1 > self.best:
@@ -383,57 +391,42 @@ def _certified_set(prop: SetProperty, g: Graph, t: DistanceTable, witness: Verte
                            elapsed=time.perf_counter() - start)
 
 
-# ---------------------------------------------------------------------------
-# Heuristic lower-bound search
-
-
 def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
-                      seed: int = 0, max_restarts: int = 10**6) -> InvariantReport:
-    """Greedy seeding plus add/kick local search; returns a certified lower bound.
+                      seed: int = 0) -> InvariantReport:
+    """Restarts of the exact search with growing node budgets; an anytime bound.
 
-    Each restart fills one checker greedily, then makes up to 40 kicks:
-    drop a few members and refill in a fresh random order.  Restart r uses
-    an rng seeded by ``seed * 0x9E3779B9 + r``, so a run repeats per seed
-    only at a fixed restart count; ``time_budget`` cuts restarts and kicks
-    at a wall-clock time, which makes their count machine-dependent.
+    Restart r runs :class:`_MaxSetSearch` on at most ``n << r`` nodes, in
+    degree-descending order for r = 0, its reverse for r = 1, and after that
+    an order shuffled by ``random.Random(seed * 0x9E3779B9 + r)``.  The first
+    restart that finishes has proved its set maximum, so the run stops there
+    with ``exact=True``; otherwise it returns the largest set found, a
+    certified lower bound, with ``exact=False``.  Restarts start only
+    before ``start + time_budget``, and each search reads the clock every 64
+    nodes; a greedy seed, a forward check or the final certificate runs to
+    its end once started, so a run can overrun ``time_budget``.  A run that
+    finishes before the deadline repeats per ``seed``; one cut by it depends
+    on the machine's speed.
     """
     if not is_connected(g):
         raise GraphError("heuristic search requires a connected graph")
     start = time.perf_counter()
+    deadline = start + time_budget
     t = distances(g)
-    n = g.n
     checker = _make_checker(prop, g, t)
-    best = 0
-    nodes = 0
     deg_desc = _static_order(g)
-    for restart in range(max_restarts):
-        if restart > 0 and time.perf_counter() - start > time_budget:
-            break
-        rng = random.Random(seed * 0x9E3779B9 + restart)
+    best = nodes = 0
+    for restart in itertools.count():
         if restart < 2:
             order = deg_desc if restart == 0 else deg_desc[::-1]
         else:
-            order = list(range(n))
-            rng.shuffle(order)
-        nodes += n
-        if _greedy(checker, order).bit_count() > best.bit_count():
-            best = checker.mask
-        # Kick moves: drop a few members, refill in a fresh random order.
-        for _ in range(40):
-            if time.perf_counter() - start > time_budget:
-                break
-            members = checker.members
-            drop = set(rng.sample(members, min(len(members), rng.randint(1, 3)))) \
-                if members else set()
-            order = list(range(n))
-            rng.shuffle(order)
-            nodes += n
-            # The members not dropped lead the order, so they all re-join.
-            order = [w for w in members if w not in drop] \
-                + [w for w in order if w in drop or not checker.mask >> w & 1]
-            if _greedy(checker, order).bit_count() > best.bit_count():
-                best = checker.mask
-    return _certified_set(prop, g, t, best, False, nodes, start)
+            order = list(range(g.n))
+            random.Random(seed * 0x9E3779B9 + restart).shuffle(order)
+        search = _MaxSetSearch(checker, order, g.n << restart, deadline)
+        nodes += search.nodes
+        if search.best > best.bit_count():
+            best = search.witness
+        if search.exact or time.perf_counter() > deadline:
+            return _certified_set(prop, g, t, best, search.exact, nodes, start)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +560,8 @@ def _is_isometric_cycle(g: Graph, t: DistanceTable, cycle: Sequence[int]) -> boo
                           for i, j in itertools.combinations(range(k), 2))
 
 
-def _is_independent(g: Graph, t: Optional[DistanceTable], seq: Sequence[int]) -> bool:
-    return len(seq) > 0 and not any(g.adj[v] & mask_of(seq) for v in seq)
-
-
-_COVER_PART = {"ip": _is_geodesic, "ic": _is_isometric_cycle, "chi": _is_independent}
+_COVER_PART = {"ip": _is_geodesic, "ic": _is_isometric_cycle,
+               "chi": lambda g, t, part: len(part) > 0 and is_independent(g, mask_of(part))}
 
 
 def _certify_cover(report: InvariantReport, g: Graph, t: Optional[DistanceTable],

@@ -195,14 +195,34 @@ def test_heuristic_is_valid_deterministic_and_bounded():
         for code in ALL_CODES:
             prop = property_for_code(code)
             exact = max_set(prop, g).value
-            # Bound by restarts, not wall time, so the run is deterministic.
-            h1 = max_set_heuristic(prop, g, time_budget=30.0, seed=5, max_restarts=3)
-            h2 = max_set_heuristic(prop, g, time_budget=30.0, seed=5, max_restarts=3)
+            # A run that finishes before its deadline repeats per seed.
+            h1 = max_set_heuristic(prop, g, time_budget=30.0, seed=5)
+            h2 = max_set_heuristic(prop, g, time_budget=30.0, seed=5)
             assert h1.value == h2.value and h1.witness == h2.witness, code
             assert h1.nodes_explored == h2.nodes_explored
-            assert h1.value <= exact
-            assert not h1.exact
+            assert h1.exact and h1.value == exact
             assert check_property(prop, g, distances(g), h1.witness)
+
+
+def test_heuristic_restarts_finish_exact_on_small_graphs():
+    # Every connected graph of order 2..6 and its shadow.
+    bases = [g for g in enumerate_connected(6) if g.n > 1]
+    for g in bases + [shadow(b).graph for b in bases]:
+        for code in ALL_CODES:
+            prop = property_for_code(code)
+            h = max_set_heuristic(prop, g, time_budget=60.0)
+            assert h.exact and h.value == max_set(prop, g).value, (g.edges(), code)
+
+
+def test_heuristic_deadline_cuts_like_the_node_budget():
+    # At a deadline already past, restart 0 stops at its first node, as the
+    # exact search in the same degree order does at node budget 0.
+    g = shadow(_family("cycle:40")).graph
+    h = max_set_heuristic(SetProperty.MV, g, time_budget=0)
+    r = max_set(SetProperty.MV, g, budget=0)
+    assert not h.exact and not r.exact
+    assert h.nodes_explored == r.nodes_explored == 1
+    assert h.witness == r.witness
 
 
 def test_isometric_path_cover_past_the_geodesic_cap(monkeypatch):
