@@ -11,7 +11,12 @@ repo root) under ``--label``, next to the runs already there.
 Every instance runs once, at ``time_budget=1.0`` and ``seed=0``.  For each
 the record gives the value, ``exact``, ``nodes_explored`` and the elapsed
 wall-clock seconds.  A run cut by its deadline depends on the machine's
-speed, so compare two checkouts with runs made on the same machine.
+speed, so compare two checkouts with runs made on the same machine.  The
+exact part of the record is what a run that finishes reports: its value
+and node count.  On a shared host the single-run seconds resolve only
+differences of about 2x or more, as do the best-of-3 seconds of the other
+``bench_*`` scripts; finer timing comparisons belong to ``perfbench``'s
+reference seconds.
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ each instance the record gives the best of ``REPEAT`` wall-clock times of
 ``distances(g)`` alone and of ``distances(g)`` followed by a read of
 ``.between``, and a sha256 digest of the tables' ``(d, between, layers)``.
 When every run in the record has the same digests, ``digests_agree`` is true.
+The counts and digests are the exact part of the record.  On a shared host
+the best-of-3 seconds resolve only differences of about 2x or more; finer
+timing comparisons belong to ``perfbench``'s reference seconds.
 
 The counts do not depend on the machine: the distance tables built in one
 ``fuzz(6)`` pass and in one ``lemma-large`` pass, and how many of them hold

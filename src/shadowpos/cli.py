@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -82,6 +83,13 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # No clock reading passes a nan or inf deadline: the time budget would be off.
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number.")
+    return value
+
+
 @click.group()
 def main() -> None:
     """Exact toolkit for position and visibility invariants of shadow graphs."""
@@ -99,16 +107,13 @@ def main() -> None:
 @click.option("--exact/--heuristic", "exact_mode", default=True,
               help="Exact branch and bound (default) or restart heuristic.")
 @click.option("--time", "time_budget", type=click.FloatRange(min=0), default=1.0,
-              show_default=True, help="Heuristic time budget in seconds.")
+              callback=_finite, show_default=True, help="Heuristic time budget in seconds.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Heuristic random seed.")
 @click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_NODE_BUDGET,
               show_default=True, help="Exact-search node budget.")
-@click.option("--canonical-witness", is_flag=True,
-              help="Report the lexicographically smallest maximum witness.")
 def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: bool,
-                exact_mode: bool, time_budget: float, seed: int, budget: int,
-                canonical_witness: bool) -> None:
+                exact_mode: bool, time_budget: float, seed: int, budget: int) -> None:
     """Compute one invariant and print a JSON report on stdout."""
     if apply_shadow and apply_star:
         click.echo("error: --shadow and --star-shadow are mutually exclusive",
@@ -116,8 +121,7 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
         sys.exit(EXIT_PARSE)
     ctx = click.get_current_context()
     given = {opt for opt, name in (("--time", "time_budget"), ("--seed", "seed"),
-                                   ("--budget", "budget"),
-                                   ("--canonical-witness", "canonical_witness"))
+                                   ("--budget", "budget"))
              if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
     if not exact_mode:
         given.add("--heuristic")
@@ -126,7 +130,7 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
     elif exact_mode:
         unused, where = given & {"--time", "--seed"}, "exact mode"
     else:
-        unused, where = given & {"--canonical-witness", "--budget"}, "--heuristic"
+        unused, where = given & {"--budget"}, "--heuristic"
     if unused:
         click.echo(f"error: {where} takes no {', '.join(sorted(unused))}", err=True)
         sys.exit(EXIT_PARSE)
@@ -143,8 +147,7 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
         if invariant in SET_INVARIANT_CODES:
             prop = property_for_code(invariant)
             if exact_mode:
-                report = max_set(prop, g, budget=budget,
-                                 canonical_witness=canonical_witness)
+                report = max_set(prop, g, budget=budget)
             else:
                 report = max_set_heuristic(prop, g, time_budget=time_budget,
                                            seed=seed)

@@ -78,9 +78,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
-    def neighbors(self, u: int) -> list[int]:
-        return list(iter_bits(self.adj[u]))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 

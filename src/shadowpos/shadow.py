@@ -30,11 +30,6 @@ class ShadowGraph:
     graph: Graph
     base_n: int
 
-    def twin(self, v: int) -> int:
-        if v < self.base_n:
-            return v + self.base_n
-        return v - self.base_n
-
     def shadow_side_mask(self) -> VertexMask:
         return ((1 << self.base_n) - 1) << self.base_n
 
@@ -133,14 +128,6 @@ class PiPartition:
     @property
     def n1(self) -> int:
         return self.v1.bit_count()
-
-    @property
-    def n2(self) -> int:
-        return self.v2.bit_count()
-
-    @property
-    def n3(self) -> int:
-        return self.v3.bit_count()
 
     @property
     def n4(self) -> int:

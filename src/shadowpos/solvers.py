@@ -8,10 +8,10 @@ branches over candidate lists: its root holds the vertices that form a
 one-vertex set, after ``w`` joins the checker's forward check drops the
 candidates that can no longer join (for all six properties a test of only
 what ``w`` can break), and a subtree is pruned by its size plus its
-candidates.  The same search over ``0..n-1`` finds the canonical
-(lexicographically smallest) witness.  The heuristic is that search again:
-restarts with growing node budgets and a wall-clock deadline, which report
-``exact`` once one of them finishes.
+candidates.  It takes the vertices in order ``0..n-1``, so every exact
+witness is the lexicographically smallest maximum set.  The heuristic is that
+search again in other orders: restarts with growing node budgets and a
+wall-clock deadline, which report ``exact`` once one of them finishes.
 
 The one other search is an exact minimum set cover.  It serves the isometric
 path and cycle covers and the chromatic number, a minimum cover of the
@@ -276,10 +276,6 @@ def _make_checker(prop: SetProperty, g: Graph, t: DistanceTable) -> _Checker:
 # Exact maximum-set search
 
 
-def _static_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-
-
 class _MaxSetSearch:
     """Depth-first branch and bound over candidate lists, include before skip.
 
@@ -299,15 +295,16 @@ class _MaxSetSearch:
     Dropping only vertices and subtrees that hold no larger set, the search
     meets its improvements in the same order as a plain include-before-skip
     enumeration of ``order``, which visits the sets of each size in
-    lexicographic order of ``order``.  So for order ``0..n-1`` the witness
-    is the lexicographically smallest maximum set: the first one met, or the
-    greedy seed, which is the smallest set of its size whenever it is
-    maximum.  ``exact`` is False when the node budget ran out or the clock
-    read past ``deadline`` (a :func:`time.perf_counter` reading).  The clock
-    is read at node 1 and every 64 nodes after it, so the greedy seed, a
-    started forward check and the nodes up to the next read may run past
-    the deadline.  :func:`max_set_heuristic` restarts this search with
-    growing budgets, one checker for all its runs.
+    lexicographic order of ``order``.  So for order ``0..n-1``, the order of
+    every :func:`max_set` call, the witness is the lexicographically smallest
+    maximum set: the first one met, or the greedy seed, which is the
+    smallest set of its size whenever it is maximum.  ``exact`` is False
+    when the node budget ran out or the clock read past ``deadline`` (a
+    :func:`time.perf_counter` reading).  The clock is read at node 1 and
+    every 64 nodes after it, so the greedy seed, a started forward check and
+    the nodes up to the next read may run past the deadline.
+    :func:`max_set_heuristic` restarts this search with growing budgets, one
+    checker for all its runs.
     """
 
     def __init__(self, checker: _Checker, order: Sequence[int], budget: int,
@@ -353,13 +350,11 @@ class _MaxSetSearch:
             checker.pop()
 
 
-def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
-            canonical_witness: bool = False) -> InvariantReport:
+def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Exact maximum-cardinality set with the given hereditary property.
 
     One branch and bound with forward checking (:class:`_MaxSetSearch`),
-    its candidates taken in degree-descending order, or in order ``0..n-1``
-    with ``canonical_witness``, which makes the witness the
+    its candidates taken in order ``0..n-1``, so an exact witness is the
     lexicographically smallest maximum set.  The root's candidates are
     pre-filtered to the vertices that form a one-vertex set, which every
     vertex does for GP and MV.  ``nodes_explored`` counts the candidates
@@ -373,8 +368,7 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
         raise GraphError("maximum-set search requires a connected graph")
     start = time.perf_counter()
     t = distances(g)
-    order = range(g.n) if canonical_witness else _static_order(g)
-    search = _MaxSetSearch(_make_checker(prop, g, t), order, budget)
+    search = _MaxSetSearch(_make_checker(prop, g, t), range(g.n), budget)
     return _certified_set(prop, g, t, search.witness, search.exact, search.nodes, start)
 
 
@@ -413,7 +407,7 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
     deadline = start + time_budget
     t = distances(g)
     checker = _make_checker(prop, g, t)
-    deg_desc = _static_order(g)
+    deg_desc = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     best = nodes = 0
     for restart in itertools.count():
         if restart < 2:
@@ -524,12 +518,13 @@ class _SetCoverSearch:
 
 
 def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[int, tuple],
-               exact: bool, start: float) -> InvariantReport:
+               exact: bool, start: float, disjoint: bool = False) -> InvariantReport:
     """Fewest of ``sets`` (vertex mask -> vertex sequence) that cover every vertex.
 
     If their union misses a vertex the instance is not coverable; the report
-    flags that instead of inventing a value.  The reported cover is
-    certified by :func:`_certify_cover`.
+    flags that instead of inventing a value.  With ``disjoint`` each vertex
+    stays only in the first chosen set that holds it.  The reported cover is
+    certified by :func:`_certify_cover`, with the same ``disjoint``.
     """
     masks = _dominance_filter(list(sets))
     covered = 0
@@ -540,11 +535,16 @@ def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[
                                coverable=False, elapsed=time.perf_counter() - start)
     # Witnesses survive dominance filtering by mask identity.
     cover = _SetCoverSearch(g.vertex_mask(), masks)
-    picked = cover.run()
-    report = InvariantReport(invariant=invariant, value=len(picked),
-                             witness=[sets[masks[i]] for i in picked], exact=exact,
-                             nodes_explored=cover.nodes, elapsed=time.perf_counter() - start)
-    return _certify_cover(report, g, t)
+    witness = [sets[masks[i]] for i in cover.run()]
+    if disjoint:
+        taken = 0
+        for i, part in enumerate(witness):
+            witness[i] = tuple(v for v in part if not taken >> v & 1)
+            taken |= mask_of(part)
+    report = InvariantReport(invariant=invariant, value=len(witness), witness=witness,
+                             exact=exact, nodes_explored=cover.nodes,
+                             elapsed=time.perf_counter() - start)
+    return _certify_cover(report, g, t, disjoint)
 
 
 def _is_geodesic(g: Graph, t: DistanceTable, seq: Sequence[int]) -> bool:
@@ -663,17 +663,11 @@ def chromatic_number(g: Graph) -> InvariantReport:
     Moon-Moser bounds the number of maximal independent sets by 3^(n/3), 324
     at the 16-vertex cap.  The witness lists colour classes: each vertex
     takes the first chosen set that holds it.  A minimum cover has no
-    redundant set, so no class is empty; the classes are certified too.
+    redundant set, so no class is empty; the classes are certified as a
+    disjoint cover.
     """
     if g.n > 16:
         raise GraphError(f"chromatic number capped at 16 vertices, got {g.n}")
     start = time.perf_counter()
     sets = {m: tuple(iter_bits(m)) for m in _maximal_independent_sets(g)}
-    report = _min_cover("chi", g, None, sets, True, start)
-    coloured = 0
-    classes = []
-    for part in report.witness:
-        classes.append(tuple(v for v in part if not coloured >> v & 1))
-        coloured |= mask_of(part)
-    report.witness = classes
-    return _certify_cover(report, g, None, disjoint=True)
+    return _min_cover("chi", g, None, sets, True, start, disjoint=True)

@@ -46,11 +46,11 @@ def test_compute_heuristic(runner):
 
 
 def test_compute_canonical_witness(runner):
-    result, payload = _compute(runner, "--invariant", "gp",
-                               "--graph", "cycle:5", "--canonical-witness")
+    result, payload = _compute(runner, "--invariant", "gp", "--graph", "path:4")
     assert result.exit_code == 0
-    # C_5: {0,1,2} is not in general position; lexicographic best is [0,1,3].
-    assert payload["witness"] == [0, 1, 3]
+    # P_4: every pair is in general position and no triple is, so the
+    # lexicographically smallest maximum set is [0, 1].
+    assert payload["witness"] == [0, 1]
 
 
 def test_compute_reads_files_and_literals(runner, tmp_path):
@@ -76,6 +76,10 @@ def test_compute_parse_error_exit_2(runner):
     result, _ = _compute(runner, "--invariant", "gp", "--graph", "cycle:5",
                          "--shadow", "--star-shadow")
     assert result.exit_code == 2
+    result, payload = _compute(runner, "--invariant", "gp", "--graph", "cycle:6",
+                               "--canonical-witness")
+    assert result.exit_code == 2 and payload is None
+    assert "Error: No such option '--canonical-witness'." in result.stderr
 
 
 def test_compute_precondition_exit_3(runner, tmp_path):
@@ -100,15 +104,14 @@ def test_compute_geodesic_cap_exit_4(runner, monkeypatch):
 
 
 @pytest.mark.parametrize("args, message", [
-    (("gp", "cycle:6", "--heuristic", "--canonical-witness"),
-     "--heuristic takes no --canonical-witness"),
+    (("gp", "cycle:6", "--time", "2", "--seed", "1"), "exact mode takes no --seed, --time"),
     (("mu", "cycle:9", "--shadow", "--heuristic", "--budget", "10"),
      "--heuristic takes no --budget"),
     (("mu", "cycle:6", "--heuristic", "--budget", str(DEFAULT_NODE_BUDGET)),
      "--heuristic takes no --budget"),
     (("ip", "cycle:6", "--heuristic"), "--invariant ip takes no --heuristic"),
     (("ic", "cycle:5", "--budget", "3", "--seed", "0"), "--invariant ic takes no --budget, --seed"),
-    (("chi", "cycle:5", "--canonical-witness"), "--invariant chi takes no --canonical-witness"),
+    (("chi", "cycle:5", "--heuristic", "--time", "1"), "--invariant chi takes no --heuristic, --time"),
     (("gp", "cycle:6", "--time", "2"), "exact mode takes no --time"),
     (("mu", "cycle:6", "--exact", "--seed", "0"), "exact mode takes no --seed"),
 ])
@@ -124,6 +127,8 @@ def test_compute_refuses_unused_options(runner, args, message):
     ("compute", "--invariant", "mu", "--graph", "cycle:6", "--heuristic", "--time", "-0.5"),
     ("verify", "--suite", "gp-cycles", "--workers", "0"),
     ("verify", "--suite", "gp-cycles", "--n-max", "1"),
+    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--heuristic", "--time", "nan"),
+    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--heuristic", "--time", "inf"),
 ])
 def test_out_of_range_numbers_exit_2(runner, args):
     result = runner.invoke(main, list(args))
@@ -131,10 +136,24 @@ def test_out_of_range_numbers_exit_2(runner, args):
     assert f"Invalid value for '{args[-2]}'" in result.stderr
 
 
+@pytest.mark.parametrize("invariant, n, message", [
+    ("ic", 15, "cycle cover capped at 14 vertices, got 15"),
+    ("chi", 17, "chromatic number capped at 16 vertices, got 17"),
+    ("ic", 14, None),
+    ("chi", 16, None),
+])
+def test_cover_size_caps_exit_3(runner, invariant, n, message):
+    result, payload = _compute(runner, "--invariant", invariant, "--graph", f"cycle:{n}")
+    if message is None:
+        assert result.exit_code == 0 and payload["exact"]
+    else:
+        assert result.exit_code == 3 and payload is None
+        assert result.stderr == f"error: {message}\n"
+
+
 def test_compute_accepts_options_that_apply(runner):
     for args in (("ip", "cycle:6", "--exact"),
-                 ("gp", "cycle:6", "--exact", "--budget", str(DEFAULT_NODE_BUDGET),
-                  "--canonical-witness"),
+                 ("gp", "cycle:6", "--exact", "--budget", str(DEFAULT_NODE_BUDGET)),
                  ("mu", "cycle:6", "--heuristic", "--time", "0.05", "--seed", "3")):
         invariant, graph, *rest = args
         result, payload = _compute(runner, "--invariant", invariant, "--graph", graph, *rest)

@@ -45,7 +45,7 @@ def test_build_graph_collapses_duplicates():
 def test_basic_accessors():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.degree(1) == 2
-    assert g.neighbors(1) == [0, 2]
+    assert g.adj[1] == 0b101
     assert g.has_edge(2, 3) and not g.has_edge(0, 3)
     assert g.vertex_mask() == 0b1111
     assert g.label(2) == "2"

@@ -84,7 +84,7 @@ def test_canonical_witness_is_lexicographically_smallest():
     for text, g in graphs.items():
         for code in ALL_CODES:
             prop = property_for_code(code)
-            r = max_set(prop, g, canonical_witness=True)
+            r = max_set(prop, g)
             t = distances(g)
             best = None
             for combo in itertools.combinations(range(g.n), r.value):
@@ -151,20 +151,20 @@ def test_budget_exhaustion_reports_lower_bound():
     assert full.exact
     assert r.value <= full.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
-    # The canonical witness comes from the same search over 0..n-1: one node
-    # short of its own count it runs out, and the report counts that node.
+    # One node short of its own count the search runs out, and the report
+    # counts that node.
     g = shadow(_family("cycle:7")).graph
-    canonical = max_set(SetProperty.MV, g, canonical_witness=True)
-    assert canonical.exact and canonical.value == 7
-    budget = canonical.nodes_explored - 1
-    r = max_set(SetProperty.MV, g, budget=budget, canonical_witness=True)
+    full = max_set(SetProperty.MV, g)
+    assert full.exact and full.value == 7
+    budget = full.nodes_explored - 1
+    r = max_set(SetProperty.MV, g, budget=budget)
     assert r.exact is False
     assert r.nodes_explored == budget + 1
-    assert r.value <= canonical.value
+    assert r.value <= full.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
     assert r.witness.bit_count() == r.value
-    r = max_set(SetProperty.MV, g, budget=canonical.nodes_explored, canonical_witness=True)
-    assert r.exact and r.witness == canonical.witness
+    r = max_set(SetProperty.MV, g, budget=full.nodes_explored)
+    assert r.exact and r.witness == full.witness
 
 
 def test_certification_survives_optimize_flag():
@@ -216,7 +216,8 @@ def test_heuristic_restarts_finish_exact_on_small_graphs():
 
 def test_heuristic_deadline_cuts_like_the_node_budget():
     # At a deadline already past, restart 0 stops at its first node, as the
-    # exact search in the same degree order does at node budget 0.
+    # exact search does at node budget 0.  On S(C_n) restart 0's degree
+    # order is the exact search's order 0..n-1, so the witnesses agree.
     g = shadow(_family("cycle:40")).graph
     h = max_set_heuristic(SetProperty.MV, g, time_budget=0)
     r = max_set(SetProperty.MV, g, budget=0)
