@@ -213,17 +213,13 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     class-respecting vertex orders.
 
     Classes come from degree-based refinement, so only permutations within
-    refinement classes are tried; equal keys <=> isomorphic graphs.
+    refinement classes are tried; equal keys <=> isomorphic graphs.  Under
+    the order ``pos`` an edge uv sets bits ``n*pos[u] + pos[v]`` and
+    ``n*pos[v] + pos[u]`` of the n x n adjacency matrix.
     """
     n = g.n
     classes = _refined_classes(g)
     best = None
-    pair_index = {}
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_index[(i, j)] = idx
-            idx += 1
     edges = g.edges()
     for orders in itertools.product(*(itertools.permutations(c) for c in classes)):
         perm_old = [v for group in orders for v in group]
@@ -232,10 +228,7 @@ def canonical_key(g: Graph) -> tuple[int, int]:
             pos[old] = new
         key = 0
         for u, v in edges:
-            a, b = pos[u], pos[v]
-            if a > b:
-                a, b = b, a
-            key |= 1 << pair_index[(a, b)]
+            key |= 1 << (n * pos[u] + pos[v]) | 1 << (n * pos[v] + pos[u])
         if best is None or key < best:
             best = key
     return (n, best if best is not None else 0)

@@ -597,7 +597,9 @@ def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[i
     """All isometric cycles, as mask -> one representative vertex sequence.
 
     Cycles are enumerated with the smallest vertex first and orientation
-    fixed by second < last, so each cycle appears once.
+    fixed by second < last, so each cycle appears once.  An isometric cycle
+    has no chord, so a path never takes a vertex next to one of its inner
+    vertices, and stops growing once its last vertex neighbours the first.
     """
     out: dict[int, tuple[int, ...]] = {}
     n = g.n
@@ -607,9 +609,12 @@ def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[i
         while stack:
             path, mask = stack.pop()
             last = path[-1]
-            for y in iter_bits(g.adj[last] & allowed & ~mask):
-                stack.append((path + (y,), mask | (1 << y)))
-            if len(path) >= 3 and g.adj[last] >> s & 1 and path[1] < path[-1]:
+            closed = len(path) >= 3 and g.adj[last] >> s & 1
+            inner = mask & ~(1 << s | 1 << last)
+            for y in iter_bits(0 if closed else g.adj[last] & allowed & ~mask):
+                if not g.adj[y] & inner:
+                    stack.append((path + (y,), mask | (1 << y)))
+            if closed and path[1] < path[-1]:
                 if mask not in out and _is_isometric_cycle(g, t, path):
                     out[mask] = path
     return out

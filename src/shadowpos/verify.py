@@ -4,9 +4,11 @@ There are three kinds of suite.  The closed-form suites are rows of one
 table: each names a graph family, a parameter sweep, a set property and
 the claimed formula, and one shared check computes the exact value on the
 shadow of every family member.  The per-graph fuzz checks test a bound or
-a structural lemma on every small connected graph up to isomorphism, as
-predicates over one profile per graph that solves each exact value once;
-:func:`fuzz` hands every check of a graph the same profile.
+a structural lemma on every small connected graph up to isomorphism.  Each
+is a row naming a filter, the exact values it reads on G and S(G), and a
+judge of those values; six bound claims share one judge built from their
+``(lo, hi)``.  The values come from one profile per graph that solves each
+once, and :func:`fuzz` hands every check of a graph the same profile.
 ``mu-balloon`` checks mu_t = 0 on a balloon and the claimed lower bound on
 mu of its shadow, both with the exact search.
 
@@ -238,17 +240,16 @@ def _closed_form(suite_id: str, description: str, family: str, sweep: Callable,
 
 
 # ---------------------------------------------------------------------------
-# Per-graph fuzz checks: predicates over one shared profile per graph
+# Per-graph fuzz checks: rows that declare the exact values their judges read
 
 
 class _GraphProfile:
-    """One connected graph as every fuzz check sees it.
+    """One connected graph as every fuzz check reads it.
 
-    It holds the graph6 and the node budget.  The graph, its structural
-    summary and its shadow are built on first use, and exact ``max_set``
-    reports are kept per (property, on the shadow) pair, so checks that
-    share a graph share this work.  A profile pickles as graph6 plus
-    budget; nothing it caches outlives it.
+    The graph, its structural summary and its shadow are built on first use
+    and exact ``max_set`` reports are kept per (property, on the shadow)
+    pair, so the checks of one graph share this work.  A profile pickles as
+    graph6 plus node budget; nothing it caches outlives it.
     """
 
     def __init__(self, graph6: str, budget: int, graph: Optional[Graph] = None):
@@ -291,87 +292,57 @@ class _GraphProfile:
             graph6=None if ok else self.graph6,
             witness=None if witness is None else mask_to_sorted_list(witness), note=note)
 
-    def filtered(self, reason: str) -> InstanceResult:
-        return InstanceResult(self.graph6, PASS, note=f"filtered: {reason}")
-
 
 def _fuzz_suite(suite_id: str, description: str, n_max: int,
-                solves: tuple[SetProperty, ...],
-                predicate: Callable[[_GraphProfile], InstanceResult]) -> SuiteDef:
-    """A per-graph check over the connected graphs of order 2..``n_max``.
+                judge: Callable[..., InstanceResult], on_g: tuple[SetProperty, ...] = (),
+                on_shadow: Optional[SetProperty] = None,
+                outside: Optional[tuple[str, Callable[[_GraphProfile], bool]]] = None) -> SuiteDef:
+    """A per-graph claim over the connected graphs of order 2..``n_max``.
 
-    ``solves`` names the properties whose exact values ``predicate`` asks
-    for; ``fuzz(properties=...)`` selects the check by them.  An instance
-    whose ``predicate`` needs an exact value that the budget does not reach
-    is SKIPPED, with its graph6 for replay.
+    A graph for which ``outside = (reason, test)`` tests true is outside the
+    claim and passes as filtered.  On any other graph the exact reports of
+    ``on_g`` on G and then of ``on_shadow`` on S(G) are read through the
+    profile and passed to ``judge(profile, *reports)``.  These reads are the
+    suite's ``reads``.  An instance whose reads the budget does not reach is
+    SKIPPED, with its graph6 for replay.
     """
+    reads = tuple((prop, False) for prop in on_g) + (
+        ((on_shadow, True),) if on_shadow is not None else ())
+
     def instances(p: SuiteParams) -> list[_GraphProfile]:
         top = p.n_max if p.n_max is not None else n_max
         return [_GraphProfile(g6, p.budget) for g6 in _connected_reps_g6(top)]
 
     def check(profile: _GraphProfile) -> InstanceResult:
+        if outside is not None and outside[1](profile):
+            return InstanceResult(profile.graph6, PASS, note=f"filtered: {outside[0]}")
         try:
-            return predicate(profile)
+            return judge(profile, *(profile.exact(prop, s) for prop, s in reads))
         except BudgetExhausted:
             return InstanceResult(profile.graph6, SKIPPED, actual="budget exhausted",
                                   graph6=profile.graph6)
 
-    return SuiteDef(suite_id, description, instances, check, solves)
+    return SuiteDef(suite_id, description, instances, check, reads)
 
 
-def _check_gp_diam3(p: _GraphProfile) -> InstanceResult:
-    if p.summary.diameter > 3:
-        return p.filtered("diameter > 3")
-    r = p.exact(SetProperty.GP, on_shadow=True)
-    n = p.graph.n
-    return p.result(r.value, f">= {n}", r.value >= n, r.witness)
+def _bound(bounds: Callable[..., tuple[Optional[int], Optional[int]]]) -> Callable:
+    """The judge of ``lo <= x(S(G)) <= hi``, x the invariant read on S(G), with
+    ``(lo, hi) = bounds(profile, *values read on G)``; a None end is open."""
+    def judge(p: _GraphProfile, *reports: InvariantReport) -> InstanceResult:
+        *on_g, r = reports
+        lo, hi = bounds(p, *(x.value for x in on_g))
+        expected = (f">= {lo}" if hi is None else f"<= {hi}" if lo is None
+                    else f"{lo} <= {r.invariant}(S(G)) <= {hi}")
+        ok = (lo is None or lo <= r.value) and (hi is None or r.value <= hi)
+        return p.result(r.value, expected, ok, r.witness)
+
+    return judge
 
 
-def _check_gp_sandwich(p: _GraphProfile) -> InstanceResult:
-    igp = p.exact(SetProperty.IGP).value
-    r = p.exact(SetProperty.GP, on_shadow=True)
-    lo, hi = gp_sandwich_bounds(p.graph.n, igp, p.summary.min_degree)
-    return p.result(r.value, f"{lo} <= gp(S(G)) <= {hi}", lo <= r.value <= hi, r.witness)
-
-
-def _check_gp_regular_tf(p: _GraphProfile) -> InstanceResult:
-    if not (p.summary.is_regular and p.summary.is_triangle_free):
-        return p.filtered("not regular triangle-free")
-    r = p.exact(SetProperty.GP, on_shadow=True)
-    n = p.graph.n
-    return p.result(r.value, f"<= {n}", r.value <= n, r.witness)
-
-
-def _check_mu_bounds(p: _GraphProfile) -> InstanceResult:
-    mu = p.exact(SetProperty.MV).value
-    mui = p.exact(SetProperty.IMV).value
-    r = p.exact(SetProperty.MV, on_shadow=True)
-    lo, hi = mu_shadow_bounds(p.graph.n, mu, mui, p.summary.max_degree)
-    return p.result(r.value, f"{lo} <= mu(S(G)) <= {hi}", lo <= r.value <= hi, r.witness)
-
-
-def _check_mu_leaf(p: _GraphProfile) -> InstanceResult:
-    if p.graph.n < 3:
-        return p.filtered("n < 3")
-    r = p.exact(SetProperty.MV, on_shadow=True)
-    exp = p.graph.n + p.summary.leaf_count
-    return p.result(r.value, f">= {exp}", r.value >= exp, r.witness)
-
-
-def _check_mu_muit(p: _GraphProfile) -> InstanceResult:
-    if not p.summary.is_triangle_free or p.summary.has_universal_vertex:
-        return p.filtered("triangle or universal vertex")
-    exp = p.graph.n + p.exact(SetProperty.ITMV).value
-    r = p.exact(SetProperty.MV, on_shadow=True)
-    return p.result(r.value, f">= {exp}", r.value >= exp, r.witness)
-
-
-def _check_mu_char(p: _GraphProfile) -> InstanceResult:
+def _judge_mu_char(p: _GraphProfile, r: InvariantReport) -> InstanceResult:
     # G is connected: the single edge is its only graph of order 2, and the
     # 3-path and the 3-cycle are its only graphs of order 3.
-    r = p.exact(SetProperty.MV, on_shadow=True)
-    value = r.value
-    n = p.graph.n
+    value, n = r.value, p.graph.n
     problems = []
     if value in (3, 5):
         problems.append(f"mu(S(G)) = {value} should never occur")
@@ -383,21 +354,20 @@ def _check_mu_char(p: _GraphProfile) -> InstanceResult:
                     "; ".join(problems))
 
 
-def _check_lemma_distance(p: _GraphProfile) -> InstanceResult:
+def _judge_lemma_distance(p: _GraphProfile) -> InstanceResult:
     violations = shadow_distance_violations(p.shadow)
     return p.result(len(violations), "no distance-clause violations", not violations,
                     note="; ".join(violations[:3]))
 
 
-def _check_lemma_partition(p: _GraphProfile) -> InstanceResult:
-    r = p.exact(SetProperty.GP, on_shadow=True)
+def _judge_lemma_partition(p: _GraphProfile, r: InvariantReport) -> InstanceResult:
     violations = gp_partition_violations(p.shadow, r.witness)
     return p.result(len(violations), "no partition-clause violations", not violations,
                     r.witness, "; ".join(violations[:3]))
 
 
-def _check_ip_ic_bounds(p: _GraphProfile) -> InstanceResult:
-    gp = p.exact(SetProperty.GP).value
+def _judge_ip_ic_bounds(p: _GraphProfile, gp_rep: InvariantReport) -> InstanceResult:
+    gp = gp_rep.value
     ip_rep = isometric_path_cover(p.graph)
     if not ip_rep.exact:
         raise BudgetExhausted
@@ -441,8 +411,13 @@ class SuiteDef:
     description: str
     make_instances: Callable[[SuiteParams], list]
     check_instance: Callable[..., InstanceResult]
-    # Properties a per-graph fuzz check solves; None for suites fuzz() skips.
-    solves: Optional[tuple[SetProperty, ...]] = None
+    # The (property, on the shadow) pairs a per-graph fuzz check reads, in
+    # reading order; None for suites fuzz() skips.
+    reads: Optional[tuple[tuple[SetProperty, bool], ...]] = None
+
+    @property
+    def solves(self) -> Optional[tuple[SetProperty, ...]]:
+        return None if self.reads is None else tuple(dict.fromkeys(p for p, _ in self.reads))
 
 
 SUITES: dict[str, SuiteDef] = {s.id: s for s in [
@@ -453,15 +428,19 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  "complete_bipartite", lambda top, p: [
                      ((m, n), None) for n in range(2, top + 1) for m in range(n, top + 1)], 5,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_bipartite(*p), "K_{{{0},{1}}}"),
-    _fuzz_suite("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", 6, (SetProperty.GP,),
-                _check_gp_diam3),
+    _fuzz_suite("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", 6,
+                _bound(lambda p: (p.graph.n, None)), on_shadow=SetProperty.GP,
+                outside=("diameter > 3", lambda p: p.summary.diameter > 3)),
     _closed_form("gp-join", "gp(S(K_1 + cliques)) = n + t_1 - 1",
                  "join_k1_cliques", lambda top, p: [(o, None) for o in _multisets(top - 1)], 9,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_join(p), "K_1+{params}"),
-    _fuzz_suite("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound",
-                6, (SetProperty.IGP, SetProperty.GP), _check_gp_sandwich),
-    _fuzz_suite("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n",
-                7, (SetProperty.GP,), _check_gp_regular_tf),
+    _fuzz_suite("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound", 6,
+                _bound(lambda p, igp: gp_sandwich_bounds(p.graph.n, igp, p.summary.min_degree)),
+                on_g=(SetProperty.IGP,), on_shadow=SetProperty.GP),
+    _fuzz_suite("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n", 7,
+                _bound(lambda p: (None, p.graph.n)), on_shadow=SetProperty.GP,
+                outside=("not regular triangle-free", lambda p: not (
+                    p.summary.is_regular and p.summary.is_triangle_free))),
     _closed_form("gp-cycles", "piecewise formula for gp(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 10,
                  SetProperty.GP, lambda p, g: expected_gp_shadow_cycle(*p), "C_{0}"),
@@ -471,14 +450,20 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  lambda p, g: expected_gp_shadow_tree(structural_queries(g).leaf_count),
                  "tree(n={0},seed={fseed})"),
     _fuzz_suite("mu-bounds", "max{n, 2 mu_i, 2 max-degree} <= mu(S(G)) <= min{n + mu, 2n - 2}",
-                6, (SetProperty.MV, SetProperty.IMV), _check_mu_bounds),
+                6, _bound(lambda p, mu, mui: mu_shadow_bounds(
+                    p.graph.n, mu, mui, p.summary.max_degree)),
+                on_g=(SetProperty.MV, SetProperty.IMV), on_shadow=SetProperty.MV),
     _closed_form("mu-multipartite", "mu(S(K_{n_1..n_k})) = 2n - 2",
                  "complete_multipartite", lambda top, p: [(o, None) for o in _multisets(top)], 8,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_multipartite(p), "K_{params}"),
-    _fuzz_suite("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", 6, (SetProperty.MV,),
-                _check_mu_leaf),
-    _fuzz_suite("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it",
-                6, (SetProperty.ITMV, SetProperty.MV), _check_mu_muit),
+    _fuzz_suite("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", 6,
+                _bound(lambda p: (p.graph.n + p.summary.leaf_count, None)),
+                on_shadow=SetProperty.MV, outside=("n < 3", lambda p: p.graph.n < 3)),
+    _fuzz_suite("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it", 6,
+                _bound(lambda p, muit: (p.graph.n + muit, None)),
+                on_g=(SetProperty.ITMV,), on_shadow=SetProperty.MV,
+                outside=("triangle or universal vertex", lambda p: (
+                    not p.summary.is_triangle_free or p.summary.has_universal_vertex))),
     _closed_form("mu-trees", "mu(S(T)) = n + l for diam >= 3",
                  "random_tree", partial(_random_trees, min_diam=3), 9,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_tree(
@@ -486,16 +471,16 @@ SUITES: dict[str, SuiteDef] = {s.id: s for s in [
                  "tree(n={0},seed={fseed})"),
     SuiteDef("mu-balloon", "balloon: mu_t = 0 and mv set of size 6k + 1 in the shadow",
              _instances_mu_balloon, _check_mu_balloon),
-    _fuzz_suite("mu-char", "mu(S(G)) small-value characterization", 6, (SetProperty.MV,),
-                _check_mu_char),
+    _fuzz_suite("mu-char", "mu(S(G)) small-value characterization", 6, _judge_mu_char,
+                on_shadow=SetProperty.MV),
     _closed_form("mu-cycles", "piecewise formula for mu(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 9,
                  SetProperty.MV, lambda p, g: expected_mu_shadow_cycle(*p), "C_{0}"),
-    _fuzz_suite("lemma-distance", "shadow distance clauses", 7, (), _check_lemma_distance),
-    _fuzz_suite("lemma-partition", "gp-partition structural clauses",
-                6, (SetProperty.GP,), _check_lemma_partition),
-    _fuzz_suite("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", 7, (SetProperty.GP,),
-                _check_ip_ic_bounds),
+    _fuzz_suite("lemma-distance", "shadow distance clauses", 7, _judge_lemma_distance),
+    _fuzz_suite("lemma-partition", "gp-partition structural clauses", 6,
+                _judge_lemma_partition, on_shadow=SetProperty.GP),
+    _fuzz_suite("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", 7, _judge_ip_ic_bounds,
+                on_g=(SetProperty.GP,)),
 ]}
 
 

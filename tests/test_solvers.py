@@ -274,6 +274,13 @@ def test_isometric_cycle_cover_values():
     assert not isometric_cycle_cover(_family("tree:8:seed=3")).coverable
 
 
+def test_isometric_cycle_cover_of_dense_graphs_at_the_cap():
+    # Paths with a chord are never grown, so these finish at once; walking
+    # every simple path of K_14 would take hours.
+    assert isometric_cycle_cover(_family("complete:14")).value == 5
+    assert isometric_cycle_cover(_family("kpartite:4,5,5")).value == 4
+
+
 def test_isometric_cycle_cover_certificate():
     g = _family("cycle:6")
     r = isometric_cycle_cover(g)

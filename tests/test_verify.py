@@ -1,5 +1,6 @@
+import dataclasses
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -248,6 +249,56 @@ def test_fuzz_solves_each_pair_once_per_call(monkeypatch):
     list(fuzz(5))
     # Nothing is cached across calls: a second pass solves everything again.
     assert sum(calls.values()) == first
+
+
+def test_fuzz_checks_read_what_their_rows_declare(monkeypatch):
+    # Each row's judge gets exactly the exact values the row declares, in
+    # fuzz() and in a suite run alike, and its `solves` are their properties.
+    seen = {"fuzz": defaultdict(set), "suite": defaultdict(set)}
+    now = {}
+    exact = verify._GraphProfile.exact
+
+    def recording(self, prop, on_shadow=False):
+        seen[now["run"]][now["sid"]].add((prop, on_shadow))
+        return exact(self, prop, on_shadow)
+
+    monkeypatch.setattr(verify._GraphProfile, "exact", recording)
+    for sid in _FUZZ_SUITES:
+        def tagged(profile, sid=sid, check=SUITES[sid].check_instance):
+            now["sid"] = sid
+            return check(profile)
+
+        monkeypatch.setitem(SUITES, sid, dataclasses.replace(SUITES[sid], check_instance=tagged))
+    now["run"] = "fuzz"
+    list(fuzz(5))
+    now["run"] = "suite"
+    for sid in _FUZZ_SUITES:
+        run_suite(sid, SuiteParams(n_max=5), workers=1)
+    for sid in _FUZZ_SUITES:
+        for reads in seen.values():
+            assert reads[sid] == set(SUITES[sid].reads), sid
+            assert set(SUITES[sid].solves) == {prop for prop, _ in reads[sid]}, sid
+    assert SUITES["lemma-distance"].reads == ()
+    assert SUITES["mu-bounds"].reads == (
+        (SetProperty.MV, False), (SetProperty.IMV, False), (SetProperty.MV, True))
+
+
+def test_bound_rows_state_their_bounds():
+    # The six bound claims share one judge; an open end drops out of the
+    # text.  Cr is C_4 and C~ is K_4.
+    rows = ("gp-diam3", "gp-sandwich", "gp-regular-tf", "mu-bounds", "mu-leaf", "mu-muit")
+    checks = {rec["graph6"]: rec["checks"] for rec in fuzz(4)}
+    c4 = {sid: (checks["Cr"][sid]["expected"], checks["Cr"][sid]["status"]) for sid in rows}
+    assert c4 == {
+        "gp-diam3": (">= 4", PASS), "gp-sandwich": ("4 <= gp(S(G)) <= 5", PASS),
+        "gp-regular-tf": ("<= 4", PASS), "mu-bounds": ("4 <= mu(S(G)) <= 6", PASS),
+        "mu-leaf": (">= 4", PASS), "mu-muit": (">= 5", PASS),
+    }
+    k4 = checks["C~"]
+    assert (k4["gp-sandwich"]["expected"], k4["gp-sandwich"]["status"]) == \
+        ("2 <= gp(S(G)) <= 3", FAIL)
+    assert k4["gp-regular-tf"]["note"] == "filtered: not regular triangle-free"
+    assert k4["mu-muit"]["note"] == "filtered: triangle or universal vertex"
 
 
 def test_worker_count_env(monkeypatch):
