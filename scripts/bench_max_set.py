@@ -8,10 +8,10 @@ script can time an older tree (a ``git worktree`` of the parent commit, for
 example).  Each run merges its numbers into ``--out`` (``BENCH_max_set.json``
 at the repo root) under ``--label``, next to the runs already there.
 
-The instances are MV on S(C_14) and S(C_18), GP on S(C_18) and S(C_40), TMV
-on S(tree:14:seed=3), ITMV on S(tree:16:seed=1), and the 160 seed-0 trees
-of the ``search`` benchmark workload (MV on S(T) for random trees T of
-order 8 and diameter at least 3), timed as one batch.
+The instances are MV on S(C_14), S(C_18) and S(C_22), GP on S(C_18) and
+S(C_40), TMV on S(tree:14:seed=3), ITMV on S(tree:16:seed=1), and the 160
+seed-0 trees of the ``search`` benchmark workload (MV on S(T) for random
+trees T of order 8 and diameter at least 3), timed as one batch.
 The trees come from ``perfbench/workloads.py`` itself, so they stay the
 workload's trees.  For each instance the record gives the value,
 ``nodes_explored`` (which does not depend on the machine) and the best of
@@ -36,8 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-FIXED = (("cycle:14", "MV"), ("cycle:18", "MV"), ("cycle:18", "GP"), ("cycle:40", "GP"),
-         ("tree:14:seed=3", "TMV"), ("tree:16:seed=1", "ITMV"))
+FIXED = (("cycle:14", "MV"), ("cycle:18", "MV"), ("cycle:22", "MV"), ("cycle:18", "GP"),
+         ("cycle:40", "GP"), ("tree:14:seed=3", "TMV"), ("tree:16:seed=1", "ITMV"))
 REPEAT = 3
 
 

@@ -126,7 +126,7 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
     if not exact_mode:
         given.add("--heuristic")
     if invariant not in SET_INVARIANT_CODES:
-        unused, where = given, f"--invariant {invariant}"
+        unused, where = given - {"--budget"}, f"--invariant {invariant}"
     elif exact_mode:
         unused, where = given & {"--time", "--seed"}, "exact mode"
     else:
@@ -153,7 +153,7 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
                                            seed=seed)
         else:
             report = {"ip": isometric_path_cover, "ic": isometric_cycle_cover,
-                      "chi": chromatic_number}[invariant](g)
+                      "chi": chromatic_number}[invariant](g, budget=budget)
     except GraphError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PRECONDITION)

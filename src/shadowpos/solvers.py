@@ -8,14 +8,16 @@ branches over candidate lists: its root holds the vertices that form a
 one-vertex set, after ``w`` joins the checker's forward check drops the
 candidates that can no longer join (for all six properties a test of only
 what ``w`` can break), and a subtree is pruned by its size plus its
-candidates.  It takes the vertices in order ``0..n-1``, so every exact
-witness is the lexicographically smallest maximum set.  The heuristic is that
-search again in other orders: restarts with growing node budgets and a
-wall-clock deadline, which report ``exact`` once one of them finishes.
+candidates.  Its seed is the greedy set in reverse order, which on a shadow
+reaches the twins, the last vertices, first; the search starts one below it.
+It takes the vertices in order ``0..n-1``, so every exact witness is the
+lexicographically smallest maximum set.  The heuristic is that search again
+in other orders: restarts with growing node budgets and a wall-clock
+deadline, which report ``exact`` once one of them finishes.
 
-The one other search is an exact minimum set cover.  It serves the isometric
-path and cycle covers and the chromatic number, a minimum cover of the
-vertices by maximal independent sets.
+The one other search is an exact minimum set cover under a node budget.  It
+serves the isometric path and cycle covers and the chromatic number, a
+minimum cover of the vertices by maximal independent sets.
 """
 
 from __future__ import annotations
@@ -279,32 +281,34 @@ def _make_checker(prop: SetProperty, g: Graph, t: DistanceTable) -> _Checker:
 class _MaxSetSearch:
     """Depth-first branch and bound over candidate lists, include before skip.
 
-    The search seeds itself with the greedy set in ``order``, so pruning
-    bites immediately, then must beat it.  Its root candidates are those of
-    ``order`` that form a one-vertex set; the greedy seed adds, in turn, the
-    first of them and then the first survivor after each join.  A node is
-    one candidate branched on, and ``budget`` caps the nodes.  After a
-    vertex joins, :meth:`_Checker.survivors` returns the later candidates
-    that can still join: the property is hereditary, so a vertex that cannot
-    join at a node cannot join anywhere below it.  That forward check makes
-    at most one test per candidate per node, none of them counted as nodes,
-    and it stops once too few candidates are left to beat the best.  A
-    node's subtree is pruned when its size plus its candidates cannot beat
-    the best.
+    Its root candidates are those of ``order`` that form a one-vertex set.
+    The search seeds itself with the greedy set over them in reverse order:
+    the last of them, then the last survivor after each join.  The seed is
+    the witness, and the search must beat one below its size, so it still
+    meets the first set of the seed's size and replaces the seed with it.
+    The one exception is a seed of the whole root, the only set of its
+    size, which the search must beat outright.  A node is one candidate
+    branched on, and ``budget`` caps the nodes.  After a vertex joins,
+    :meth:`_Checker.survivors` returns the later candidates that can still
+    join: the property is hereditary, so a vertex that cannot join at a node
+    cannot join anywhere below it.  That forward check makes at most one
+    test per candidate per node, none of them counted as nodes, and it stops
+    once too few candidates are left to beat the best.  A node's subtree is
+    pruned when its size plus its candidates cannot beat the best.
 
     Dropping only vertices and subtrees that hold no larger set, the search
     meets its improvements in the same order as a plain include-before-skip
     enumeration of ``order``, which visits the sets of each size in
     lexicographic order of ``order``.  So for order ``0..n-1``, the order of
     every :func:`max_set` call, the witness is the lexicographically smallest
-    maximum set: the first one met, or the greedy seed, which is the
-    smallest set of its size whenever it is maximum.  ``exact`` is False
-    when the node budget ran out or the clock read past ``deadline`` (a
-    :func:`time.perf_counter` reading).  The clock is read at node 1 and
-    every 64 nodes after it, so the greedy seed, a started forward check and
-    the nodes up to the next read may run past the deadline.
-    :func:`max_set_heuristic` restarts this search with growing budgets, one
-    checker for all its runs.
+    maximum set: the first one met, or a seed of the whole root.  ``best``
+    may sit one below the size of ``witness``, so readers take the
+    witness's size.  ``exact`` is False when the node budget ran out or the
+    clock read past ``deadline`` (a :func:`time.perf_counter` reading).  The
+    clock is read at node 1 and every 64 nodes after it, so the greedy seed,
+    a started forward check and the nodes up to the next read may run past
+    the deadline.  :func:`max_set_heuristic` restarts this search with
+    growing budgets, one checker for all its runs.
     """
 
     def __init__(self, checker: _Checker, order: Sequence[int], budget: int,
@@ -315,12 +319,15 @@ class _MaxSetSearch:
         self.nodes = 0
         while checker.members:  # a cut search leaves its set on the checker
             checker.pop()
-        root = cands = checker.survivors(order)
+        root = checker.survivors(order)
+        cands = root[::-1]
         while cands:
             checker.add(cands[0])
             cands = checker.survivors(cands[1:])
         self.witness = checker.mask
-        self.best = self.witness.bit_count()
+        # One below the seed, so the search still meets the first set of the
+        # seed's size; only the whole root is a set of the root's size.
+        self.best = len(checker.members) - (len(checker.members) < len(root))
         while checker.members:  # the search starts from the empty set
             checker.pop()
         try:
@@ -359,10 +366,10 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> I
     pre-filtered to the vertices that form a one-vertex set, which every
     vertex does for GP and MV.  ``nodes_explored`` counts the candidates
     branched on; each that joins also pays for at most one forward-check
-    test per later candidate.  If the node budget runs out
-    the best set found so far is returned with ``exact=False``; that value
-    is still a certified lower bound because every reported witness is
-    feasibility-checked.
+    test per later candidate.  If the node budget runs out the largest set
+    found so far, at least the reverse-order greedy seed, is returned with
+    ``exact=False``; that value is still a certified lower bound because
+    every reported witness is feasibility-checked.
     """
     if not is_connected(g):
         raise GraphError("maximum-set search requires a connected graph")
@@ -417,7 +424,7 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
             random.Random(seed * 0x9E3779B9 + restart).shuffle(order)
         search = _MaxSetSearch(checker, order, g.n << restart, deadline)
         nodes += search.nodes
-        if search.best > best.bit_count():
+        if search.witness.bit_count() > best.bit_count():
             best = search.witness
         if search.exact or time.perf_counter() > deadline:
             return _certified_set(prop, g, t, best, search.exact, nodes, start)
@@ -473,14 +480,26 @@ def _dominance_filter(masks: list[int]) -> list[int]:
 
 
 class _SetCoverSearch:
-    def __init__(self, universe: int, masks: list[int]):
-        self.universe = universe
-        self.masks = masks
-        self.nodes = 0
-        self.best: Optional[list[int]] = None
+    """Branch and bound for the fewest ``masks`` covering ``universe``.
 
-    def greedy(self) -> list[int]:
-        uncovered = self.universe
+    It seeds itself with the greedy cover, then must beat it.  A node is one
+    branching on a still uncovered vertex, and ``budget`` caps the nodes;
+    ``exact`` is False when it ran out, and ``best`` is then the smallest
+    cover found, an upper bound.
+    """
+
+    def __init__(self, universe: int, masks: list[int], budget: int):
+        self.masks = masks
+        self.budget = budget
+        self.nodes = 0
+        self.best = self._greedy(universe)
+        try:
+            self._extend(universe, [])
+            self.exact = True
+        except BudgetExhausted:
+            self.exact = False
+
+    def _greedy(self, uncovered: int) -> list[int]:
         chosen = []
         while uncovered:
             pick = max(range(len(self.masks)),
@@ -489,17 +508,14 @@ class _SetCoverSearch:
             uncovered &= ~self.masks[pick]
         return chosen
 
-    def run(self) -> list[int]:
-        self.best = self.greedy()
-        self._extend(self.universe, [])
-        return self.best
-
     def _extend(self, uncovered: int, chosen: list[int]) -> None:
         if not uncovered:
             if len(chosen) < len(self.best):
                 self.best = chosen[:]
             return
         self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExhausted
         max_gain = max((m & uncovered).bit_count() for m in self.masks)
         lb = -(-uncovered.bit_count() // max_gain)
         if len(chosen) + lb >= len(self.best):
@@ -518,13 +534,15 @@ class _SetCoverSearch:
 
 
 def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[int, tuple],
-               exact: bool, start: float, disjoint: bool = False) -> InvariantReport:
+               exact: bool, start: float, budget: int,
+               disjoint: bool = False) -> InvariantReport:
     """Fewest of ``sets`` (vertex mask -> vertex sequence) that cover every vertex.
 
     If their union misses a vertex the instance is not coverable; the report
     flags that instead of inventing a value.  With ``disjoint`` each vertex
     stays only in the first chosen set that holds it.  The reported cover is
-    certified by :func:`_certify_cover`, with the same ``disjoint``.
+    certified by :func:`_certify_cover`, with the same ``disjoint``; it is
+    an upper bound with ``exact=False`` when the node ``budget`` ran out.
     """
     masks = _dominance_filter(list(sets))
     covered = 0
@@ -534,15 +552,15 @@ def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[
         return InvariantReport(invariant=invariant, value=0, witness=None, exact=True,
                                coverable=False, elapsed=time.perf_counter() - start)
     # Witnesses survive dominance filtering by mask identity.
-    cover = _SetCoverSearch(g.vertex_mask(), masks)
-    witness = [sets[masks[i]] for i in cover.run()]
+    cover = _SetCoverSearch(g.vertex_mask(), masks, budget)
+    witness = [sets[masks[i]] for i in cover.best]
     if disjoint:
         taken = 0
         for i, part in enumerate(witness):
             witness[i] = tuple(v for v in part if not taken >> v & 1)
             taken |= mask_of(part)
     report = InvariantReport(invariant=invariant, value=len(witness), witness=witness,
-                             exact=exact, nodes_explored=cover.nodes,
+                             exact=exact and cover.exact, nodes_explored=cover.nodes,
                              elapsed=time.perf_counter() - start)
     return _certify_cover(report, g, t, disjoint)
 
@@ -583,14 +601,14 @@ def _certify_cover(report: InvariantReport, g: Graph, t: Optional[DistanceTable]
     return report
 
 
-def isometric_path_cover(g: Graph) -> InvariantReport:
+def isometric_path_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Minimum number of geodesics covering all vertices, exact at desk scale."""
     if not is_connected(g):
         raise GraphError("path cover requires a connected graph")
     start = time.perf_counter()
     t = distances(g)
     paths, complete = _enumerate_geodesics(g, t)
-    return _min_cover("ip", g, t, paths, complete, start)
+    return _min_cover("ip", g, t, paths, complete, start, budget)
 
 
 def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[int, ...]]:
@@ -620,7 +638,7 @@ def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[i
     return out
 
 
-def isometric_cycle_cover(g: Graph) -> InvariantReport:
+def isometric_cycle_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Minimum number of isometric cycles covering all vertices.
 
     If some vertex lies on no isometric cycle the instance is not
@@ -632,7 +650,7 @@ def isometric_cycle_cover(g: Graph) -> InvariantReport:
         raise GraphError(f"cycle cover capped at 14 vertices, got {g.n}")
     start = time.perf_counter()
     t = distances(g)
-    return _min_cover("ic", g, t, _enumerate_isometric_cycles(g, t), True, start)
+    return _min_cover("ic", g, t, _enumerate_isometric_cycles(g, t), True, start, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +680,7 @@ def _maximal_independent_sets(g: Graph) -> Iterator[VertexMask]:
     return expand(0, full, 0)
 
 
-def chromatic_number(g: Graph) -> InvariantReport:
+def chromatic_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Exact chromatic number: the fewest maximal independent sets covering V.
 
     Moon-Moser bounds the number of maximal independent sets by 3^(n/3), 324
@@ -675,4 +693,4 @@ def chromatic_number(g: Graph) -> InvariantReport:
         raise GraphError(f"chromatic number capped at 16 vertices, got {g.n}")
     start = time.perf_counter()
     sets = {m: tuple(iter_bits(m)) for m in _maximal_independent_sets(g)}
-    return _min_cover("chi", g, None, sets, True, start, disjoint=True)
+    return _min_cover("chi", g, None, sets, True, start, budget, disjoint=True)

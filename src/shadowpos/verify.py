@@ -375,6 +375,8 @@ def _judge_ip_ic_bounds(p: _GraphProfile, gp_rep: InvariantReport) -> InstanceRe
     if gp > 2 * ip_rep.value:
         problems.append(f"gp = {gp} > 2 ip = {2 * ip_rep.value}")
     ic_rep = isometric_cycle_cover(p.graph)
+    if not ic_rep.exact:
+        raise BudgetExhausted
     if ic_rep.coverable and gp > 3 * ic_rep.value:
         problems.append(f"gp = {gp} > 3 ic = {3 * ic_rep.value}")
     return p.result(gp, "gp <= 2 ip and gp <= 3 ic", not problems, note="; ".join(problems))

@@ -103,6 +103,14 @@ def test_compute_geodesic_cap_exit_4(runner, monkeypatch):
     assert payload["exact"] is False and payload["value"] >= 1
 
 
+def test_compute_cover_budget_exit_4(runner):
+    result, payload = _compute(runner, "--invariant", "ip", "--graph", "tree:40:seed=2",
+                               "--budget", "2000")
+    assert result.exit_code == 4
+    assert payload["exact"] is False and payload["nodes_explored"] == 2001
+    assert {v for path in payload["witness"] for v in path} == set(range(40))
+
+
 @pytest.mark.parametrize("args, message", [
     (("gp", "cycle:6", "--time", "2", "--seed", "1"), "exact mode takes no --seed, --time"),
     (("mu", "cycle:9", "--shadow", "--heuristic", "--budget", "10"),
@@ -110,7 +118,7 @@ def test_compute_geodesic_cap_exit_4(runner, monkeypatch):
     (("mu", "cycle:6", "--heuristic", "--budget", str(DEFAULT_NODE_BUDGET)),
      "--heuristic takes no --budget"),
     (("ip", "cycle:6", "--heuristic"), "--invariant ip takes no --heuristic"),
-    (("ic", "cycle:5", "--budget", "3", "--seed", "0"), "--invariant ic takes no --budget, --seed"),
+    (("ic", "cycle:5", "--budget", "3", "--seed", "0"), "--invariant ic takes no --seed"),
     (("chi", "cycle:5", "--heuristic", "--time", "1"), "--invariant chi takes no --heuristic, --time"),
     (("gp", "cycle:6", "--time", "2"), "exact mode takes no --time"),
     (("mu", "cycle:6", "--exact", "--seed", "0"), "exact mode takes no --seed"),

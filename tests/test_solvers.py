@@ -165,6 +165,19 @@ def test_budget_exhaustion_reports_lower_bound():
     assert r.witness.bit_count() == r.value
     r = max_set(SetProperty.MV, g, budget=full.nodes_explored)
     assert r.exact and r.witness == full.witness
+    # The seed is the greedy set in reverse order, the twin set here, so a
+    # search cut at its second node still reports the value.
+    g = shadow(_family("cycle:9")).graph
+    r = max_set(SetProperty.MV, g, budget=1)
+    assert not r.exact and r.value == 9
+    assert check_property(SetProperty.MV, g, distances(g), r.witness)
+
+
+def test_a_seed_of_the_whole_root_ends_the_search():
+    # The reverse greedy seed takes every root candidate, and only the whole
+    # root is a set of its size, so not one node is branched on.
+    r = max_set(SetProperty.TMV, shadow(_family("tree:14:seed=3")).graph)
+    assert r.exact and r.value == 19 and r.nodes_explored == 0
 
 
 def test_certification_survives_optimize_flag():
@@ -224,6 +237,25 @@ def test_heuristic_deadline_cuts_like_the_node_budget():
     assert not h.exact and not r.exact
     assert h.nodes_explored == r.nodes_explored == 1
     assert h.witness == r.witness
+
+
+def test_heuristic_cut_at_its_first_node_reports_the_seed():
+    # Restart 0 stops at node 1, before it re-finds its seed, the twin set.
+    h = max_set_heuristic(SetProperty.MV, shadow(_family("cycle:40")).graph, time_budget=0)
+    assert not h.exact and h.value == 40
+
+
+def test_cover_budget_exhaustion_reports_upper_bound():
+    g = _family("tree:40:seed=2")
+    r = isometric_path_cover(g, budget=2000)
+    assert not r.exact and r.nodes_explored == 2001
+    assert r.value == len(r.witness) >= 8  # its 15 leaves need 8 paths
+    # At budget 0 each cover stops at its root node with the greedy cover.
+    c5 = _family("cycle:5")
+    for cover in (isometric_path_cover, isometric_cycle_cover, chromatic_number):
+        r, full = cover(c5, budget=0), cover(c5)
+        assert not r.exact and r.nodes_explored == 1 and full.exact
+        assert r.value >= full.value
 
 
 def test_isometric_path_cover_past_the_geodesic_cap(monkeypatch):
@@ -311,7 +343,7 @@ broken = {
     "non-geodesic path": lambda: _certify_cover(
         InvariantReport("ip", 1, [(0, 1, 2, 3)]), c4, t4),
     "one vertex filed under mask 3": lambda: _min_cover(
-        "ip", p2, distances(p2), {0b11: (0,)}, True, 0.0),
+        "ip", p2, distances(p2), {0b11: (0,)}, True, 0.0, 10),
     "non-isometric cycle": lambda: _certify_cover(
         InvariantReport("ic", 1, [(0, 1, 2, 3, 4, 5)]), c6_chord, t6),
     "class holding an edge": lambda: _certify_cover(
