@@ -1,0 +1,258 @@
+"""Run benchmark rows on a checkout and merge each row's results into its record.
+
+    python3 scripts/bench.py max_set heuristic covers metric --label change
+    python3 scripts/bench.py covers --src ../parent/src --label parent
+
+``--src`` is the ``src`` directory of the checkout to measure, so the same
+script can run an older tree (a clone of the parent commit, for example).
+Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
+``--label`` next to the runs already there.  The rows:
+
+- ``max_set``: exact ``max_set``, the best of ``repeat`` runs, on MV S(C_14),
+  S(C_18), S(C_22), GP S(C_18), S(C_40), TMV S(tree:14:seed=3), ITMV
+  S(tree:16:seed=1), and MV on the 160 seed-0 trees of the ``search``
+  workload as one batch.
+- ``heuristic``: one ``max_set_heuristic`` run per instance, at
+  the row's ``time_budget`` and ``seed``.
+- ``covers``: ip, ic and chi on every connected graph of order 2..7 up to
+  isomorphism, ic on the shadows of those of order 2..6, and ic on K_8,
+  K_9, K_10, K_14 and K_{4,5,5}, the best of ``repeat`` runs per set.
+- ``metric``: ``distances(g)`` alone and followed by a read of ``.between``,
+  the best of ``repeat`` runs each, on the seed-0 ``lemma-large`` graphs and
+  their shadows, S(C_40) and the 160 ``search`` trees; then the distance
+  tables built in one ``fuzz(6)`` pass and one ``lemma-large`` pass, and how
+  many hold their interval masks when the pass ends.  ``digests_agree``
+  says whether every run in the record has the same table digests.
+
+The workload graphs come from ``perfbench/workloads.py`` itself, so they stay
+the workloads' graphs.  Values, node counts, graph counts and sha256 digests
+are the exact part of a record; fields ending in ``_s`` are seconds.  On a
+shared host the seconds resolve only differences of about 2x or more.  A
+heuristic run cut by its deadline depends on the machine's speed, so compare
+two checkouts with runs made on the same machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import sys
+import time
+from functools import cache
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Row(NamedTuple):
+    """One record: each run keeps ``settings`` and, under ``results``, the
+    ``measure(prop, graphs, settings)`` of every ``(prop, spec)`` in ``instances``."""
+    results: str
+    settings: dict
+    instances: tuple[tuple[Optional[str], str], ...]
+    measure: Callable[[Optional[str], list, dict], dict]
+    extra: Optional[Callable[[], dict]] = None  # more fields of each run
+    agree: Optional[str] = None  # the digest whose agreement across runs is recorded
+
+
+def best_of(run: Callable[[], object], repeat: int) -> tuple[object, float]:
+    """The output of ``run()`` and its best wall-clock seconds over ``repeat`` runs."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = run()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@cache
+def graphs(spec: str) -> dict[str, list]:
+    """The named graph lists of an instance spec: a family spec, ``S(spec)``
+    for its shadow, ``G`` for the connected graphs of order 2..7, ``S(G)``,
+    ``S(T)`` for the seed-0 ``search`` trees and ``lemma`` for the seed-0
+    ``lemma-large`` graphs and their shadows."""
+    from shadowpos import families
+    from shadowpos.shadow import shadow
+    if spec == "G":
+        gs = [g for g in families.enumerate_connected(7) if g.n >= 2]
+        return {f"G, {len(gs)} graphs n=2..7": gs}
+    if spec == "S(G)":
+        (connected,) = graphs("G").values()
+        gs = [shadow(g).graph for g in connected if g.n <= 6]
+        return {f"S(G), {len(gs)} graphs n=2..6": gs}
+    if spec == "S(T)":
+        import workloads
+        trees = [c.graph for c in workloads.search_inputs(0)[len(workloads.SEARCH_FIXED):]]
+        return {f"S(T), {len(trees)} seed-0 trees": trees}
+    if spec == "lemma":
+        import workloads
+        return {name: gs for base, g in workloads.lemma_inputs(0)
+                for name, gs in ((base, [g]), (f"S({base})", [shadow(g).graph]))}
+    base = spec.removeprefix("S(").removesuffix(")")
+    g = families.generate(families.parse_family_spec(base))
+    return {spec: [shadow(g).graph if base != spec else g]}
+
+
+def run(row: Row, instances: tuple) -> dict[str, dict]:
+    """``row.measure`` of each of ``instances``, by the name the record gives it."""
+    results = {}
+    for prop, spec in instances:
+        for label, gs in graphs(spec).items():
+            name = f"{prop} {label}" if prop else label
+            results[name] = row.measure(prop, gs, row.settings)
+            print(f"{name:38} {json.dumps(results[name])}", flush=True)
+    return results
+
+
+def _totals(reports: list) -> dict:
+    return {"value": sum(r.value for r in reports),
+            "nodes_explored": sum(r.nodes_explored for r in reports),
+            "exact": all(r.exact for r in reports)}
+
+
+def _max_set(prop: str, gs: list, settings: dict) -> dict:
+    from shadowpos.solvers import max_set
+    from shadowpos.visibility import SetProperty
+    reports, s = best_of(lambda: [max_set(SetProperty[prop], g) for g in gs],
+                         settings["repeat"])
+    return {**_totals(reports), "best_s": round(s, 4),
+            "witness_sha256": sha(json.dumps([[r.value, r.witness, r.exact] for r in reports]))}
+
+
+def _heuristic(prop: str, gs: list, settings: dict) -> dict:
+    from shadowpos.solvers import max_set_heuristic
+    from shadowpos.visibility import SetProperty
+    (r,), s = best_of(lambda: [max_set_heuristic(SetProperty[prop], g, **settings)
+                               for g in gs], 1)
+    return {"value": r.value, "exact": r.exact, "nodes_explored": r.nodes_explored,
+            "elapsed_s": round(s, 4)}
+
+
+def _cover(prop: str, gs: list, settings: dict) -> dict:
+    from shadowpos import solvers
+    solve = {"ip": solvers.isometric_path_cover, "ic": solvers.isometric_cycle_cover,
+             "chi": solvers.chromatic_number}[prop]
+    reports, s = best_of(lambda: [solve(g) for g in gs], settings["repeat"])
+    return {"graphs": len(gs), **_totals(reports), "best_s": round(s, 4),
+            "sha256": sha(json.dumps([[r.value, r.witness_vertices(), r.exact, r.coverable]
+                                      for r in reports]))}
+
+
+def _metric(_: None, gs: list, settings: dict) -> dict:
+    from shadowpos.graph_core import distances
+    tables = "".join(repr((t.d, t.between, t.layers)) for t in map(distances, gs))
+    repeat = settings["repeat"]
+    return {"graphs": len(gs), "max_order": max(g.n for g in gs),
+            "distances_s": round(best_of(lambda: [distances(g) for g in gs], repeat)[1], 5),
+            "with_between_s": round(best_of(lambda: [distances(g).between for g in gs],
+                                            repeat)[1], 5),
+            "table_sha256": sha(tables)}
+
+
+def _count_tables(run: Callable[[], object]) -> dict:
+    """Tables built while ``run()`` runs, and how many hold their intervals after it."""
+    from shadowpos import graph_core
+    original = graph_core.distances
+    tables = []
+
+    def recording(g):
+        tables.append(original(g))
+        return tables[-1]
+
+    patched = [(ns, key) for name, ns in sorted(sys.modules.items())
+               if name == "shadowpos" or name.startswith("shadowpos.")
+               for key, value in vars(ns).items() if value is original]
+    for ns, key in patched:
+        setattr(ns, key, recording)
+    try:
+        run()
+    finally:
+        for ns, key in patched:
+            setattr(ns, key, original)
+    return {"tables": len(tables), "between_built": sum("between" in vars(t) for t in tables)}
+
+
+def _table_counts() -> dict:
+    from shadowpos import graph_core, verify
+    from shadowpos.shadow import shadow, shadow_distance_violations
+    import workloads
+
+    def lemma_pass():
+        # The calls of one lemma-large pass, in its order.
+        for _, g in workloads.lemma_inputs(0):
+            shadow_distance_violations(shadow(g))
+            graph_core.structural_queries(g)
+
+    return {"tables": {
+        f"fuzz({workloads.FUZZ_N_MAX})": _count_tables(
+            lambda: list(verify.fuzz(workloads.FUZZ_N_MAX))),
+        "lemma-large": _count_tables(lemma_pass)}}
+
+
+ROWS = {
+    "max_set": Row("instances", {"repeat": 3}, (
+        ("MV", "S(cycle:14)"), ("MV", "S(cycle:18)"), ("MV", "S(cycle:22)"),
+        ("GP", "S(cycle:18)"), ("GP", "S(cycle:40)"), ("TMV", "S(tree:14:seed=3)"),
+        ("ITMV", "S(tree:16:seed=1)"), ("MV", "S(T)")), _max_set),
+    "heuristic": Row("instances", {"time_budget": 1.0, "seed": 0}, tuple(
+        (prop, f"S({spec})") for prop, spec in (
+            ("MV", "cycle:18"), ("MV", "cycle:40"), ("MV", "cycle:60"), ("MV", "path:40"),
+            ("MV", "tree:40:seed=1"), ("MV", "tree:80:seed=2"), ("MV", "balloon:2"),
+            ("MV", "balloon:3"), ("MV", "kpartite:3,3,3"),
+            ("GP", "cycle:40"), ("GP", "cycle:60"), ("GP", "tree:40:seed=1"),
+            ("GP", "balloon:3"), ("GP", "kpartite:3,3,3"),
+            ("IGP", "cycle:40"), ("IGP", "tree:30:seed=1"),
+            ("IMV", "cycle:40"), ("IMV", "tree:30:seed=1"),
+            ("TMV", "tree:14:seed=3"), ("TMV", "balloon:2"),
+            ("ITMV", "tree:16:seed=1"), ("ITMV", "tree:30:seed=1"))), _heuristic),
+    "covers": Row("sets", {"repeat": 3}, (
+        ("ip", "G"), ("ic", "G"), ("chi", "G"), ("ic", "S(G)"), ("ic", "complete:8"),
+        ("ic", "complete:9"), ("ic", "complete:10"), ("ic", "complete:14"),
+        ("ic", "kpartite:4,5,5")), _cover),
+    "metric": Row("instances", {"repeat": 3}, (
+        (None, "lemma"), (None, "S(cycle:40)"), (None, "S(T)")), _metric,
+        extra=_table_counts, agree="table_sha256"),
+}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rows", nargs="+", choices=ROWS, metavar="ROW",
+                    help=f"the rows to run: {', '.join(ROWS)}")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the src directory of the checkout to run")
+    ap.add_argument("--label", default="change", help="name of this run in each record")
+    args = ap.parse_args()
+
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    for name in args.rows:
+        row = ROWS[name]
+        this = {"python": platform.python_version(), "machine": platform.machine(),
+                "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count(),
+                **row.settings, row.results: run(row, row.instances)}
+        if row.extra is not None:
+            extra = row.extra()
+            print(json.dumps(extra), flush=True)
+            this.update(extra)
+        path = ROOT / f"BENCH_{name}.json"
+        record = json.loads(path.read_text()) if path.exists() else {}
+        runs = record.setdefault("runs", {})
+        runs[args.label] = this
+        if row.agree is not None:
+            digests = {json.dumps({k: r[row.agree] for k, r in past[row.results].items()},
+                                  sort_keys=True) for past in runs.values()}
+            record["digests_agree"] = len(digests) == 1
+        path.write_text(json.dumps(record, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

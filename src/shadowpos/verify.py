@@ -368,13 +368,13 @@ def _judge_lemma_partition(p: _GraphProfile, r: InvariantReport) -> InstanceResu
 
 def _judge_ip_ic_bounds(p: _GraphProfile, gp_rep: InvariantReport) -> InstanceResult:
     gp = gp_rep.value
-    ip_rep = isometric_path_cover(p.graph)
+    ip_rep = isometric_path_cover(p.graph, budget=p.budget)
     if not ip_rep.exact:
         raise BudgetExhausted
     problems = []
     if gp > 2 * ip_rep.value:
         problems.append(f"gp = {gp} > 2 ip = {2 * ip_rep.value}")
-    ic_rep = isometric_cycle_cover(p.graph)
+    ic_rep = isometric_cycle_cover(p.graph, budget=p.budget)
     if not ic_rep.exact:
         raise BudgetExhausted
     if ic_rep.coverable and gp > 3 * ic_rep.value:

@@ -105,6 +105,14 @@ def test_budget_exhaustion_has_one_skipped_shape():
             assert sid == "mu-balloon" or r.graph6 == r.key, (sid, r)
 
 
+def test_ip_ic_bounds_spends_the_suite_budget_on_the_covers():
+    # GP on Fsb~w takes 11 nodes and its ic cover 16, so only the cover runs out.
+    check = SUITES["ip-ic-bounds"].check_instance
+    assert check(verify._GraphProfile("Fsb~w", 16)).status == PASS
+    r = check(verify._GraphProfile("Fsb~w", 15))
+    assert r.status == SKIPPED and r.actual == "budget exhausted" and r.graph6 == "Fsb~w"
+
+
 def test_multipartite_suite_documents_three_part_deviation():
     # Two-part instances match the stated formula; instances with >= 3 parts
     # come out exactly one below it (independently brute-force confirmed).
