@@ -1,5 +1,10 @@
 """Deterministic graph-family generators and small-graph enumeration.
 
+Each family is one row of a table: its flat-text alias (``kpartite`` in
+``kpartite:3,2,2``), how many size parameters it takes, the least first
+parameter, and its builder.  :class:`FamilySpec` validation, its
+``text()``, :func:`parse_family_spec` and :func:`generate` all read it.
+
 Canonical vertex numbering per family:
 
 * ``path``/``cycle``: vertices consecutive along the path/cycle.
@@ -17,29 +22,69 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .graph_core import Graph, GraphError, build_graph, iter_bits
 
-FAMILY_KINDS = (
-    "path", "cycle", "complete", "complete_bipartite", "complete_multipartite",
-    "star", "random_tree", "join_k1_cliques", "balloon",
-)
-
-# Flat-text aliases accepted by the CLI syntax, e.g. "kpartite:3,2,2".
-_TEXT_ALIASES = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "bipartite": "complete_bipartite",
-    "kpartite": "complete_multipartite",
-    "star": "star",
-    "tree": "random_tree",
-    "join": "join_k1_cliques",
-    "balloon": "balloon",
-}
-
 ENUMERATION_CAP = 7
+
+
+def _multipartite(parts: tuple[int, ...], seed) -> Graph:
+    n = sum(parts)
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                           if part[u] != part[v]])
+
+
+def _join_k1_cliques(orders: tuple[int, ...], seed) -> Graph:
+    n = 1 + sum(orders)
+    edges = [(0, v) for v in range(1, n)]
+    start = 1
+    for size in orders:
+        edges.extend(itertools.combinations(range(start, start + size), 2))
+        start += size
+    return build_graph(n, edges)
+
+
+def _balloon(p: tuple[int, ...], seed) -> Graph:
+    edges = []
+    for b in range(p[0]):
+        base = 1 + 5 * b
+        edges.extend((base + i, base + (i + 1) % 5) for i in range(5))
+        edges.append((0, base))
+    return build_graph(1 + 5 * p[0], edges)
+
+
+class _Family(NamedTuple):
+    """One family: its flat-text alias, the least and most number of size
+    parameters (None: no most), the least first parameter, and its builder
+    ``build(params, seed)``.  A rule that fails raises its message."""
+    alias: str
+    build: Callable[[tuple[int, ...], Optional[int]], Graph]
+    sizes: tuple[int, Optional[int]] = (1, 1)
+    sizes_rule: str = "expected one size parameter"
+    least: tuple[int, str] = (1, "")
+
+
+_FAMILIES = {
+    "path": _Family("path", lambda p, s: build_graph(p[0], [(i, i + 1) for i in range(p[0] - 1)])),
+    "cycle": _Family("cycle", lambda p, s: build_graph(p[0], [(i, (i + 1) % p[0])
+                                                             for i in range(p[0])]),
+                     least=(3, "cycle length must be >= 3")),
+    "complete": _Family("complete", lambda p, s: build_graph(
+        p[0], itertools.combinations(range(p[0]), 2))),
+    "complete_bipartite": _Family("bipartite", _multipartite, (2, 2), "expected two part sizes"),
+    "complete_multipartite": _Family("kpartite", _multipartite, (2, None),
+                                     "expected at least two part sizes"),
+    "star": _Family("star", lambda p, s: build_graph(p[0] + 1, [(0, i) for i in range(1, p[0] + 1)])),
+    "random_tree": _Family("tree", lambda p, s: random_tree(p[0], s if s is not None else 0),
+                           least=(2, "tree order must be >= 2")),
+    "join_k1_cliques": _Family("join", _join_k1_cliques, (1, None),
+                               "expected at least one clique order"),
+    "balloon": _Family("balloon", _balloon, sizes_rule="expected the number of cycle blocks",
+                       least=(2, "balloon parameter k must be >= 2")),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -49,53 +94,37 @@ class FamilySpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise GraphError(f"unknown family kind {self.kind!r}")
-        _validate_params(self.kind, self.params, self.seed)
+        kind, params = self.kind, self.params
+        if kind not in FAMILY_KINDS:
+            raise GraphError(f"unknown family kind {kind!r}")
+        if any(p < 1 for p in params):
+            raise GraphError(f"family {kind}: all size parameters must be >= 1")
+        family = _FAMILIES[kind]
+        fewest, most = family.sizes
+        rule = None
+        if not fewest <= len(params) <= (len(params) if most is None else most):
+            rule = family.sizes_rule
+        elif params[0] < family.least[0]:
+            rule = family.least[1]
+        if rule is not None:
+            raise GraphError(f"family {kind}: {rule} (params={list(params)})")
+        if self.seed is not None and kind != "random_tree":
+            raise GraphError(f"family {kind}: seed only applies to random trees")
 
     def text(self) -> str:
-        rev = {v: k for k, v in _TEXT_ALIASES.items()}
-        base = f"{rev[self.kind]}:{','.join(str(p) for p in self.params)}"
+        base = f"{_FAMILIES[self.kind].alias}:{','.join(str(p) for p in self.params)}"
         if self.seed is not None:
             base += f":seed={self.seed}"
         return base
 
 
-def _validate_params(kind: str, params: tuple[int, ...], seed) -> None:
-    def need(cond: bool, what: str):
-        if not cond:
-            raise GraphError(f"family {kind}: {what} (params={list(params)})")
-
-    if any(p < 1 for p in params):
-        raise GraphError(f"family {kind}: all size parameters must be >= 1")
-    if kind in ("path", "complete", "star"):
-        need(len(params) == 1, "expected one size parameter")
-    elif kind == "cycle":
-        need(len(params) == 1, "expected one size parameter")
-        need(params[0] >= 3, "cycle length must be >= 3")
-    elif kind == "complete_bipartite":
-        need(len(params) == 2, "expected two part sizes")
-    elif kind == "complete_multipartite":
-        need(len(params) >= 2, "expected at least two part sizes")
-    elif kind == "random_tree":
-        need(len(params) == 1, "expected one size parameter")
-        need(params[0] >= 2, "tree order must be >= 2")
-    elif kind == "join_k1_cliques":
-        need(len(params) >= 1, "expected at least one clique order")
-    elif kind == "balloon":
-        need(len(params) == 1, "expected the number of cycle blocks")
-        need(params[0] >= 2, "balloon parameter k must be >= 2")
-    if seed is not None and kind != "random_tree":
-        raise GraphError(f"family {kind}: seed only applies to random trees")
-
-
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the flat CLI syntax, e.g. ``cycle:8`` or ``tree:9:seed=7``."""
+    kinds = {family.alias: kind for kind, family in _FAMILIES.items()}
     parts = text.strip().split(":")
-    if not parts or parts[0] not in _TEXT_ALIASES:
-        known = ", ".join(sorted(_TEXT_ALIASES))
+    if parts[0] not in kinds:
+        known = ", ".join(sorted(kinds))
         raise GraphError(f"unknown family {text!r}; expected one of: {known}")
-    kind = _TEXT_ALIASES[parts[0]]
     if len(parts) < 2 or not parts[1]:
         raise GraphError(f"family {text!r} is missing size parameters")
     try:
@@ -110,54 +139,12 @@ def parse_family_spec(text: str) -> FamilySpec:
             seed = int(parts[2][len("seed="):])
         except ValueError:
             raise GraphError(f"non-integer seed in {text!r}") from None
-    return FamilySpec(kind, params, seed)
+    return FamilySpec(kinds[parts[0]], params, seed)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by ``spec``."""
-    p = spec.params
-    if spec.kind == "path":
-        n = p[0]
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    if spec.kind == "cycle":
-        n = p[0]
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if spec.kind == "complete":
-        n = p[0]
-        return build_graph(n, itertools.combinations(range(n), 2))
-    if spec.kind == "complete_bipartite":
-        return generate(FamilySpec("complete_multipartite", p))
-    if spec.kind == "complete_multipartite":
-        n = sum(p)
-        part = []
-        for i, size in enumerate(p):
-            part.extend([i] * size)
-        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
-                 if part[u] != part[v]]
-        return build_graph(n, edges)
-    if spec.kind == "star":
-        k = p[0]
-        return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
-    if spec.kind == "random_tree":
-        return random_tree(p[0], spec.seed if spec.seed is not None else 0)
-    if spec.kind == "join_k1_cliques":
-        n = 1 + sum(p)
-        edges = [(0, v) for v in range(1, n)]
-        start = 1
-        for size in p:
-            edges.extend(itertools.combinations(range(start, start + size), 2))
-            start += size
-        return build_graph(n, edges)
-    if spec.kind == "balloon":
-        k = p[0]
-        n = 1 + 5 * k
-        edges = []
-        for b in range(k):
-            base = 1 + 5 * b
-            edges.extend((base + i, base + (i + 1) % 5) for i in range(5))
-            edges.append((0, base))
-        return build_graph(n, edges)
-    raise GraphError(f"unknown family kind {spec.kind!r}")
+    return _FAMILIES[spec.kind].build(spec.params, spec.seed)
 
 
 def random_tree(n: int, seed: int) -> Graph:

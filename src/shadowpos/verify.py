@@ -1,21 +1,21 @@
 """Statement-replay harness: one named suite per claimed formula or bound.
 
-There are three kinds of suite.  The closed-form suites are rows of one
-table: each names a graph family, a parameter sweep, a set property and
-the claimed formula, and one shared check computes the exact value on the
-shadow of every family member.  The per-graph fuzz checks test a bound or
-a structural lemma on every small connected graph up to isomorphism.  Each
-is a row naming a filter, the exact values it reads on G and S(G), and a
-judge of those values; six bound claims share one judge built from their
-``(lo, hi)``.  The values come from one profile per graph that solves each
-once, and :func:`fuzz` hands every check of a graph the same profile.
-``mu-balloon`` checks mu_t = 0 on a balloon and the claimed lower bound on
-mu of its shadow, both with the exact search.
+Every suite is a row of one table and runs through one skeleton.  An
+instance is a profile of one graph: a family member, or a small connected
+graph up to isomorphism.  A row names a filter (why a graph is outside the
+claim), the exact values it reads on G and S(G), and a judge of those
+values.  The closed-form rows read one property on the shadow of each
+family member and judge it equal to the claimed formula.  The per-graph
+rows test a bound or a structural lemma on every small connected graph;
+six bound claims share one judge built from their ``(lo, hi)``.
+``mu-balloon`` reads mu_t of a balloon and mu of its shadow.  A profile
+solves each value once, and :func:`fuzz` hands every per-graph check of a
+graph the same profile.
 
 Every value a suite compares is exact.  Failures carry a serialized
-counterexample (graph6 plus witness) so they can be replayed in isolation.
-Instances whose search budget runs out are reported SKIPPED, never
-silently passed.
+counterexample (graph6 plus witness) so they can be replayed in isolation:
+the graph for a per-graph row, its shadow for a family row.  Instances
+whose search budget runs out are reported SKIPPED, never silently passed.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def mu_shadow_bounds(n: int, mu: int, mu_i: int, max_degree: int) -> tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Instance sweeps: small connected graphs and family parameter ranges
 
 
 @lru_cache(maxsize=8)
@@ -172,10 +172,6 @@ def _connected_reps_g6(n_max: int) -> tuple[str, ...]:
     """graph6 of one connected graph per isomorphism class, orders 2..n_max."""
     return tuple(graph_to_graph6(g) for g in enumerate_connected(n_max)
                  if g.n >= 2)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form suites: one SUITES row per family formula, one shared check
 
 
 def _multisets(total: int) -> list[tuple[int, ...]]:
@@ -206,65 +202,46 @@ def _random_trees(top: int, p: SuiteParams, min_diam: int) -> list[tuple[tuple[i
     return out
 
 
-def _closed_form(suite_id: str, description: str, family: str, sweep: Callable,
-                 n_max: int, prop: SetProperty, expected: Callable, key: str) -> SuiteDef:
-    """A suite that compares exact ``prop`` on family shadows with a formula.
-
-    ``sweep(top, p)`` lists ``(family params, family seed)`` pairs up to the
-    order cap ``top``, which is ``p.n_max`` or else ``n_max``.
-    ``expected(params, g)`` is the claimed value for the base graph ``g``.
-    ``key`` is formatted with the family params as positional fields, the
-    params list as ``{params}`` and the family seed as ``{fseed}``.
-    """
-    def instances(p: SuiteParams) -> list[dict]:
-        top = p.n_max if p.n_max is not None else n_max
-        return [{"family": family, "params": list(params), "fseed": fseed,
-                 "budget": p.budget} for params, fseed in sweep(top, p)]
-
-    def check(payload: dict) -> InstanceResult:
-        params = tuple(payload["params"])
-        g = generate(FamilySpec(family, params, payload["fseed"]))
-        sg = shadow(g).graph
-        r = max_set(prop, sg, budget=payload["budget"])
-        exp = expected(params, g)
-        name = key.format(*params, params=list(params), fseed=payload["fseed"])
-        if not r.exact:
-            return InstanceResult(name, SKIPPED, str(exp), "budget exhausted",
-                                  graph6=graph_to_graph6(sg))
-        ok = r.value == exp
-        return InstanceResult(name, PASS if ok else FAIL, str(exp), str(r.value),
-                              graph6=None if ok else graph_to_graph6(sg),
-                              witness=mask_to_sorted_list(r.witness))
-
-    return SuiteDef(suite_id, description, instances, check)
-
-
 # ---------------------------------------------------------------------------
-# Per-graph fuzz checks: rows that declare the exact values their judges read
+# The suite skeleton: rows that declare the exact values their judges read
 
 
 class _GraphProfile:
-    """One connected graph as every fuzz check reads it.
+    """One instance of a suite: a graph as every check reads it.
 
-    The graph, its structural summary and its shadow are built on first use
-    and exact ``max_set`` reports are kept per (property, on the shadow)
-    pair, so the checks of one graph share this work.  A profile pickles as
-    graph6 plus node budget; nothing it caches outlives it.
+    The source is a graph6 string or a :class:`FamilySpec`; ``key`` names
+    the instance and defaults to the graph6.  The graph, its structural
+    summary and its shadow are built on first use and exact ``max_set``
+    reports are kept per (property, on the shadow) pair, so the checks of
+    one graph share this work.  A profile pickles as source, budget and
+    key; nothing it caches outlives it.
     """
 
-    def __init__(self, graph6: str, budget: int, graph: Optional[Graph] = None):
-        self.graph6 = graph6
+    def __init__(self, source: str | FamilySpec, budget: int, key: Optional[str] = None,
+                 graph: Optional[Graph] = None):
+        self.source = source
         self.budget = budget
+        self.key = source if key is None else key
         if graph is not None:
             self.graph = graph  # seeds the cached property: no graph6 parse
         self._reports: dict[tuple[SetProperty, bool], InvariantReport] = {}
 
     def __reduce__(self):
-        return _GraphProfile, (self.graph6, self.budget)
+        return _GraphProfile, (self.source, self.budget, self.key)
 
     @cached_property
     def graph(self) -> Graph:
-        return graph6_to_graph(self.graph6)
+        if isinstance(self.source, FamilySpec):
+            return generate(self.source)
+        return graph6_to_graph(self.source)
+
+    @cached_property
+    def replay(self) -> str:
+        """The graph6 that FAIL and SKIPPED records carry: S(G) for a family
+        member, whose claim is about the shadow, else G."""
+        if isinstance(self.source, FamilySpec):
+            return graph_to_graph6(self.shadow.graph)
+        return self.source
 
     @cached_property
     def summary(self) -> StructuralSummary:
@@ -288,41 +265,70 @@ class _GraphProfile:
                witness: Optional[int] = None, note: str = "") -> InstanceResult:
         """PASS, or FAIL with the graph6 for replay."""
         return InstanceResult(
-            self.graph6, PASS if ok else FAIL, expected_desc, str(actual),
-            graph6=None if ok else self.graph6,
+            self.key, PASS if ok else FAIL, expected_desc, str(actual),
+            graph6=None if ok else self.replay,
             witness=None if witness is None else mask_to_sorted_list(witness), note=note)
 
 
-def _fuzz_suite(suite_id: str, description: str, n_max: int,
-                judge: Callable[..., InstanceResult], on_g: tuple[SetProperty, ...] = (),
-                on_shadow: Optional[SetProperty] = None,
-                outside: Optional[tuple[str, Callable[[_GraphProfile], bool]]] = None) -> SuiteDef:
-    """A per-graph claim over the connected graphs of order 2..``n_max``.
+def _members(kind: str, sweep: Callable, key: str) -> Callable:
+    """The members of family ``kind`` that ``sweep(top, p)`` lists as
+    ``(params, family seed)`` pairs up to the order cap ``top``.  ``key`` is
+    formatted with the params as positional fields, the params list as
+    ``{params}`` and the family seed as ``{fseed}``."""
+    def members(top: int, p: SuiteParams) -> list[_GraphProfile]:
+        return [_GraphProfile(FamilySpec(kind, params, fseed), p.budget,
+                              key.format(*params, params=list(params), fseed=fseed))
+                for params, fseed in sweep(top, p)]
+
+    return members
+
+
+def _suite(suite_id: str, description: str, n_max: int,
+           judge: Callable[..., InstanceResult], on_g: tuple[SetProperty, ...] = (),
+           on_shadow: Optional[SetProperty] = None,
+           outside: Optional[tuple[str, Callable[[_GraphProfile], bool]]] = None,
+           members: Optional[Callable] = None) -> SuiteDef:
+    """A claim over the ``members(top, p)`` profiles, by default every
+    connected graph of order 2..``top``; ``top`` is ``p.n_max`` or else ``n_max``.
 
     A graph for which ``outside = (reason, test)`` tests true is outside the
     claim and passes as filtered.  On any other graph the exact reports of
     ``on_g`` on G and then of ``on_shadow`` on S(G) are read through the
     profile and passed to ``judge(profile, *reports)``.  These reads are the
     suite's ``reads``.  An instance whose reads the budget does not reach is
-    SKIPPED, with its graph6 for replay.
+    SKIPPED, with its replay graph6.
     """
     reads = tuple((prop, False) for prop in on_g) + (
         ((on_shadow, True),) if on_shadow is not None else ())
 
     def instances(p: SuiteParams) -> list[_GraphProfile]:
         top = p.n_max if p.n_max is not None else n_max
+        if members is not None:
+            return members(top, p)
         return [_GraphProfile(g6, p.budget) for g6 in _connected_reps_g6(top)]
 
     def check(profile: _GraphProfile) -> InstanceResult:
         if outside is not None and outside[1](profile):
-            return InstanceResult(profile.graph6, PASS, note=f"filtered: {outside[0]}")
+            return InstanceResult(profile.key, PASS, note=f"filtered: {outside[0]}")
         try:
             return judge(profile, *(profile.exact(prop, s) for prop, s in reads))
         except BudgetExhausted:
-            return InstanceResult(profile.graph6, SKIPPED, actual="budget exhausted",
-                                  graph6=profile.graph6)
+            return InstanceResult(profile.key, SKIPPED, actual="budget exhausted",
+                                  graph6=profile.replay)
 
-    return SuiteDef(suite_id, description, instances, check, reads)
+    return SuiteDef(suite_id, description, instances, check, reads, members is None)
+
+
+def _closed_form(suite_id: str, description: str, kind: str, sweep: Callable, n_max: int,
+                 prop: SetProperty, expected: Callable, key: str) -> SuiteDef:
+    """A suite that compares exact ``prop`` on family shadows with a formula:
+    ``expected(params, profile)`` is the claimed value."""
+    def judge(p: _GraphProfile, r: InvariantReport) -> InstanceResult:
+        exp = expected(p.source.params, p)
+        return p.result(r.value, str(exp), r.value == exp, r.witness)
+
+    return _suite(suite_id, description, n_max, judge, on_shadow=prop,
+                  members=_members(kind, sweep, key))
 
 
 def _bound(bounds: Callable[..., tuple[Optional[int], Optional[int]]]) -> Callable:
@@ -382,113 +388,99 @@ def _judge_ip_ic_bounds(p: _GraphProfile, gp_rep: InvariantReport) -> InstanceRe
     return p.result(gp, "gp <= 2 ip and gp <= 3 ic", not problems, note="; ".join(problems))
 
 
-def _instances_mu_balloon(p: SuiteParams) -> list[dict]:
-    return [{"k": 2, "budget": p.budget}]
-
-
-def _check_mu_balloon(payload: dict) -> InstanceResult:
-    k = payload["k"]
-    key = f"balloon({k})"
-    g = generate(FamilySpec("balloon", (k,)))
-    mut = max_set(SetProperty.TMV, g, budget=payload["budget"])
-    if not mut.exact:
-        return InstanceResult(key, SKIPPED, actual="budget exhausted", graph6=graph_to_graph6(g))
+def _judge_mu_balloon(p: _GraphProfile, mut: InvariantReport,
+                      mu: InvariantReport) -> InstanceResult:
     if mut.value != 0:
-        return InstanceResult(key, FAIL, "total visibility number 0",
-                              str(mut.value), graph6=graph_to_graph6(g))
-    sg = shadow(g).graph
-    mu = max_set(SetProperty.MV, sg, budget=payload["budget"])
-    if not mu.exact:
-        return InstanceResult(key, SKIPPED, actual="budget exhausted", graph6=graph_to_graph6(sg))
-    target = 6 * k + 1
-    ok = mu.value >= target
-    return InstanceResult(key, PASS if ok else FAIL, f">= {target}", str(mu.value),
-                          graph6=None if ok else graph_to_graph6(sg),
-                          witness=mask_to_sorted_list(mu.witness))
+        return p.result(mut.value, "total visibility number 0", False)
+    target = 6 * p.source.params[0] + 1
+    return p.result(mu.value, f">= {target}", mu.value >= target, mu.witness)
 
 
 @dataclass(frozen=True)
 class SuiteDef:
     id: str
     description: str
-    make_instances: Callable[[SuiteParams], list]
+    make_instances: Callable[[SuiteParams], list[_GraphProfile]]
     check_instance: Callable[..., InstanceResult]
-    # The (property, on the shadow) pairs a per-graph fuzz check reads, in
-    # reading order; None for suites fuzz() skips.
-    reads: Optional[tuple[tuple[SetProperty, bool], ...]] = None
+    # The (property, on the shadow) pairs the check reads, in reading order.
+    reads: tuple[tuple[SetProperty, bool], ...] = ()
+    # True for a claim on every small connected graph, which fuzz() runs.
+    per_graph: bool = False
 
     @property
-    def solves(self) -> Optional[tuple[SetProperty, ...]]:
-        return None if self.reads is None else tuple(dict.fromkeys(p for p, _ in self.reads))
+    def solves(self) -> tuple[SetProperty, ...]:
+        return tuple(dict.fromkeys(p for p, _ in self.reads))
 
 
 SUITES: dict[str, SuiteDef] = {s.id: s for s in [
     _closed_form("gp-complete", "gp(S(K_n)) = n",
                  "complete", lambda top, p: [((n,), None) for n in range(2, top + 1)], 8,
-                 SetProperty.GP, lambda p, g: expected_gp_shadow_complete(*p), "K_{0}"),
+                 SetProperty.GP, lambda ps, p: expected_gp_shadow_complete(*ps), "K_{0}"),
     _closed_form("gp-bipartite", "gp(S(K_{m,n})) = 2 max(m,n)",
                  "complete_bipartite", lambda top, p: [
                      ((m, n), None) for n in range(2, top + 1) for m in range(n, top + 1)], 5,
-                 SetProperty.GP, lambda p, g: expected_gp_shadow_bipartite(*p), "K_{{{0},{1}}}"),
-    _fuzz_suite("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", 6,
-                _bound(lambda p: (p.graph.n, None)), on_shadow=SetProperty.GP,
-                outside=("diameter > 3", lambda p: p.summary.diameter > 3)),
+                 SetProperty.GP, lambda ps, p: expected_gp_shadow_bipartite(*ps), "K_{{{0},{1}}}"),
+    _suite("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", 6,
+           _bound(lambda p: (p.graph.n, None)), on_shadow=SetProperty.GP,
+           outside=("diameter > 3", lambda p: p.summary.diameter > 3)),
     _closed_form("gp-join", "gp(S(K_1 + cliques)) = n + t_1 - 1",
                  "join_k1_cliques", lambda top, p: [(o, None) for o in _multisets(top - 1)], 9,
-                 SetProperty.GP, lambda p, g: expected_gp_shadow_join(p), "K_1+{params}"),
-    _fuzz_suite("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound", 6,
-                _bound(lambda p, igp: gp_sandwich_bounds(p.graph.n, igp, p.summary.min_degree)),
-                on_g=(SetProperty.IGP,), on_shadow=SetProperty.GP),
-    _fuzz_suite("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n", 7,
-                _bound(lambda p: (None, p.graph.n)), on_shadow=SetProperty.GP,
-                outside=("not regular triangle-free", lambda p: not (
-                    p.summary.is_regular and p.summary.is_triangle_free))),
+                 SetProperty.GP, lambda ps, p: expected_gp_shadow_join(ps), "K_1+{params}"),
+    _suite("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound", 6,
+           _bound(lambda p, igp: gp_sandwich_bounds(p.graph.n, igp, p.summary.min_degree)),
+           on_g=(SetProperty.IGP,), on_shadow=SetProperty.GP),
+    _suite("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n", 7,
+           _bound(lambda p: (None, p.graph.n)), on_shadow=SetProperty.GP,
+           outside=("not regular triangle-free", lambda p: not (
+               p.summary.is_regular and p.summary.is_triangle_free))),
     _closed_form("gp-cycles", "piecewise formula for gp(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 10,
-                 SetProperty.GP, lambda p, g: expected_gp_shadow_cycle(*p), "C_{0}"),
+                 SetProperty.GP, lambda ps, p: expected_gp_shadow_cycle(*ps), "C_{0}"),
     _closed_form("gp-trees", "gp(S(T)) = 2 l(T) for diam >= 2",
                  "random_tree", partial(_random_trees, min_diam=2), 10,
                  SetProperty.GP,
-                 lambda p, g: expected_gp_shadow_tree(structural_queries(g).leaf_count),
+                 lambda ps, p: expected_gp_shadow_tree(p.summary.leaf_count),
                  "tree(n={0},seed={fseed})"),
-    _fuzz_suite("mu-bounds", "max{n, 2 mu_i, 2 max-degree} <= mu(S(G)) <= min{n + mu, 2n - 2}",
-                6, _bound(lambda p, mu, mui: mu_shadow_bounds(
-                    p.graph.n, mu, mui, p.summary.max_degree)),
-                on_g=(SetProperty.MV, SetProperty.IMV), on_shadow=SetProperty.MV),
+    _suite("mu-bounds", "max{n, 2 mu_i, 2 max-degree} <= mu(S(G)) <= min{n + mu, 2n - 2}",
+           6, _bound(lambda p, mu, mui: mu_shadow_bounds(
+               p.graph.n, mu, mui, p.summary.max_degree)),
+           on_g=(SetProperty.MV, SetProperty.IMV), on_shadow=SetProperty.MV),
     _closed_form("mu-multipartite", "mu(S(K_{n_1..n_k})) = 2n - 2",
                  "complete_multipartite", lambda top, p: [(o, None) for o in _multisets(top)], 8,
-                 SetProperty.MV, lambda p, g: expected_mu_shadow_multipartite(p), "K_{params}"),
-    _fuzz_suite("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", 6,
-                _bound(lambda p: (p.graph.n + p.summary.leaf_count, None)),
-                on_shadow=SetProperty.MV, outside=("n < 3", lambda p: p.graph.n < 3)),
-    _fuzz_suite("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it", 6,
-                _bound(lambda p, muit: (p.graph.n + muit, None)),
-                on_g=(SetProperty.ITMV,), on_shadow=SetProperty.MV,
-                outside=("triangle or universal vertex", lambda p: (
-                    not p.summary.is_triangle_free or p.summary.has_universal_vertex))),
+                 SetProperty.MV, lambda ps, p: expected_mu_shadow_multipartite(ps), "K_{params}"),
+    _suite("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", 6,
+           _bound(lambda p: (p.graph.n + p.summary.leaf_count, None)),
+           on_shadow=SetProperty.MV, outside=("n < 3", lambda p: p.graph.n < 3)),
+    _suite("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it", 6,
+           _bound(lambda p, muit: (p.graph.n + muit, None)),
+           on_g=(SetProperty.ITMV,), on_shadow=SetProperty.MV,
+           outside=("triangle or universal vertex", lambda p: (
+               not p.summary.is_triangle_free or p.summary.has_universal_vertex))),
     _closed_form("mu-trees", "mu(S(T)) = n + l for diam >= 3",
                  "random_tree", partial(_random_trees, min_diam=3), 9,
-                 SetProperty.MV, lambda p, g: expected_mu_shadow_tree(
-                     g.n, structural_queries(g).leaf_count),
+                 SetProperty.MV, lambda ps, p: expected_mu_shadow_tree(
+                     p.graph.n, p.summary.leaf_count),
                  "tree(n={0},seed={fseed})"),
-    SuiteDef("mu-balloon", "balloon: mu_t = 0 and mv set of size 6k + 1 in the shadow",
-             _instances_mu_balloon, _check_mu_balloon),
-    _fuzz_suite("mu-char", "mu(S(G)) small-value characterization", 6, _judge_mu_char,
-                on_shadow=SetProperty.MV),
+    # One fixed member, balloon(2): no order range applies.
+    _suite("mu-balloon", "balloon: mu_t = 0 and mv set of size 6k + 1 in the shadow", 0,
+           _judge_mu_balloon, on_g=(SetProperty.TMV,), on_shadow=SetProperty.MV,
+           members=_members("balloon", lambda top, p: [((2,), None)], "balloon({0})")),
+    _suite("mu-char", "mu(S(G)) small-value characterization", 6, _judge_mu_char,
+           on_shadow=SetProperty.MV),
     _closed_form("mu-cycles", "piecewise formula for mu(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 9,
-                 SetProperty.MV, lambda p, g: expected_mu_shadow_cycle(*p), "C_{0}"),
-    _fuzz_suite("lemma-distance", "shadow distance clauses", 7, _judge_lemma_distance),
-    _fuzz_suite("lemma-partition", "gp-partition structural clauses", 6,
-                _judge_lemma_partition, on_shadow=SetProperty.GP),
-    _fuzz_suite("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", 7, _judge_ip_ic_bounds,
-                on_g=(SetProperty.GP,)),
+                 SetProperty.MV, lambda ps, p: expected_mu_shadow_cycle(*ps), "C_{0}"),
+    _suite("lemma-distance", "shadow distance clauses", 7, _judge_lemma_distance),
+    _suite("lemma-partition", "gp-partition structural clauses", 6,
+           _judge_lemma_partition, on_shadow=SetProperty.GP),
+    _suite("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", 7, _judge_ip_ic_bounds,
+           on_g=(SetProperty.GP,)),
 ]}
 
 
 def _dispatch(item: tuple) -> InstanceResult:
-    suite_id, payload = item
-    return SUITES[suite_id].check_instance(payload)
+    suite_id, profile = item
+    return SUITES[suite_id].check_instance(profile)
 
 
 def run_suite(suite_id: str, params: SuiteParams = SuiteParams(),
@@ -499,7 +491,7 @@ def run_suite(suite_id: str, params: SuiteParams = SuiteParams(),
         raise GraphError(f"unknown suite {suite_id!r}; available: {known}")
     suite = SUITES[suite_id]
     instances = suite.make_instances(params)
-    items = [(suite_id, payload) for payload in instances]
+    items = [(suite_id, profile) for profile in instances]
     if workers is None:
         workers = worker_count()
     if workers > 1 and len(items) > 1:
@@ -530,7 +522,7 @@ def fuzz(n_max: int, properties: Optional[Iterable[SetProperty]] = None,
     ``properties``, only the checks that solve one of them run; a property
     that no check solves raises :class:`ValueError`.
     """
-    fuzz_suites = [s for s in SUITES.values() if s.solves is not None]
+    fuzz_suites = [s for s in SUITES.values() if s.per_graph]
     if properties is None:
         suite_ids = [s.id for s in fuzz_suites]
     else:
@@ -543,7 +535,7 @@ def fuzz(n_max: int, properties: Optional[Iterable[SetProperty]] = None,
         suite_ids = list(dict.fromkeys(suite_ids))
     for g in enumerate_connected(n_max):
         g6 = graph_to_graph6(g)
-        profile = _GraphProfile(g6, budget, g)
+        profile = _GraphProfile(g6, budget, graph=g)
         # Every check involves the shadow, which needs at least one edge.
         checks = {sid: SUITES[sid].check_instance(profile)
                   for sid in (suite_ids if g.n >= 2 else ())}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -25,11 +26,33 @@ def test_parse_round_trip():
 
 
 def test_parse_errors():
-    for text in ["nope:3", "cycle", "cycle:", "cycle:x", "cycle:2",
-                 "tree:5:sd=1", "tree:5:seed=x", "path:3:seed=1",
-                 "balloon:1", "kpartite:3"]:
-        with pytest.raises(GraphError):
+    # Each rejection names its rule: one case per arity and least-value rule.
+    known = "balloon, bipartite, complete, cycle, join, kpartite, path, star, tree"
+    cases = {
+        "nope:3": f"unknown family 'nope:3'; expected one of: {known}",
+        "cycle": "family 'cycle' is missing size parameters",
+        "cycle:": "family 'cycle:' is missing size parameters",
+        "join:": "family 'join:' is missing size parameters",
+        "cycle:x": "non-integer size parameter in 'cycle:x'",
+        "tree:5:sd=1": "bad trailing clause in 'tree:5:sd=1'; expected seed=<int>",
+        "tree:5:seed=x": "non-integer seed in 'tree:5:seed=x'",
+        "path:3:seed=1": "family path: seed only applies to random trees",
+        "cycle:5:seed=2": "family cycle: seed only applies to random trees",
+        "star:0": "family star: all size parameters must be >= 1",
+        "path:2,3": "family path: expected one size parameter (params=[2, 3])",
+        "bipartite:2": "family complete_bipartite: expected two part sizes (params=[2])",
+        "kpartite:3": "family complete_multipartite: expected at least two part sizes "
+                      "(params=[3])",
+        "cycle:2": "family cycle: cycle length must be >= 3 (params=[2])",
+        "tree:1": "family random_tree: tree order must be >= 2 (params=[1])",
+        "balloon:1": "family balloon: balloon parameter k must be >= 2 (params=[1])",
+    }
+    for text, message in cases.items():
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             parse_family_spec(text)
+    with pytest.raises(GraphError, match=re.escape(
+            "family join_k1_cliques: expected at least one clique order (params=[])")):
+        FamilySpec("join_k1_cliques", ())
 
 
 def test_family_shapes():
@@ -75,7 +98,8 @@ def test_random_tree_is_deterministic_tree():
         t2 = random_tree(n, seed)
         assert t1 == t2
         assert t1.m == n - 1 and is_connected(t1)
-    assert random_tree(5, 0) != random_tree(5, 1) or True  # seeds may collide; no assert
+    # The seed matters: 20 seeds at n = 6 give more than one tree.
+    assert len({random_tree(6, seed) for seed in range(20)}) > 1
 
 
 def test_random_tree_hits_every_labeled_tree():

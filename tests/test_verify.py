@@ -62,7 +62,7 @@ def test_all_suite_ids_present():
     ]
     # Default ranges of the closed-form suites: instance count and the
     # largest sum of family parameters.
-    ranges = {sid: [sum(p["params"]) for p in SUITES[sid].make_instances(SuiteParams())]
+    ranges = {sid: [sum(p.source.params) for p in SUITES[sid].make_instances(SuiteParams())]
               for sid in ("gp-complete", "gp-bipartite", "gp-join", "gp-cycles",
                           "mu-multipartite", "mu-cycles", "gp-trees", "mu-trees")}
     assert {sid: (len(s), max(s)) for sid, s in ranges.items()} == {
@@ -93,16 +93,22 @@ _FUZZ_SUITES = ("gp-diam3", "gp-sandwich", "gp-regular-tf", "mu-bounds", "mu-lea
 
 
 def test_budget_exhaustion_has_one_skipped_shape():
-    # lemma-distance runs no search, so it has no budget to exhaust.
-    for sid in _FUZZ_SUITES + ("mu-balloon",):
+    # A SKIPPED record carries the graph6 that FAIL would: G on a per-graph
+    # row, S(G) on a family row.  lemma-distance runs no search, so it has
+    # no budget to exhaust.
+    assert [sid for sid, s in SUITES.items() if s.per_graph] == list(_FUZZ_SUITES)
+    for sid, suite in SUITES.items():
         if sid == "lemma-distance":
             continue
-        rep = run_suite(sid, SuiteParams(n_max=5, budget=1), workers=1)
-        skipped = [r for r in rep.results if r.status == SKIPPED]
+        params = SuiteParams(n_max=5, budget=1)
+        replay = {p.key: p.key if suite.per_graph
+                  else graph_to_graph6(shadow(generate(p.source)).graph)
+                  for p in suite.make_instances(params)}
+        skipped = [r for r in run_suite(sid, params, workers=1).results if r.status == SKIPPED]
         assert skipped, sid
         for r in skipped:
-            assert r.actual == "budget exhausted" and r.graph6, (sid, r)
-            assert sid == "mu-balloon" or r.graph6 == r.key, (sid, r)
+            assert r.actual == "budget exhausted" and r.expected == "", (sid, r)
+            assert r.graph6 == replay[r.key], (sid, r)
 
 
 def test_ip_ic_bounds_spends_the_suite_budget_on_the_covers():
@@ -262,6 +268,7 @@ def test_fuzz_solves_each_pair_once_per_call(monkeypatch):
 def test_fuzz_checks_read_what_their_rows_declare(monkeypatch):
     # Each row's judge gets exactly the exact values the row declares, in
     # fuzz() and in a suite run alike, and its `solves` are their properties.
+    # fuzz() runs the per-graph rows only.
     seen = {"fuzz": defaultdict(set), "suite": defaultdict(set)}
     now = {}
     exact = verify._GraphProfile.exact
@@ -271,7 +278,7 @@ def test_fuzz_checks_read_what_their_rows_declare(monkeypatch):
         return exact(self, prop, on_shadow)
 
     monkeypatch.setattr(verify._GraphProfile, "exact", recording)
-    for sid in _FUZZ_SUITES:
+    for sid in SUITES:
         def tagged(profile, sid=sid, check=SUITES[sid].check_instance):
             now["sid"] = sid
             return check(profile)
@@ -280,15 +287,26 @@ def test_fuzz_checks_read_what_their_rows_declare(monkeypatch):
     now["run"] = "fuzz"
     list(fuzz(5))
     now["run"] = "suite"
-    for sid in _FUZZ_SUITES:
+    for sid in SUITES:
         run_suite(sid, SuiteParams(n_max=5), workers=1)
-    for sid in _FUZZ_SUITES:
-        for reads in seen.values():
-            assert reads[sid] == set(SUITES[sid].reads), sid
-            assert set(SUITES[sid].solves) == {prop for prop, _ in reads[sid]}, sid
+    assert set(seen["fuzz"]) == set(_FUZZ_SUITES) - {"lemma-distance"}
+    for run, reads in seen.items():
+        for sid in _FUZZ_SUITES if run == "fuzz" else SUITES:
+            assert reads[sid] == set(SUITES[sid].reads), (run, sid)
+            assert set(SUITES[sid].solves) == {prop for prop, _ in reads[sid]}, (run, sid)
     assert SUITES["lemma-distance"].reads == ()
     assert SUITES["mu-bounds"].reads == (
         (SetProperty.MV, False), (SetProperty.IMV, False), (SetProperty.MV, True))
+    closed_forms = {"gp-complete": SetProperty.GP, "gp-bipartite": SetProperty.GP,
+                    "gp-join": SetProperty.GP, "gp-cycles": SetProperty.GP,
+                    "gp-trees": SetProperty.GP, "mu-multipartite": SetProperty.MV,
+                    "mu-trees": SetProperty.MV, "mu-cycles": SetProperty.MV}
+    for sid, prop in closed_forms.items():
+        assert SUITES[sid].reads == ((prop, True),), sid
+    assert SUITES["mu-balloon"].reads == ((SetProperty.TMV, False), (SetProperty.MV, True))
+    # mu-balloon reads TMV, but it is no per-graph row: fuzz() has no TMV check.
+    with pytest.raises(ValueError, match="tmv"):
+        list(fuzz(4, properties=[SetProperty.TMV]))
 
 
 def test_bound_rows_state_their_bounds():
