@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import platform
 import sys
 import time
@@ -233,12 +232,11 @@ def main() -> None:
     args = ap.parse_args()
 
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    from shadowpos.verify import worker_count
     for name in args.rows:
         row = ROWS[name]
         this = {"python": platform.python_version(), "machine": platform.machine(),
-                "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count(),
-                **row.settings, row.results: run(row, row.instances)}
+                "cpus": worker_count(), **row.settings, row.results: run(row, row.instances)}
         if row.extra is not None:
             extra = row.extra()
             print(json.dumps(extra), flush=True)

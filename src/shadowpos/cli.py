@@ -33,12 +33,9 @@ from .solvers import (
     DEFAULT_NODE_BUDGET,
     INVARIANT_CODES,
     SET_INVARIANT_CODES,
-    chromatic_number,
-    isometric_cycle_cover,
-    isometric_path_cover,
-    max_set,
     max_set_heuristic,
     property_for_code,
+    solve,
 )
 from .verify import FAIL, SKIPPED, SUITES, SuiteParams, run_suite
 
@@ -144,16 +141,11 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
             g = shadow(g).graph
         elif apply_star:
             g = star_shadow(g)
-        if invariant in SET_INVARIANT_CODES:
-            prop = property_for_code(invariant)
-            if exact_mode:
-                report = max_set(prop, g, budget=budget)
-            else:
-                report = max_set_heuristic(prop, g, time_budget=time_budget,
-                                           seed=seed)
+        if exact_mode:
+            report = solve(invariant, g, budget)
         else:
-            report = {"ip": isometric_path_cover, "ic": isometric_cycle_cover,
-                      "chi": chromatic_number}[invariant](g, budget=budget)
+            report = max_set_heuristic(property_for_code(invariant), g,
+                                       time_budget=time_budget, seed=seed)
     except GraphError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PRECONDITION)

@@ -17,7 +17,8 @@ deadline, which report ``exact`` once one of them finishes.
 
 The one other search is an exact minimum set cover under a node budget.  It
 serves the isometric path and cycle covers and the chromatic number, a
-minimum cover of the vertices by maximal independent sets.
+minimum cover of the vertices by maximal independent sets.  :func:`solve`
+is the one exact entry by invariant code over both searches.
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ def property_for_code(code: str) -> SetProperty:
         return _CODE_PROPERTY[code]
     except KeyError:
         raise GraphError(f"unknown set-invariant code {code!r}") from None
+
+
+def solve(code: str, g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
+    """The exact report of ``code``, one of ``INVARIANT_CODES``, on ``g``: a
+    :func:`max_set` or a cover search.  The covers are looked up per call, so
+    a function put in place of one of this module's solvers sees every call."""
+    covers = {"ip": isometric_path_cover, "ic": isometric_cycle_cover, "chi": chromatic_number}
+    if code in covers:
+        return covers[code](g, budget=budget)
+    return max_set(property_for_code(code), g, budget=budget)
 
 
 @dataclass
@@ -694,3 +705,4 @@ def chromatic_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantRe
     start = time.perf_counter()
     sets = {m: tuple(iter_bits(m)) for m in _maximal_independent_sets(g)}
     return _min_cover("chi", g, None, sets, True, start, budget, disjoint=True)
+

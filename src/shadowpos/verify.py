@@ -3,12 +3,14 @@
 Every suite is a row of one table and runs through one skeleton.  An
 instance is a profile of one graph: a family member, or a small connected
 graph up to isomorphism.  A row names a filter (why a graph is outside the
-claim), the exact values it reads on G and S(G), and a judge of those
-values.  The closed-form rows read one property on the shadow of each
-family member and judge it equal to the claimed formula.  The per-graph
-rows test a bound or a structural lemma on every small connected graph;
-six bound claims share one judge built from their ``(lo, hi)``.
-``mu-balloon`` reads mu_t of a balloon and mu of its shadow.  A profile
+claim), the exact values it reads on G and S(G), each by an invariant code
+of :func:`solvers.solve` (covers as well as set maxima), and a judge of
+those values; no judge calls a solver.  The closed-form rows read one
+invariant on the shadow of each family member and judge it equal to the
+claimed formula.  The per-graph rows test a bound or a structural lemma
+on every small connected graph; six bound claims share one judge built
+from their ``(lo, hi)``.  ``mu-balloon`` reads mu_t of a balloon and mu of
+its shadow, and ``ip-ic-bounds`` reads gp, ip and ic of G.  A profile
 solves each value once, and :func:`fuzz` hands every per-graph check of a
 graph the same profile.
 
@@ -36,15 +38,7 @@ from .graph_core import (
     structural_queries,
 )
 from .shadow import ShadowGraph, gp_partition_violations, shadow, shadow_distance_violations
-from .solvers import (
-    DEFAULT_NODE_BUDGET,
-    BudgetExhausted,
-    InvariantReport,
-    isometric_cycle_cover,
-    isometric_path_cover,
-    max_set,
-)
-from .visibility import SetProperty
+from .solvers import DEFAULT_NODE_BUDGET, BudgetExhausted, InvariantReport, solve
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -89,9 +83,6 @@ class SuiteReport:
     @property
     def skipped(self) -> int:
         return sum(1 for r in self.results if r.status == SKIPPED)
-
-    def failures(self) -> list[InstanceResult]:
-        return [r for r in self.results if r.status == FAIL]
 
     def to_dict(self) -> dict:
         return {
@@ -211,10 +202,10 @@ class _GraphProfile:
 
     The source is a graph6 string or a :class:`FamilySpec`; ``key`` names
     the instance and defaults to the graph6.  The graph, its structural
-    summary and its shadow are built on first use and exact ``max_set``
-    reports are kept per (property, on the shadow) pair, so the checks of
-    one graph share this work.  A profile pickles as source, budget and
-    key; nothing it caches outlives it.
+    summary and its shadow are built on first use and exact
+    :func:`solvers.solve` reports are kept per (invariant code, on the
+    shadow) pair, so the checks of one graph share this work.  A profile
+    pickles as source, budget and key; nothing it caches outlives it.
     """
 
     def __init__(self, source: str | FamilySpec, budget: int, key: Optional[str] = None,
@@ -224,7 +215,7 @@ class _GraphProfile:
         self.key = source if key is None else key
         if graph is not None:
             self.graph = graph  # seeds the cached property: no graph6 parse
-        self._reports: dict[tuple[SetProperty, bool], InvariantReport] = {}
+        self._reports: dict[tuple[str, bool], InvariantReport] = {}
 
     def __reduce__(self):
         return _GraphProfile, (self.source, self.budget, self.key)
@@ -251,12 +242,13 @@ class _GraphProfile:
     def shadow(self) -> ShadowGraph:
         return shadow(self.graph)
 
-    def exact(self, prop: SetProperty, on_shadow: bool = False) -> InvariantReport:
-        """The exact ``max_set`` report of ``prop`` on G, or on S(G)."""
-        r = self._reports.get((prop, on_shadow))
+    def exact(self, code: str, on_shadow: bool = False) -> InvariantReport:
+        """The exact report of invariant ``code`` on G, or on S(G); raises
+        :class:`BudgetExhausted` when the budget does not reach it."""
+        r = self._reports.get((code, on_shadow))
         if r is None:
             g = self.shadow.graph if on_shadow else self.graph
-            r = self._reports[(prop, on_shadow)] = max_set(prop, g, budget=self.budget)
+            r = self._reports[(code, on_shadow)] = solve(code, g, self.budget)
         if not r.exact:
             raise BudgetExhausted
         return r
@@ -284,8 +276,8 @@ def _members(kind: str, sweep: Callable, key: str) -> Callable:
 
 
 def _suite(suite_id: str, description: str, n_max: int,
-           judge: Callable[..., InstanceResult], on_g: tuple[SetProperty, ...] = (),
-           on_shadow: Optional[SetProperty] = None,
+           judge: Callable[..., InstanceResult], on_g: tuple[str, ...] = (),
+           on_shadow: Optional[str] = None,
            outside: Optional[tuple[str, Callable[[_GraphProfile], bool]]] = None,
            members: Optional[Callable] = None) -> SuiteDef:
     """A claim over the ``members(top, p)`` profiles, by default every
@@ -298,7 +290,7 @@ def _suite(suite_id: str, description: str, n_max: int,
     suite's ``reads``.  An instance whose reads the budget does not reach is
     SKIPPED, with its replay graph6.
     """
-    reads = tuple((prop, False) for prop in on_g) + (
+    reads = tuple((code, False) for code in on_g) + (
         ((on_shadow, True),) if on_shadow is not None else ())
 
     def instances(p: SuiteParams) -> list[_GraphProfile]:
@@ -311,7 +303,7 @@ def _suite(suite_id: str, description: str, n_max: int,
         if outside is not None and outside[1](profile):
             return InstanceResult(profile.key, PASS, note=f"filtered: {outside[0]}")
         try:
-            return judge(profile, *(profile.exact(prop, s) for prop, s in reads))
+            return judge(profile, *(profile.exact(code, s) for code, s in reads))
         except BudgetExhausted:
             return InstanceResult(profile.key, SKIPPED, actual="budget exhausted",
                                   graph6=profile.replay)
@@ -320,14 +312,14 @@ def _suite(suite_id: str, description: str, n_max: int,
 
 
 def _closed_form(suite_id: str, description: str, kind: str, sweep: Callable, n_max: int,
-                 prop: SetProperty, expected: Callable, key: str) -> SuiteDef:
-    """A suite that compares exact ``prop`` on family shadows with a formula:
+                 code: str, expected: Callable, key: str) -> SuiteDef:
+    """A suite that compares exact ``code`` on family shadows with a formula:
     ``expected(params, profile)`` is the claimed value."""
     def judge(p: _GraphProfile, r: InvariantReport) -> InstanceResult:
         exp = expected(p.source.params, p)
         return p.result(r.value, str(exp), r.value == exp, r.witness)
 
-    return _suite(suite_id, description, n_max, judge, on_shadow=prop,
+    return _suite(suite_id, description, n_max, judge, on_shadow=code,
                   members=_members(kind, sweep, key))
 
 
@@ -372,17 +364,12 @@ def _judge_lemma_partition(p: _GraphProfile, r: InvariantReport) -> InstanceResu
                     r.witness, "; ".join(violations[:3]))
 
 
-def _judge_ip_ic_bounds(p: _GraphProfile, gp_rep: InvariantReport) -> InstanceResult:
+def _judge_ip_ic_bounds(p: _GraphProfile, gp_rep: InvariantReport, ip_rep: InvariantReport,
+                        ic_rep: InvariantReport) -> InstanceResult:
     gp = gp_rep.value
-    ip_rep = isometric_path_cover(p.graph, budget=p.budget)
-    if not ip_rep.exact:
-        raise BudgetExhausted
     problems = []
     if gp > 2 * ip_rep.value:
         problems.append(f"gp = {gp} > 2 ip = {2 * ip_rep.value}")
-    ic_rep = isometric_cycle_cover(p.graph, budget=p.budget)
-    if not ic_rep.exact:
-        raise BudgetExhausted
     if ic_rep.coverable and gp > 3 * ic_rep.value:
         problems.append(f"gp = {gp} > 3 ic = {3 * ic_rep.value}")
     return p.result(gp, "gp <= 2 ip and gp <= 3 ic", not problems, note="; ".join(problems))
@@ -402,79 +389,75 @@ class SuiteDef:
     description: str
     make_instances: Callable[[SuiteParams], list[_GraphProfile]]
     check_instance: Callable[..., InstanceResult]
-    # The (property, on the shadow) pairs the check reads, in reading order.
-    reads: tuple[tuple[SetProperty, bool], ...] = ()
+    # The (invariant code, on the shadow) pairs the check reads, in reading order.
+    reads: tuple[tuple[str, bool], ...] = ()
     # True for a claim on every small connected graph, which fuzz() runs.
     per_graph: bool = False
-
-    @property
-    def solves(self) -> tuple[SetProperty, ...]:
-        return tuple(dict.fromkeys(p for p, _ in self.reads))
 
 
 SUITES: dict[str, SuiteDef] = {s.id: s for s in [
     _closed_form("gp-complete", "gp(S(K_n)) = n",
                  "complete", lambda top, p: [((n,), None) for n in range(2, top + 1)], 8,
-                 SetProperty.GP, lambda ps, p: expected_gp_shadow_complete(*ps), "K_{0}"),
+                 "gp", lambda ps, p: expected_gp_shadow_complete(*ps), "K_{0}"),
     _closed_form("gp-bipartite", "gp(S(K_{m,n})) = 2 max(m,n)",
                  "complete_bipartite", lambda top, p: [
                      ((m, n), None) for n in range(2, top + 1) for m in range(n, top + 1)], 5,
-                 SetProperty.GP, lambda ps, p: expected_gp_shadow_bipartite(*ps), "K_{{{0},{1}}}"),
+                 "gp", lambda ps, p: expected_gp_shadow_bipartite(*ps), "K_{{{0},{1}}}"),
     _suite("gp-diam3", "diam <= 3 implies gp(S(G)) >= n", 6,
-           _bound(lambda p: (p.graph.n, None)), on_shadow=SetProperty.GP,
+           _bound(lambda p: (p.graph.n, None)), on_shadow="gp",
            outside=("diameter > 3", lambda p: p.summary.diameter > 3)),
     _closed_form("gp-join", "gp(S(K_1 + cliques)) = n + t_1 - 1",
                  "join_k1_cliques", lambda top, p: [(o, None) for o in _multisets(top - 1)], 9,
-                 SetProperty.GP, lambda ps, p: expected_gp_shadow_join(ps), "K_1+{params}"),
+                 "gp", lambda ps, p: expected_gp_shadow_join(ps), "K_1+{params}"),
     _suite("gp-sandwich", "2 igp <= gp(S(G)) <= igp/min-degree upper bound", 6,
            _bound(lambda p, igp: gp_sandwich_bounds(p.graph.n, igp, p.summary.min_degree)),
-           on_g=(SetProperty.IGP,), on_shadow=SetProperty.GP),
+           on_g=("igp",), on_shadow="gp"),
     _suite("gp-regular-tf", "regular triangle-free implies gp(S(G)) <= n", 7,
-           _bound(lambda p: (None, p.graph.n)), on_shadow=SetProperty.GP,
+           _bound(lambda p: (None, p.graph.n)), on_shadow="gp",
            outside=("not regular triangle-free", lambda p: not (
                p.summary.is_regular and p.summary.is_triangle_free))),
     _closed_form("gp-cycles", "piecewise formula for gp(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 10,
-                 SetProperty.GP, lambda ps, p: expected_gp_shadow_cycle(*ps), "C_{0}"),
+                 "gp", lambda ps, p: expected_gp_shadow_cycle(*ps), "C_{0}"),
     _closed_form("gp-trees", "gp(S(T)) = 2 l(T) for diam >= 2",
                  "random_tree", partial(_random_trees, min_diam=2), 10,
-                 SetProperty.GP,
+                 "gp",
                  lambda ps, p: expected_gp_shadow_tree(p.summary.leaf_count),
                  "tree(n={0},seed={fseed})"),
     _suite("mu-bounds", "max{n, 2 mu_i, 2 max-degree} <= mu(S(G)) <= min{n + mu, 2n - 2}",
            6, _bound(lambda p, mu, mui: mu_shadow_bounds(
                p.graph.n, mu, mui, p.summary.max_degree)),
-           on_g=(SetProperty.MV, SetProperty.IMV), on_shadow=SetProperty.MV),
+           on_g=("mu", "mui"), on_shadow="mu"),
     _closed_form("mu-multipartite", "mu(S(K_{n_1..n_k})) = 2n - 2",
                  "complete_multipartite", lambda top, p: [(o, None) for o in _multisets(top)], 8,
-                 SetProperty.MV, lambda ps, p: expected_mu_shadow_multipartite(ps), "K_{params}"),
+                 "mu", lambda ps, p: expected_mu_shadow_multipartite(ps), "K_{params}"),
     _suite("mu-leaf", "mu(S(G)) >= n + leaf count for n >= 3", 6,
            _bound(lambda p: (p.graph.n + p.summary.leaf_count, None)),
-           on_shadow=SetProperty.MV, outside=("n < 3", lambda p: p.graph.n < 3)),
+           on_shadow="mu", outside=("n < 3", lambda p: p.graph.n < 3)),
     _suite("mu-muit", "triangle-free, no universal vertex: mu(S(G)) >= n + mu_it", 6,
            _bound(lambda p, muit: (p.graph.n + muit, None)),
-           on_g=(SetProperty.ITMV,), on_shadow=SetProperty.MV,
+           on_g=("muit",), on_shadow="mu",
            outside=("triangle or universal vertex", lambda p: (
                not p.summary.is_triangle_free or p.summary.has_universal_vertex))),
     _closed_form("mu-trees", "mu(S(T)) = n + l for diam >= 3",
                  "random_tree", partial(_random_trees, min_diam=3), 9,
-                 SetProperty.MV, lambda ps, p: expected_mu_shadow_tree(
+                 "mu", lambda ps, p: expected_mu_shadow_tree(
                      p.graph.n, p.summary.leaf_count),
                  "tree(n={0},seed={fseed})"),
     # One fixed member, balloon(2): no order range applies.
     _suite("mu-balloon", "balloon: mu_t = 0 and mv set of size 6k + 1 in the shadow", 0,
-           _judge_mu_balloon, on_g=(SetProperty.TMV,), on_shadow=SetProperty.MV,
+           _judge_mu_balloon, on_g=("mut",), on_shadow="mu",
            members=_members("balloon", lambda top, p: [((2,), None)], "balloon({0})")),
     _suite("mu-char", "mu(S(G)) small-value characterization", 6, _judge_mu_char,
-           on_shadow=SetProperty.MV),
+           on_shadow="mu"),
     _closed_form("mu-cycles", "piecewise formula for mu(S(C_n))",
                  "cycle", lambda top, p: [((n,), None) for n in range(3, top + 1)], 9,
-                 SetProperty.MV, lambda ps, p: expected_mu_shadow_cycle(*ps), "C_{0}"),
+                 "mu", lambda ps, p: expected_mu_shadow_cycle(*ps), "C_{0}"),
     _suite("lemma-distance", "shadow distance clauses", 7, _judge_lemma_distance),
     _suite("lemma-partition", "gp-partition structural clauses", 6,
-           _judge_lemma_partition, on_shadow=SetProperty.GP),
+           _judge_lemma_partition, on_shadow="gp"),
     _suite("ip-ic-bounds", "gp <= 2 ip and gp <= 3 ic", 7, _judge_ip_ic_bounds,
-           on_g=(SetProperty.GP,)),
+           on_g=("gp", "ip", "ic")),
 ]}
 
 
@@ -485,12 +468,18 @@ def _dispatch(item: tuple) -> InstanceResult:
 
 def run_suite(suite_id: str, params: SuiteParams = SuiteParams(),
               workers: Optional[int] = None) -> SuiteReport:
-    """Run one suite; results are sorted by instance key for determinism."""
+    """Run one suite; results are sorted by instance key for determinism.
+
+    A range that holds no instance raises :class:`GraphError`: a claim that
+    was never checked must not read as confirmed.
+    """
     if suite_id not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise GraphError(f"unknown suite {suite_id!r}; available: {known}")
     suite = SUITES[suite_id]
     instances = suite.make_instances(params)
+    if not instances:
+        raise GraphError(f"suite {suite_id!r} has no instance at n_max = {params.n_max}")
     items = [(suite_id, profile) for profile in instances]
     if workers is None:
         workers = worker_count()
@@ -513,29 +502,16 @@ def run_all(params: SuiteParams = SuiteParams(),
 # Fuzz driver
 
 
-def fuzz(n_max: int, properties: Optional[Iterable[SetProperty]] = None,
-         budget: int = DEFAULT_NODE_BUDGET):
-    """Run every applicable per-graph check over all small connected graphs.
+def fuzz(n_max: int):
+    """Run every per-graph check over all small connected graphs.
 
     Yields one record per enumerated graph (dedup by isomorphism class);
-    counterexamples are serialized in the record immediately.  With
-    ``properties``, only the checks that solve one of them run; a property
-    that no check solves raises :class:`ValueError`.
+    counterexamples are serialized in the record immediately.
     """
-    fuzz_suites = [s for s in SUITES.values() if s.per_graph]
-    if properties is None:
-        suite_ids = [s.id for s in fuzz_suites]
-    else:
-        suite_ids = []
-        for prop in properties:
-            selected = [s.id for s in fuzz_suites if prop in s.solves]
-            if not selected:
-                raise ValueError(f"no fuzz check solves {prop!r}")
-            suite_ids.extend(selected)
-        suite_ids = list(dict.fromkeys(suite_ids))
+    suite_ids = [s.id for s in SUITES.values() if s.per_graph]
     for g in enumerate_connected(n_max):
         g6 = graph_to_graph6(g)
-        profile = _GraphProfile(g6, budget, graph=g)
+        profile = _GraphProfile(g6, DEFAULT_NODE_BUDGET, graph=g)
         # Every check involves the shadow, which needs at least one edge.
         checks = {sid: SUITES[sid].check_instance(profile)
                   for sid in (suite_ids if g.n >= 2 else ())}

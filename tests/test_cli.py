@@ -247,6 +247,19 @@ def test_verify_size_cap_exit_3(runner, tmp_path):
     assert log.read_text() == ""
 
 
+@pytest.mark.parametrize("suite, n_max", [
+    ("mu-trees", 3), ("gp-join", 4), ("mu-multipartite", 3), ("all", 4)])
+def test_verify_empty_range_exit_3(runner, suite, n_max):
+    # No tree of order <= 3 has diameter >= 3, and no two parts of order >= 2
+    # fit in K_1 + cliques of order <= 4 or in K_{n_1..n_k} of order <= 3.
+    # A claim with no instance is not confirmed: `all` stops at gp-join.
+    result = runner.invoke(main, ["verify", "--suite", suite, "--n-max", str(n_max),
+                                  "--workers", "1"])
+    assert result.exit_code == 3 and "OK" not in result.output
+    failing = "gp-join" if suite == "all" else suite
+    assert result.stderr == f"error: suite {failing!r} has no instance at n_max = {n_max}\n"
+
+
 def test_verify_log_unwritable_exit_5(runner):
     result = runner.invoke(main, ["verify", "--suite", "gp-cycles",
                                   "--log", "/no/such/dir/log.jsonl"])

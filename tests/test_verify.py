@@ -154,7 +154,7 @@ def test_mu_leaf_suite_fails_exactly_on_stars():
     star_keys = {canonical_key(generate(FamilySpec("star", (k,))))
                  for k in (2, 3, 4)}
     fail_keys = {canonical_key(graph6_to_graph(r.graph6))
-                 for r in rep.failures()}
+                 for r in rep.results if r.status == FAIL}
     assert fail_keys == star_keys
 
 
@@ -165,8 +165,9 @@ def test_sandwich_suite_fails_only_when_stated_bound_dips_below_n():
     from shadowpos.visibility import SetProperty
     from shadowpos.verify import gp_sandwich_bounds
     rep = run_suite("gp-sandwich", SuiteParams(n_max=5), workers=1)
-    assert rep.failed > 0
-    for r in rep.failures():
+    failing = [r for r in rep.results if r.status == FAIL]
+    assert failing
+    for r in failing:
         g = graph6_to_graph(r.graph6)
         igp = max_set(SetProperty.IGP, g).value
         _, hi = gp_sandwich_bounds(g.n, igp, structural_queries(g).min_degree)
@@ -221,24 +222,6 @@ def test_fuzz_driver_yields_records():
     assert "gp-sandwich" in flagged  # K_4 instance
 
 
-def test_fuzz_property_filter():
-    records = list(fuzz(3, properties=[]))
-    assert all(rec["checks"] == {} for rec in records)
-    gp_ids = {"gp-diam3", "gp-sandwich", "gp-regular-tf", "lemma-partition", "ip-ic-bounds"}
-    mv_ids = {"mu-bounds", "mu-leaf", "mu-muit", "mu-char"}
-    cases = [([SetProperty.GP], gp_ids), ([SetProperty.MV], mv_ids),
-             ([SetProperty.IGP], {"gp-sandwich"}), ([SetProperty.IMV], {"mu-bounds"}),
-             ([SetProperty.ITMV], {"mu-muit"}),
-             ([SetProperty.IGP, SetProperty.ITMV], {"gp-sandwich", "mu-muit"})]
-    for props, ids in cases:
-        for rec in fuzz(4, properties=props):
-            assert set(rec["checks"]) == (ids if rec["n"] >= 2 else set()), props
-    with pytest.raises(ValueError, match="tmv"):
-        list(fuzz(4, properties=[SetProperty.TMV]))
-    with pytest.raises(ValueError):
-        list(fuzz(4, properties=[SetProperty.GP, "gp"]))
-
-
 def test_fuzz_records_match_suite_runs():
     records = list(fuzz(5))
     for sid in _FUZZ_SUITES:
@@ -248,16 +231,18 @@ def test_fuzz_records_match_suite_runs():
 
 
 def test_fuzz_solves_each_pair_once_per_call(monkeypatch):
+    # Every exact read goes through solve(), the covers ip and ic included.
     calls = Counter()
-    solve = verify.max_set
+    solve = verify.solve
 
-    def counting(prop, g, **kwargs):
-        calls[(prop, g.adj)] += 1
-        return solve(prop, g, **kwargs)
+    def counting(code, g, budget):
+        calls[(code, g.adj)] += 1
+        return solve(code, g, budget)
 
-    monkeypatch.setattr(verify, "max_set", counting)
+    monkeypatch.setattr(verify, "solve", counting)
     list(fuzz(5))
     assert calls and max(calls.values()) == 1
+    assert {code for code, _ in calls} == {"gp", "igp", "mu", "mui", "muit", "ip", "ic"}
     first = sum(calls.values())
     calls.clear()
     list(fuzz(5))
@@ -267,15 +252,14 @@ def test_fuzz_solves_each_pair_once_per_call(monkeypatch):
 
 def test_fuzz_checks_read_what_their_rows_declare(monkeypatch):
     # Each row's judge gets exactly the exact values the row declares, in
-    # fuzz() and in a suite run alike, and its `solves` are their properties.
-    # fuzz() runs the per-graph rows only.
+    # fuzz() and in a suite run alike.  fuzz() runs the per-graph rows only.
     seen = {"fuzz": defaultdict(set), "suite": defaultdict(set)}
     now = {}
     exact = verify._GraphProfile.exact
 
-    def recording(self, prop, on_shadow=False):
-        seen[now["run"]][now["sid"]].add((prop, on_shadow))
-        return exact(self, prop, on_shadow)
+    def recording(self, code, on_shadow=False):
+        seen[now["run"]][now["sid"]].add((code, on_shadow))
+        return exact(self, code, on_shadow)
 
     monkeypatch.setattr(verify._GraphProfile, "exact", recording)
     for sid in SUITES:
@@ -293,20 +277,15 @@ def test_fuzz_checks_read_what_their_rows_declare(monkeypatch):
     for run, reads in seen.items():
         for sid in _FUZZ_SUITES if run == "fuzz" else SUITES:
             assert reads[sid] == set(SUITES[sid].reads), (run, sid)
-            assert set(SUITES[sid].solves) == {prop for prop, _ in reads[sid]}, (run, sid)
     assert SUITES["lemma-distance"].reads == ()
-    assert SUITES["mu-bounds"].reads == (
-        (SetProperty.MV, False), (SetProperty.IMV, False), (SetProperty.MV, True))
-    closed_forms = {"gp-complete": SetProperty.GP, "gp-bipartite": SetProperty.GP,
-                    "gp-join": SetProperty.GP, "gp-cycles": SetProperty.GP,
-                    "gp-trees": SetProperty.GP, "mu-multipartite": SetProperty.MV,
-                    "mu-trees": SetProperty.MV, "mu-cycles": SetProperty.MV}
-    for sid, prop in closed_forms.items():
-        assert SUITES[sid].reads == ((prop, True),), sid
-    assert SUITES["mu-balloon"].reads == ((SetProperty.TMV, False), (SetProperty.MV, True))
-    # mu-balloon reads TMV, but it is no per-graph row: fuzz() has no TMV check.
-    with pytest.raises(ValueError, match="tmv"):
-        list(fuzz(4, properties=[SetProperty.TMV]))
+    assert SUITES["mu-bounds"].reads == (("mu", False), ("mui", False), ("mu", True))
+    assert SUITES["ip-ic-bounds"].reads == (("gp", False), ("ip", False), ("ic", False))
+    closed_forms = {"gp-complete": "gp", "gp-bipartite": "gp", "gp-join": "gp",
+                    "gp-cycles": "gp", "gp-trees": "gp", "mu-multipartite": "mu",
+                    "mu-trees": "mu", "mu-cycles": "mu"}
+    for sid, code in closed_forms.items():
+        assert SUITES[sid].reads == ((code, True),), sid
+    assert SUITES["mu-balloon"].reads == (("mut", False), ("mu", True))
 
 
 def test_bound_rows_state_their_bounds():
