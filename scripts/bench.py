@@ -15,8 +15,9 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
 - ``heuristic``: one ``max_set_heuristic`` run per instance, at
   the row's ``time_budget`` and ``seed``.
 - ``covers``: ip, ic and chi on every connected graph of order 2..7 up to
-  isomorphism, ic on the shadows of those of order 2..6, and ic on K_8,
-  K_9, K_10, K_14 and K_{4,5,5}, the best of ``repeat`` runs per set.
+  isomorphism, ic on the shadows of those of order 2..6, ic on K_8, K_9,
+  K_10, K_14 and K_{4,5,5}, and ip on K_{30,30}, the best of ``repeat``
+  runs per set.
 - ``metric``: ``distances(g)`` alone and followed by a read of ``.between``,
   the best of ``repeat`` runs each, on the seed-0 ``lemma-large`` graphs and
   their shadows, S(C_40) and the 160 ``search`` trees; then the distance
@@ -215,7 +216,7 @@ ROWS = {
     "covers": Row("sets", {"repeat": 3}, (
         ("ip", "G"), ("ic", "G"), ("chi", "G"), ("ic", "S(G)"), ("ic", "complete:8"),
         ("ic", "complete:9"), ("ic", "complete:10"), ("ic", "complete:14"),
-        ("ic", "kpartite:4,5,5")), _cover),
+        ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30")), _cover),
     "metric": Row("instances", {"repeat": 3}, (
         (None, "lemma"), (None, "S(cycle:40)"), (None, "S(T)")), _metric,
         extra=_table_counts, agree="table_sha256"),

@@ -10,10 +10,10 @@ candidates that can no longer join (for all six properties a test of only
 what ``w`` can break), and a subtree is pruned by its size plus its
 candidates.  Its seed is the greedy set in reverse order, which on a shadow
 reaches the twins, the last vertices, first; the search starts one below it.
-It takes the vertices in order ``0..n-1``, so every exact witness is the
-lexicographically smallest maximum set.  The heuristic is that search again
-in other orders: restarts with growing node budgets and a wall-clock
-deadline, which report ``exact`` once one of them finishes.
+It takes the vertices in order ``0..n-1``, so in exact mode every exact
+witness is the lexicographically smallest maximum set.  The heuristic is
+that search again in other orders: restarts with growing node budgets and a
+wall-clock deadline, which report ``exact`` once one of them finishes.
 
 The one other search is an exact minimum set cover under a node budget.  It
 serves the isometric path and cycle covers and the chromatic number, a
@@ -46,8 +46,9 @@ from .visibility import SetProperty, check as check_property, is_independent
 
 DEFAULT_NODE_BUDGET = 10**8
 
-# Most distinct geodesic vertex sets the path cover enumerates; past it the
-# cover is reported with ``exact=False``.
+# Most inclusion-maximal geodesic vertex sets the path cover enumerates; past
+# it every single vertex joins them and the cover is reported with
+# ``exact=False``.
 GEODESIC_CAP = 200_000
 
 _PROPERTY_CODE = {
@@ -411,13 +412,14 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
     degree-descending order for r = 0, its reverse for r = 1, and after that
     an order shuffled by ``random.Random(seed * 0x9E3779B9 + r)``.  The first
     restart that finishes has proved its set maximum, so the run stops there
-    with ``exact=True``; otherwise it returns the largest set found, a
-    certified lower bound, with ``exact=False``.  Restarts start only
-    before ``start + time_budget``, and each search reads the clock every 64
-    nodes; a greedy seed, a forward check or the final certificate runs to
-    its end once started, so a run can overrun ``time_budget``.  A run that
-    finishes before the deadline repeats per ``seed``; one cut by it depends
-    on the machine's speed.
+    with ``exact=True`` and that restart's set; only in exact mode is the
+    witness always the lexicographically smallest maximum set.  Otherwise it
+    returns the largest set found, a certified lower bound, with
+    ``exact=False``.  Restarts start only before ``start + time_budget``, and
+    each search reads the clock every 64 nodes; a greedy seed, a forward
+    check or the final certificate runs to its end once started, so a run
+    can overrun ``time_budget``.  A run that finishes before the deadline
+    repeats per ``seed``; one cut by it depends on the machine's speed.
     """
     if not is_connected(g):
         raise GraphError("heuristic search requires a connected graph")
@@ -446,48 +448,38 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
 
 
 def _enumerate_geodesics(g: Graph, t: DistanceTable) -> tuple[dict[int, tuple[int, ...]], bool]:
-    """All geodesic vertex sets, as mask -> one representative sequence.
+    """Every inclusion-maximal geodesic vertex set, as mask -> one geodesic.
 
-    Includes single vertices (length-0 geodesics).  Returns (mapping,
-    complete); ``complete`` is False when ``GEODESIC_CAP`` was hit.
+    A geodesic's vertex set lies inside another's exactly when one of its
+    ends has a neighbour one step further from the other end.  So only the
+    pairs u <= v with no such neighbour are walked: each of their geodesics
+    is maximal, and no two share a vertex set.  K_1's pair (0, 0) gives its
+    one vertex.  Returns (mapping, complete).  Past ``GEODESIC_CAP`` sets
+    the walk stops with ``complete`` False, and every single vertex joins
+    the sets found, so they still cover V.
     """
-    paths: dict[int, tuple[int, ...]] = {1 << v: (v,) for v in range(g.n)}
-    complete = True
+    paths: dict[int, tuple[int, ...]] = {}
     for u in range(g.n):
         lu = t.layers[u]
-        for v in range(u + 1, g.n):
+        for v in range(u, g.n):
             duv = t.d[u][v]
-            if duv == INF:
-                continue
             lv = t.layers[v]
+            if (duv + 1 < len(lv) and g.adj[u] & lv[duv + 1]
+                    or duv + 1 < len(lu) and g.adj[v] & lu[duv + 1]):
+                continue
             stack = [(u, (u,))]
             while stack:
                 x, seq = stack.pop()
                 if x == v:
-                    mask = mask_of(seq)
-                    if mask not in paths:
-                        if len(paths) >= GEODESIC_CAP:
-                            complete = False
-                            stack = []
-                            break
-                        paths[mask] = seq
+                    if len(paths) >= GEODESIC_CAP:
+                        return {**paths, **{1 << w: (w,) for w in range(g.n)}}, False
+                    paths[mask_of(seq)] = seq
                     continue
                 # y extends the path to hop k = len(seq) of the u,v-geodesic DAG.
                 k = len(seq)
                 for y in iter_bits(g.adj[x] & lu[k] & lv[duv - k]):
                     stack.append((y, seq + (y,)))
-            if not complete:
-                return paths, False
     return paths, True
-
-
-def _dominance_filter(masks: list[int]) -> list[int]:
-    masks = sorted(set(masks), key=lambda m: -m.bit_count())
-    kept: list[int] = []
-    for m in masks:
-        if not any(m & k == m for k in kept):
-            kept.append(m)
-    return kept
 
 
 class _SetCoverSearch:
@@ -549,20 +541,23 @@ def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[
                disjoint: bool = False) -> InvariantReport:
     """Fewest of ``sets`` (vertex mask -> vertex sequence) that cover every vertex.
 
-    If their union misses a vertex the instance is not coverable; the report
-    flags that instead of inventing a value.  With ``disjoint`` each vertex
+    No part lies inside another (geodesics and independent sets are maximal,
+    isometric cycles induced), so the search takes them all.  If their union
+    misses a vertex the instance is not coverable; the report flags that
+    instead of inventing a value.  With ``disjoint`` each vertex
     stays only in the first chosen set that holds it.  The reported cover is
     certified by :func:`_certify_cover`, with the same ``disjoint``; it is
     an upper bound with ``exact=False`` when the node ``budget`` ran out.
     """
-    masks = _dominance_filter(list(sets))
+    # Largest first.  This exact expression fixes the order of ties, and so every
+    # witness and node count; ``set(sets)`` sizes its hash table differently.
+    masks = sorted(set(list(sets)), key=lambda m: -m.bit_count())
     covered = 0
     for m in masks:
         covered |= m
     if covered != g.vertex_mask():
         return InvariantReport(invariant=invariant, value=0, witness=None, exact=True,
                                coverable=False, elapsed=time.perf_counter() - start)
-    # Witnesses survive dominance filtering by mask identity.
     cover = _SetCoverSearch(g.vertex_mask(), masks, budget)
     witness = [sets[masks[i]] for i in cover.best]
     if disjoint:
@@ -613,7 +608,7 @@ def _certify_cover(report: InvariantReport, g: Graph, t: Optional[DistanceTable]
 
 
 def isometric_path_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
-    """Minimum number of geodesics covering all vertices, exact at desk scale."""
+    """Fewest geodesics covering all vertices: a set cover over the maximal ones."""
     if not is_connected(g):
         raise GraphError("path cover requires a connected graph")
     start = time.perf_counter()

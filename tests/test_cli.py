@@ -53,6 +53,15 @@ def test_compute_canonical_witness(runner):
     assert payload["witness"] == [0, 1]
 
 
+def test_compute_heuristic_keeps_its_restarts_set(runner):
+    # Restart 0 takes P_4 in degree-descending order 1, 2, 0, 3 and proves
+    # {1, 2} maximum, so an exact heuristic run need not give exact mode's
+    # lexicographically smallest set [0, 1].
+    result, payload = _compute(runner, "--invariant", "gp", "--graph", "path:4", "--heuristic")
+    assert result.exit_code == 0
+    assert payload["exact"] is True and payload["witness"] == [1, 2]
+
+
 def test_compute_reads_files_and_literals(runner, tmp_path):
     edge_file = tmp_path / "g.edges"
     edge_file.write_text("3\n0 1\n1 2\n")
@@ -97,10 +106,11 @@ def test_compute_budget_exit_4(runner):
 
 
 def test_compute_geodesic_cap_exit_4(runner, monkeypatch):
-    monkeypatch.setattr(solvers, "GEODESIC_CAP", 5)
-    result, payload = _compute(runner, "--invariant", "ip", "--graph", "path:5")
+    monkeypatch.setattr(solvers, "GEODESIC_CAP", 1)
+    result, payload = _compute(runner, "--invariant", "ip", "--graph", "star:4")
     assert result.exit_code == 4
-    assert payload["exact"] is False and payload["value"] >= 1
+    assert payload["exact"] is False and payload["coverable"] is True
+    assert payload["value"] == 3 and payload["witness"] == [[1, 0, 2], [3], [4]]
 
 
 def test_compute_cover_budget_exit_4(runner):

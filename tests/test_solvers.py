@@ -32,7 +32,7 @@ from shadowpos.solvers import (
 from shadowpos.visibility import SetProperty, check as check_property
 
 from conftest import random_connected_graph
-from oracles import NaiveOracle, naive_chromatic_number
+from oracles import NaiveOracle, all_geodesics, naive_chromatic_number
 
 ALL_CODES = ("gp", "igp", "mu", "mui", "mut", "muit")
 
@@ -259,13 +259,14 @@ def test_cover_budget_exhaustion_reports_upper_bound():
 
 
 def test_isometric_path_cover_past_the_geodesic_cap(monkeypatch):
-    # Five geodesic sets are the five single vertices of P_5, so the cap
-    # stops the enumeration there and the cover is an upper bound.
-    monkeypatch.setattr(solvers, "GEODESIC_CAP", 5)
-    g = _family("path:5")
+    # The star K_{1,4} has six maximal geodesics, leaf-centre-leaf.  A cap
+    # of one stops after the first, 1-0-2, and every single vertex joins it,
+    # so the cover is the upper bound 3 rather than the exact 2.
+    monkeypatch.setattr(solvers, "GEODESIC_CAP", 1)
+    g = _family("star:4")
     r = isometric_path_cover(g)
-    assert r.exact is False
-    assert r.value >= 1 and r.value == len(r.witness)
+    assert r.exact is False and r.coverable
+    assert r.value == 3 and r.witness == [(1, 0, 2), (3,), (4,)]
     assert sorted(v for path in r.witness for v in path) == list(range(g.n))
 
 
@@ -296,6 +297,33 @@ def test_isometric_path_cover_is_a_cover_of_geodesics():
             covered.update(path)
         assert covered == set(range(g.n))
         assert len(r.witness) == r.value
+
+
+def _antichain(masks):
+    return not any(a != b and a & b == a for a in masks for b in masks)
+
+
+def test_covers_take_only_maximal_parts():
+    # The path cover walks only the maximal geodesics; isometric cycles and
+    # maximal independent sets never nest.  So no cover needs a filter.
+    graphs = list(enumerate_connected(6))
+    graphs += [shadow(g).graph for g in enumerate_connected(5) if g.n >= 2]
+    for g in graphs:
+        t = distances(g)
+        geodesic_sets = {mask_of(p) for u in range(g.n) for v in range(g.n)
+                         for p in all_geodesics(g, t.d, u, v)}
+        maximal = {m for m in geodesic_sets if not any(m != k and m & k == m for k in geodesic_sets)}
+        paths, complete = solvers._enumerate_geodesics(g, t)
+        assert complete and set(paths) == maximal, g.edges()
+        for mask, seq in paths.items():
+            assert mask_of(seq) == mask and seq in all_geodesics(g, t.d, seq[0], seq[-1])
+        if g.n <= 14:
+            assert _antichain(list(solvers._enumerate_isometric_cycles(g, t))), g.edges()
+        assert _antichain(list(_maximal_independent_sets(g))), g.edges()
+    k1 = build_graph(1, [])
+    assert solvers._enumerate_geodesics(k1, distances(k1)) == ({1: (0,)}, True)
+    big = shadow(_family("tree:40:seed=1")).graph
+    assert len(solvers._enumerate_geodesics(big, distances(big))[0]) == 22_821
 
 
 def test_isometric_cycle_cover_values():
