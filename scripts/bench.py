@@ -8,10 +8,12 @@ script can run an older tree (a clone of the parent commit, for example).
 Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
 ``--label`` next to the runs already there.  The rows:
 
-- ``max_set``: exact ``max_set``, the best of ``repeat`` runs, on MV S(C_14),
-  S(C_18), S(C_22), GP S(C_18), S(C_40), TMV S(tree:14:seed=3), ITMV
-  S(tree:16:seed=1), and MV on the 160 seed-0 trees of the ``search``
-  workload as one batch.
+- ``max_set``: exact ``max_set`` under the row's node ``budget``, the best of
+  ``repeat`` runs, on MV S(C_14), S(C_18), S(C_22), GP S(C_18), S(C_40),
+  S(C_60), S(tree:40:seed=1), IGP S(tree:30:seed=1), TMV S(tree:14:seed=3),
+  ITMV S(tree:16:seed=1), and MV on the 160 seed-0 trees of the ``search``
+  workload as one batch.  The budget lets an older tree that cannot finish
+  an instance record it as not exact.
 - ``heuristic``: one ``max_set_heuristic`` run per instance, at
   the row's ``time_budget`` and ``seed``.
 - ``covers``: ip, ic and chi on every connected graph of order 2..7 up to
@@ -121,8 +123,8 @@ def _totals(reports: list) -> dict:
 def _max_set(prop: str, gs: list, settings: dict) -> dict:
     from shadowpos.solvers import max_set
     from shadowpos.visibility import SetProperty
-    reports, s = best_of(lambda: [max_set(SetProperty[prop], g) for g in gs],
-                         settings["repeat"])
+    reports, s = best_of(lambda: [max_set(SetProperty[prop], g, settings["budget"])
+                                  for g in gs], settings["repeat"])
     return {**_totals(reports), "best_s": round(s, 4),
             "witness_sha256": sha(json.dumps([[r.value, r.witness, r.exact] for r in reports]))}
 
@@ -198,10 +200,12 @@ def _table_counts() -> dict:
 
 
 ROWS = {
-    "max_set": Row("instances", {"repeat": 3}, (
+    "max_set": Row("instances", {"repeat": 3, "budget": 1_000_000}, (
         ("MV", "S(cycle:14)"), ("MV", "S(cycle:18)"), ("MV", "S(cycle:22)"),
-        ("GP", "S(cycle:18)"), ("GP", "S(cycle:40)"), ("TMV", "S(tree:14:seed=3)"),
-        ("ITMV", "S(tree:16:seed=1)"), ("MV", "S(T)")), _max_set),
+        ("GP", "S(cycle:18)"), ("GP", "S(cycle:40)"), ("GP", "S(cycle:60)"),
+        ("GP", "S(tree:40:seed=1)"), ("IGP", "S(tree:30:seed=1)"),
+        ("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"), ("MV", "S(T)")),
+        _max_set),
     "heuristic": Row("instances", {"time_budget": 1.0, "seed": 0}, tuple(
         (prop, f"S({spec})") for prop, spec in (
             ("MV", "cycle:18"), ("MV", "cycle:40"), ("MV", "cycle:60"), ("MV", "path:40"),

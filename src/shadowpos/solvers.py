@@ -7,13 +7,16 @@ property contributes an incremental feasibility checker.  Adding a vertex
 branches over candidate lists: its root holds the vertices that form a
 one-vertex set, after ``w`` joins the checker's forward check drops the
 candidates that can no longer join (for all six properties a test of only
-what ``w`` can break), and a subtree is pruned by its size plus its
-candidates.  Its seed is the greedy set in reverse order, which on a shadow
-reaches the twins, the last vertices, first; the search starts one below it.
-It takes the vertices in order ``0..n-1``, so in exact mode every exact
-witness is the lexicographically smallest maximum set.  The heuristic is
-that search again in other orders: restarts with growing node budgets and a
-wall-clock deadline, which report ``exact`` once one of them finishes.
+what ``w`` can break), and a subtree is pruned by its size plus a bound on
+how many of its candidates can still join: their number, or for GP and IGP
+the cliques of a greedy partition of the candidates' pairwise conflicts, the
+colouring bound of max-clique solvers.  Its seed is the greedy set in
+reverse order, which on a shadow reaches the twins, the last vertices,
+first; the search starts one below it.  It takes the vertices in order
+``0..n-1``, so in exact mode every exact witness is the lexicographically
+smallest maximum set.  The heuristic is that search again in other orders:
+restarts with growing node budgets and a wall-clock deadline, which report
+``exact`` once one of them finishes.
 
 The one other search is an exact minimum set cover under a node budget.  It
 serves the isometric path and cycle covers and the chromatic number, a
@@ -132,9 +135,9 @@ class BudgetExhausted(Exception):
 class _Checker:
     """The set under construction, with an undo stack for the search.
 
-    ``blocked`` holds the vertices that can no longer join the set: those
-    between two members (GP) and, for the independent variants, the members'
-    neighbours.
+    ``blocked`` holds the vertices that can no longer join the set: those on
+    one geodesic with two members (GP) and, for the independent variants, the
+    members' neighbours.
 
     A subclass's :meth:`survivors` is its property's only feasibility test.
     On the empty set it returns, in order, the candidates that form a
@@ -144,6 +147,10 @@ class _Checker:
     can break.  It may stop early, with fewer than ``need`` of them, once
     fewer than ``need`` can remain.  Having passed that check, a candidate
     joins through :meth:`add`, which does not test again.
+
+    :meth:`bounds` caps, for each suffix of a candidate list, how many of its
+    candidates can join the set together.  The search prunes with it, so a
+    subclass's count must never fall below that number.
     """
 
     def __init__(self, g: Graph, t: DistanceTable, independent: bool = False):
@@ -172,37 +179,77 @@ class _Checker:
     def add(self, w: int) -> None:
         self._push(w, 0)
 
+    def bounds(self, cands: Sequence[int], need: int = 0) -> Sequence[int]:
+        """For each j, at most how many of ``cands[j:]`` can still join the
+        set together: ``len(cands) - j`` here.  A subclass may count fewer.
+        It may keep this count when ``cands`` holds no more than ``need``, the
+        number that must join to beat the best; a smaller count would then
+        spare at most one node."""
+        return range(len(cands), 0, -1)
+
 
 class _GpChecker(_Checker):
+    """``line[a][b]`` holds the vertices x other than a and b that lie on one
+    geodesic with them, in any position: between them, beyond b seen from a
+    (d(a, x) = d(a, b) + d(b, x)), or beyond a seen from b.  A set is in
+    general position exactly when no member is on the line of two others.
+    """
+
+    def __init__(self, g: Graph, t: DistanceTable, independent: bool = False):
+        super().__init__(g, t, independent)
+        d, layers, between, n = t.d, t.layers, t.between, g.n
+        self.line = line = [[0] * n for _ in range(n)]
+        # x is beyond b seen from a when it is at hop d(a, b) + k from a and
+        # at hop k from b; ecc(a) <= d(a, b) + ecc(b), so b's layer exists.
+        for a, la in enumerate(layers):
+            for b in range(a + 1, n):
+                lb, dab = layers[b], d[a][b]
+                m = between[a][b]
+                for k in range(dab + 1, len(la)):
+                    m |= la[k] & lb[k - dab]
+                for k in range(dab + 1, len(lb)):
+                    m |= lb[k] & la[k - dab]
+                line[a][b] = line[b][a] = m
+
     def add(self, w: int) -> None:
-        btw = self.t.between[w]
+        line_w = self.line[w]
         newly_blocked = 0
-        for x in self.members:
-            newly_blocked |= btw[x]
+        for y in self.members:
+            newly_blocked |= line_w[y]
         self._push(w, newly_blocked)
 
     def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
-        # x already passed with the set before w: only the triples holding
-        # both w and x can fail now, and those with x between two members
-        # (or, for IGP, x next to w) are in ``blocked``.
-        if not self.members:
-            return list(cands)
-        members = self.members[:-1]
-        w = self.members[-1]
-        btw = self.t.between
-        btw_w = btw[w]
-        mask, blocked = self.mask, self.blocked
-        out = []
-        for x in cands:
-            if blocked >> x & 1 or btw_w[x] & mask:
-                continue
-            btw_x = btw[x]
-            for y in members:
-                if btw_x[y] >> w & 1:
+        # Every line through two members is in ``blocked``, and so, for IGP,
+        # is every member's neighbourhood.
+        blocked = self.blocked
+        return [x for x in cands if not blocked >> x & 1]
+
+    def bounds(self, cands: Sequence[int], need: int = 0) -> Sequence[int]:
+        # Candidates x and y conflict when a member m has x on the line of m
+        # and y (or, for IGP, x and y are adjacent): no superset of the set
+        # takes both, so a clique of pairwise conflicts adds at most one.
+        # Greedy clique partitions of every suffix, built from the last
+        # candidate back; ``common`` holds each clique's shared conflicts.
+        members = self.members
+        if not members or len(cands) <= need:
+            return super().bounds(cands)
+        line, adj, independent = self.line, self.adj, self.independent
+        common: list[int] = []
+        counts = [0] * len(cands)
+        for j in range(len(cands) - 1, -1, -1):
+            x = cands[j]
+            line_x = line[x]
+            conflicts = adj[x] if independent else 0
+            for m in members:
+                conflicts |= line_x[m]
+            for i, c in enumerate(common):
+                if c >> x & 1:
+                    common[i] = c & conflicts
                     break
             else:
-                out.append(x)
-        return out
+                common.append(conflicts)
+            counts[j] = len(common)
+        return counts
 
 
 class _MvChecker(_Checker):
@@ -306,7 +353,10 @@ class _MaxSetSearch:
     cannot join anywhere below it.  That forward check makes at most one
     test per candidate per node, none of them counted as nodes, and it stops
     once too few candidates are left to beat the best.  A node's subtree is
-    pruned when its size plus its candidates cannot beat the best.
+    pruned when its size plus :meth:`_Checker.bounds` of its candidates
+    cannot beat the best.  For GP and IGP that bound is a partition of the
+    candidates into cliques of pairwise conflicts, each of which can add at
+    most one vertex; the partition is the bound's justification.
 
     Dropping only vertices and subtrees that hold no larger set, the search
     meets its improvements in the same order as a plain include-before-skip
@@ -351,8 +401,9 @@ class _MaxSetSearch:
     def _extend(self, cands: list[int], size: int) -> None:
         # Every candidate has passed the forward check, so it joins as it is.
         checker = self.checker
+        bounds = checker.bounds(cands, self.best + 1 - size)
         for j, w in enumerate(cands):
-            if size + (len(cands) - j) <= self.best:
+            if size + bounds[j] <= self.best:
                 return
             self.nodes += 1
             # The clock is read at node 1 and every 64 nodes after it.
@@ -493,6 +544,11 @@ class _SetCoverSearch:
 
     def __init__(self, universe: int, masks: list[int], budget: int):
         self.masks = masks
+        # holders[v]: the indices of the parts that hold v, in ``masks`` order.
+        self.holders: list[list[int]] = [[] for _ in range(universe.bit_length())]
+        for i, m in enumerate(masks):
+            for v in iter_bits(m):
+                self.holders[v].append(i)
         self.budget = budget
         self.nodes = 0
         self.best = self._greedy(universe)
@@ -524,13 +580,8 @@ class _SetCoverSearch:
         if len(chosen) + lb >= len(self.best):
             return
         # Branch on the uncovered vertex with fewest covering sets.
-        pivot, pivot_sets = None, None
-        for v in iter_bits(uncovered):
-            covering = [i for i, m in enumerate(self.masks) if m >> v & 1]
-            if pivot_sets is None or len(covering) < len(pivot_sets):
-                pivot, pivot_sets = v, covering
-        pivot_sets.sort(key=lambda i: -(self.masks[i] & uncovered).bit_count())
-        for i in pivot_sets:
+        pivot_sets = min((self.holders[v] for v in iter_bits(uncovered)), key=len)
+        for i in sorted(pivot_sets, key=lambda i: -(self.masks[i] & uncovered).bit_count()):
             chosen.append(i)
             self._extend(uncovered & ~self.masks[i], chosen)
             chosen.pop()
