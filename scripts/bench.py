@@ -23,9 +23,10 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
 - ``metric``: ``distances(g)`` alone and followed by a read of ``.between``,
   the best of ``repeat`` runs each, on the seed-0 ``lemma-large`` graphs and
   their shadows, S(C_40) and the 160 ``search`` trees; then the distance
-  tables built in one ``fuzz(6)`` pass and one ``lemma-large`` pass, and how
-  many hold their interval masks when the pass ends.  ``digests_agree``
-  says whether every run in the record has the same table digests.
+  tables built (not read from the table cache) in one ``fuzz(6)`` pass and
+  one ``lemma-large`` pass, and how many hold their interval masks when the
+  pass ends.  ``digests_agree`` says whether every run in the record has the
+  same table digests.
 
 The workload graphs come from ``perfbench/workloads.py`` itself, so they stay
 the workloads' graphs.  Values, node counts, graph counts and sha256 digests
@@ -61,10 +62,19 @@ class Row(NamedTuple):
     agree: Optional[str] = None  # the digest whose agreement across runs is recorded
 
 
+def _cold_tables() -> None:
+    """Empty the solvers' table cache, so a run builds its tables as a first call does."""
+    from shadowpos import graph_core
+    if hasattr(graph_core, "shared_distances"):  # trees before the table cache have none
+        graph_core.shared_distances.cache_clear()
+
+
 def best_of(run: Callable[[], object], repeat: int) -> tuple[object, float]:
-    """The output of ``run()`` and its best wall-clock seconds over ``repeat`` runs."""
+    """The output of ``run()`` and its best wall-clock seconds over ``repeat``
+    runs, each from an empty table cache."""
     best = float("inf")
     for _ in range(repeat):
+        _cold_tables()
         t0 = time.perf_counter()
         out = run()
         best = min(best, time.perf_counter() - t0)
@@ -160,9 +170,12 @@ def _metric(_: None, gs: list, settings: dict) -> dict:
 
 
 def _count_tables(run: Callable[[], object]) -> dict:
-    """Tables built while ``run()`` runs, and how many hold their intervals after it."""
+    """Tables built while ``run()`` runs from an empty table cache, and how
+    many hold their intervals after it.  It counts builds, not reads: a read
+    of a table ``graph_core.shared_distances`` still holds builds none."""
     from shadowpos import graph_core
     original = graph_core.distances
+    _cold_tables()
     tables = []
 
     def recording(g):

@@ -6,15 +6,18 @@ intersections are single integer operations.  Vertex subsets are plain int
 bitmasks throughout the package (see :data:`VertexMask`).
 
 The one metric primitive is the per-source BFS layer mask: the vertices at
-hop k from s.  Distances, geodesic intervals, the layers of each geodesic
-DAG, connectivity and the diameter are all read off these masks (see
-:class:`DistanceTable`); the intervals only when first read.
+hop k from s.  Distances, geodesic intervals, collinearity, the layers of
+each geodesic DAG, connectivity and the diameter are all read off these
+masks (see :class:`DistanceTable`); the intervals and collinearity only when
+first read.  :func:`distances` builds a fresh table on every call;
+:func:`shared_distances` keeps the last two, so the solvers that read one
+graph in turn share one table and the masks built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 INF = float("inf")
@@ -161,6 +164,13 @@ class DistanceTable:
 
     and each term of that OR is the k-th layer of the geodesic DAG.  That is
     O(n^2 * diameter) work, so ``between`` is built on first read and kept.
+
+    ``line[a][b]`` holds the vertices x other than a and b that lie on one
+    geodesic with them, in any position: between them, beyond b seen from a
+    (d(a, x) = d(a, b) + d(b, x)), or beyond a seen from b.  A set is in
+    general position exactly when no member is on the line of two others.
+    It is 0 for a disconnected pair.  It extends ``between`` and is likewise
+    built on first read and kept.
     """
 
     d: tuple[tuple, ...]
@@ -182,6 +192,25 @@ class DistanceTable:
                 between[u][v] = between[v][u] = m
         return tuple(tuple(row) for row in between)
 
+    @cached_property
+    def line(self) -> tuple[tuple[int, ...], ...]:
+        d, layers, between, n = self.d, self.layers, self.between, len(self.d)
+        line = [[0] * n for _ in range(n)]
+        # x is beyond b seen from a when it is at hop d(a, b) + k from a and
+        # at hop k from b; ecc(a) <= d(a, b) + ecc(b), so b's layer exists.
+        for a, la in enumerate(layers):
+            for b in range(a + 1, n):
+                lb, dab = layers[b], d[a][b]
+                if dab == INF:
+                    continue
+                m = between[a][b]
+                for k in range(dab + 1, len(la)):
+                    m |= la[k] & lb[k - dab]
+                for k in range(dab + 1, len(lb)):
+                    m |= lb[k] & la[k - dab]
+                line[a][b] = line[b][a] = m
+        return tuple(tuple(row) for row in line)
+
 
 def distances(g: Graph) -> DistanceTable:
     """One BFS per source; distances come from its layers, intervals on first read."""
@@ -196,6 +225,17 @@ def distances(g: Graph) -> DistanceTable:
                 layer &= layer - 1
         d.append(tuple(row))
     return DistanceTable(tuple(d), layers)
+
+
+@lru_cache(maxsize=2)
+def shared_distances(g: Graph) -> DistanceTable:
+    """The :func:`distances` table of ``g``, kept for the next caller.
+
+    Graphs equal by value share one table, and with it the ``between`` and
+    ``line`` masks built on it.  Two slots, because the checks of one graph
+    read G and its shadow in turn; at most two tables stay alive.
+    """
+    return distances(g)
 
 
 @dataclass(frozen=True)

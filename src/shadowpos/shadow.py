@@ -14,9 +14,9 @@ from .graph_core import (
     Graph,
     GraphError,
     VertexMask,
-    distances,
     is_connected,
     iter_bits,
+    shared_distances,
 )
 
 
@@ -85,8 +85,8 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     g = sg.graph
     n = sg.base_n
     base_adj = tuple(row & ((1 << n) - 1) for row in g.adj[:n])
-    base = distances(Graph(n, base_adj))
-    t = distances(g)
+    base = shared_distances(Graph(n, base_adj))
+    t = shared_distances(g)
     out = []
 
     def expect(u, v, got, want, clause):

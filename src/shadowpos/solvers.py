@@ -38,12 +38,12 @@ from .graph_core import (
     GraphError,
     INF,
     VertexMask,
-    distances,
     geodesic_exists_avoiding,
     is_connected,
     iter_bits,
     mask_of,
     mask_to_sorted_list,
+    shared_distances,
 )
 from .visibility import SetProperty, check as check_property, is_independent
 
@@ -189,30 +189,13 @@ class _Checker:
 
 
 class _GpChecker(_Checker):
-    """``line[a][b]`` holds the vertices x other than a and b that lie on one
-    geodesic with them, in any position: between them, beyond b seen from a
-    (d(a, x) = d(a, b) + d(b, x)), or beyond a seen from b.  A set is in
-    general position exactly when no member is on the line of two others.
+    """GP and IGP read the collinearity table ``t.line`` (see
+    :class:`DistanceTable`), built once per table and shared by both: a set
+    is in general position exactly when no member is on the line of two others.
     """
 
-    def __init__(self, g: Graph, t: DistanceTable, independent: bool = False):
-        super().__init__(g, t, independent)
-        d, layers, between, n = t.d, t.layers, t.between, g.n
-        self.line = line = [[0] * n for _ in range(n)]
-        # x is beyond b seen from a when it is at hop d(a, b) + k from a and
-        # at hop k from b; ecc(a) <= d(a, b) + ecc(b), so b's layer exists.
-        for a, la in enumerate(layers):
-            for b in range(a + 1, n):
-                lb, dab = layers[b], d[a][b]
-                m = between[a][b]
-                for k in range(dab + 1, len(la)):
-                    m |= la[k] & lb[k - dab]
-                for k in range(dab + 1, len(lb)):
-                    m |= lb[k] & la[k - dab]
-                line[a][b] = line[b][a] = m
-
     def add(self, w: int) -> None:
-        line_w = self.line[w]
+        line_w = self.t.line[w]
         newly_blocked = 0
         for y in self.members:
             newly_blocked |= line_w[y]
@@ -233,7 +216,7 @@ class _GpChecker(_Checker):
         members = self.members
         if not members or len(cands) <= need:
             return super().bounds(cands)
-        line, adj, independent = self.line, self.adj, self.independent
+        line, adj, independent = self.t.line, self.adj, self.independent
         common: list[int] = []
         counts = [0] * len(cands)
         for j in range(len(cands) - 1, -1, -1):
@@ -437,7 +420,7 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> I
     if not is_connected(g):
         raise GraphError("maximum-set search requires a connected graph")
     start = time.perf_counter()
-    t = distances(g)
+    t = shared_distances(g)
     search = _MaxSetSearch(_make_checker(prop, g, t), range(g.n), budget)
     return _certified_set(prop, g, t, search.witness, search.exact, search.nodes, start)
 
@@ -476,7 +459,7 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
         raise GraphError("heuristic search requires a connected graph")
     start = time.perf_counter()
     deadline = start + time_budget
-    t = distances(g)
+    t = shared_distances(g)
     checker = _make_checker(prop, g, t)
     deg_desc = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     best = nodes = 0
@@ -663,7 +646,7 @@ def isometric_path_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Invaria
     if not is_connected(g):
         raise GraphError("path cover requires a connected graph")
     start = time.perf_counter()
-    t = distances(g)
+    t = shared_distances(g)
     paths, complete = _enumerate_geodesics(g, t)
     return _min_cover("ip", g, t, paths, complete, start, budget)
 
@@ -706,7 +689,7 @@ def isometric_cycle_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Invari
     if g.n > 14:
         raise GraphError(f"cycle cover capped at 14 vertices, got {g.n}")
     start = time.perf_counter()
-    t = distances(g)
+    t = shared_distances(g)
     return _min_cover("ic", g, t, _enumerate_isometric_cycles(g, t), True, start, budget)
 
 

@@ -205,7 +205,10 @@ class _GraphProfile:
     summary and its shadow are built on first use and exact
     :func:`solvers.solve` reports are kept per (invariant code, on the
     shadow) pair, so the checks of one graph share this work.  A profile
-    pickles as source, budget and key; nothing it caches outlives it.
+    pickles as source, budget and key.  Nothing it caches outlives it; the
+    distance tables of G and S(G) are not its own but the solvers', which
+    read them through :func:`graph_core.shared_distances`, so the last two
+    stay in that cache after the profile is gone.
     """
 
     def __init__(self, source: str | FamilySpec, budget: int, key: Optional[str] = None,

@@ -1,5 +1,6 @@
-import importlib
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from shadowpos.graph_core import (
     structural_queries,
 )
 from shadowpos.shadow import shadow, shadow_distance_violations
+from shadowpos.verify import fuzz
 from shadowpos.visibility import SetProperty
 
 from conftest import random_connected_graph
@@ -76,6 +78,7 @@ def test_distances_on_disconnected_graph():
         for v in (2, 3):
             assert t.d[u][v] == t.d[v][u] == INF
             assert t.between[u][v] == t.between[v][u] == 0
+            assert t.line[u][v] == t.line[v][u] == 0
     assert not is_connected(g)
     with pytest.raises(GraphError):
         geodesic_exists_avoiding(t, g, 0, 2, 0)
@@ -142,6 +145,27 @@ def test_geodesic_layers_partition_the_interval():
                 assert union == t.between[u][v]
 
 
+def test_line_masks_match_path_enumeration():
+    for base in enumerate_connected(5):
+        for g in (base, shadow(base).graph):
+            t = distances(g)
+            ref = matrix_power_distances(g)
+            on_a_line = [[set() for _ in range(g.n)] for _ in range(g.n)]
+            # Every sub-path of a geodesic is a geodesic, so the geodesics
+            # between all pairs hold every collinear triple.
+            for u, v in itertools.combinations(range(g.n), 2):
+                for p in all_geodesics(g, ref, u, v):
+                    for a, b in itertools.combinations(p, 2):
+                        on_a_line[a][b] |= set(p) - {a, b}
+                        on_a_line[b][a] |= set(p) - {a, b}
+            for a in range(g.n):
+                for b in range(g.n):
+                    line = t.line[a][b]
+                    assert set(mask_to_sorted_list(line)) == on_a_line[a][b], (g.adj, a, b)
+                    assert line == t.line[b][a]
+                    assert line & t.between[a][b] == t.between[a][b]
+
+
 def test_between_is_built_on_first_read_and_kept():
     t = distances(generate(parse_family_spec("cycle:7")))
     assert "between" not in vars(t)
@@ -151,24 +175,54 @@ def test_between_is_built_on_first_read_and_kept():
     assert first[0][3] == mask_of([1, 2])
 
 
-def test_distance_only_callers_build_no_intervals(monkeypatch):
-    tables = []
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The graphs of the tables built from now on, with an empty table cache.
+
+    Every package module that holds :func:`distances` gets the recorder, so
+    a caller that bypasses the cache is counted too.
+    """
+    built = []
+    build = graph_core.distances
 
     def recording_distances(g):
-        tables.append(graph_core.distances(g))
-        return tables[-1]
+        built.append(g)
+        return build(g)
 
-    # The package exports the function ``shadow`` under the module's name.
-    shadow_module = importlib.import_module("shadowpos.shadow")
-    monkeypatch.setattr(shadow_module, "distances", recording_distances)
-    monkeypatch.setattr(solvers, "distances", recording_distances)
+    graph_core.shared_distances.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "shadowpos" and getattr(module, "distances", None) is build:
+            monkeypatch.setattr(module, "distances", recording_distances)
+    yield built
+    graph_core.shared_distances.cache_clear()
+
+
+def test_distance_only_callers_build_no_intervals(built_tables):
     g = generate(parse_family_spec("cycle:6"))
     assert shadow_distance_violations(shadow(g)) == []
     assert solvers.isometric_cycle_cover(g).value == 1
-    assert len(tables) == 3
+    # The shadow's base graph equals g, so the cover reads the table it built.
+    assert built_tables == [g, shadow(g).graph]
+    tables = [graph_core.shared_distances(h) for h in built_tables]
     assert not any("between" in vars(t) for t in tables)
     solvers.max_set(SetProperty.GP, g)
-    assert len(tables) == 4 and "between" in vars(tables[-1])
+    assert len(built_tables) == 2 and "between" in vars(tables[0])
+
+
+def test_fuzz_builds_one_table_per_graph(built_tables):
+    list(fuzz(5))
+    solved = [h for g in enumerate_connected(5) if g.n >= 2 for h in (g, shadow(g).graph)]
+    assert len(built_tables) == len(set(built_tables)) == len(set(solved))
+    assert set(built_tables) == set(solved)
+
+
+def test_gp_and_igp_share_one_collinearity_table(built_tables):
+    g = shadow(generate(parse_family_spec("tree:9:seed=3"))).graph
+    solvers.max_set(SetProperty.GP, g)
+    line = vars(graph_core.shared_distances(g))["line"]
+    solvers.max_set(SetProperty.IGP, g)
+    assert built_tables == [g]
+    assert vars(graph_core.shared_distances(g))["line"] is line
 
 
 def test_close_endpoints_always_see_each_other():
