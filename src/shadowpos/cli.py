@@ -32,9 +32,6 @@ from .shadow import ShadowGraph, shadow, star_shadow
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     INVARIANT_CODES,
-    SET_INVARIANT_CODES,
-    max_set_heuristic,
-    property_for_code,
     solve,
 )
 from .verify import FAIL, SKIPPED, SUITES, SuiteParams, run_suite
@@ -102,34 +99,22 @@ def main() -> None:
 @click.option("--star-shadow", "apply_star", is_flag=True,
               help="Apply the star shadow construction before solving.")
 @click.option("--exact/--heuristic", "exact_mode", default=True,
-              help="Exact branch and bound (default) or restart heuristic.")
+              help="Exact search (default), or the same search stopped at --time.")
 @click.option("--time", "time_budget", type=click.FloatRange(min=0), default=1.0,
-              callback=_finite, show_default=True, help="Heuristic time budget in seconds.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Heuristic random seed.")
+              callback=_finite, show_default=True,
+              help="Wall-clock deadline of a --heuristic search, in seconds.")
 @click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_NODE_BUDGET,
-              show_default=True, help="Exact-search node budget.")
+              show_default=True, help="Node budget of the search.")
 def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: bool,
-                exact_mode: bool, time_budget: float, seed: int, budget: int) -> None:
+                exact_mode: bool, time_budget: float, budget: int) -> None:
     """Compute one invariant and print a JSON report on stdout."""
     if apply_shadow and apply_star:
         click.echo("error: --shadow and --star-shadow are mutually exclusive",
                    err=True)
         sys.exit(EXIT_PARSE)
     ctx = click.get_current_context()
-    given = {opt for opt, name in (("--time", "time_budget"), ("--seed", "seed"),
-                                   ("--budget", "budget"))
-             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
-    if not exact_mode:
-        given.add("--heuristic")
-    if invariant not in SET_INVARIANT_CODES:
-        unused, where = given - {"--budget"}, f"--invariant {invariant}"
-    elif exact_mode:
-        unused, where = given & {"--time", "--seed"}, "exact mode"
-    else:
-        unused, where = given & {"--budget"}, "--heuristic"
-    if unused:
-        click.echo(f"error: {where} takes no {', '.join(sorted(unused))}", err=True)
+    if exact_mode and ctx.get_parameter_source("time_budget") is not ParameterSource.DEFAULT:
+        click.echo("error: exact mode takes no --time", err=True)
         sys.exit(EXIT_PARSE)
     try:
         g, identifier = _load_graph(source)
@@ -141,11 +126,7 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
             g = shadow(g).graph
         elif apply_star:
             g = star_shadow(g)
-        if exact_mode:
-            report = solve(invariant, g, budget)
-        else:
-            report = max_set_heuristic(property_for_code(invariant), g,
-                                       time_budget=time_budget, seed=seed)
+        report = solve(invariant, g, budget, math.inf if exact_mode else time_budget)
     except GraphError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PRECONDITION)

@@ -13,21 +13,23 @@ the cliques of a greedy partition of the candidates' pairwise conflicts, the
 colouring bound of max-clique solvers.  Its seed is the greedy set in
 reverse order, which on a shadow reaches the twins, the last vertices,
 first; the search starts one below it.  It takes the vertices in order
-``0..n-1``, so in exact mode every exact witness is the lexicographically
-smallest maximum set.  The heuristic is that search again in other orders:
-restarts with growing node budgets and a wall-clock deadline, which report
-``exact`` once one of them finishes.
+``0..n-1``, so every exact witness is the lexicographically smallest
+maximum set.
 
-The one other search is an exact minimum set cover under a node budget.  It
-serves the isometric path and cycle covers and the chromatic number, a
-minimum cover of the vertices by maximal independent sets.  :func:`solve`
-is the one exact entry by invariant code over both searches.
+The one other search is an exact minimum set cover.  It serves the
+isometric path and cycle covers and the chromatic number, a minimum cover
+of the vertices by maximal independent sets.
+
+Both searches have the same two stopping rules, a node budget and a
+wall-clock deadline; a stopped search reports the best set or cover it
+holds, a certified bound, with ``exact`` False.  The heuristic is nothing
+more than the exact search under a deadline.  :func:`solve` is the one
+exact entry by invariant code over both searches.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -39,7 +41,6 @@ from .graph_core import (
     INF,
     VertexMask,
     geodesic_exists_avoiding,
-    is_connected,
     iter_bits,
     mask_of,
     mask_to_sorted_list,
@@ -76,14 +77,16 @@ def property_for_code(code: str) -> SetProperty:
         raise GraphError(f"unknown set-invariant code {code!r}") from None
 
 
-def solve(code: str, g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
-    """The exact report of ``code``, one of ``INVARIANT_CODES``, on ``g``: a
-    :func:`max_set` or a cover search.  The covers are looked up per call, so
-    a function put in place of one of this module's solvers sees every call."""
+def solve(code: str, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
+          time_budget: float = INF) -> InvariantReport:
+    """The report of ``code``, one of ``INVARIANT_CODES``, on ``g``: a
+    :func:`max_set` or a cover search, under a node ``budget`` and a
+    ``time_budget`` in seconds.  The covers are looked up per call, so a
+    function put in place of one of this module's solvers sees every call."""
     covers = {"ip": isometric_path_cover, "ic": isometric_cycle_cover, "chi": chromatic_number}
     if code in covers:
-        return covers[code](g, budget=budget)
-    return max_set(property_for_code(code), g, budget=budget)
+        return covers[code](g, budget=budget, time_budget=time_budget)
+    return max_set(property_for_code(code), g, budget=budget, time_budget=time_budget)
 
 
 @dataclass
@@ -125,7 +128,45 @@ class InvariantReport:
 
 
 class BudgetExhausted(Exception):
-    """Internal signal: node budget ran out mid-search."""
+    """Internal signal: a node budget or a deadline ran out mid-search."""
+
+
+class _Search:
+    """The two stopping rules of both searches: at most ``budget`` nodes, and
+    no node once the clock reads past ``deadline`` (a
+    :func:`time.perf_counter` reading).  The clock is read at node 1 and
+    every 64 nodes after it, so the work up to the next read may run past
+    the deadline.  ``exact`` is False when either rule stopped the search.
+    """
+
+    def __init__(self, budget: int, deadline: float):
+        self.budget = budget
+        self.deadline = deadline
+        self.nodes = 0
+        self.exact = False
+
+    def _node(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget or (self.nodes & 63 == 1
+                                        and time.perf_counter() > self.deadline):
+            raise BudgetExhausted
+
+    def _run(self, *args) -> None:
+        try:
+            self._extend(*args)
+            self.exact = True
+        except BudgetExhausted:
+            pass
+
+
+def _connected_table(g: Graph, search: str) -> tuple[float, DistanceTable]:
+    """The clock at the start of a ``search`` on ``g``, and ``g``'s shared
+    table; a graph with a vertex at distance ``INF`` from vertex 0 raises."""
+    start = time.perf_counter()
+    t = shared_distances(g)
+    if g.n and INF in t.d[0]:
+        raise GraphError(f"{search} requires a connected graph")
+    return start, t
 
 
 # ---------------------------------------------------------------------------
@@ -320,66 +361,57 @@ def _make_checker(prop: SetProperty, g: Graph, t: DistanceTable) -> _Checker:
 # Exact maximum-set search
 
 
-class _MaxSetSearch:
+class _MaxSetSearch(_Search):
     """Depth-first branch and bound over candidate lists, include before skip.
 
-    Its root candidates are those of ``order`` that form a one-vertex set.
-    The search seeds itself with the greedy set over them in reverse order:
-    the last of them, then the last survivor after each join.  The seed is
+    Its root candidates are the vertices, in order ``0..n-1``, that form a
+    one-vertex set.  The search seeds itself with the greedy set over them
+    in reverse order: the last of them, then the last survivor after each
+    join.  The clock is read after each join, and once it reads past
+    ``deadline`` the seed keeps the set it has (every prefix of a greedy set
+    is a set) and the search is skipped, with no node explored.  The seed is
     the witness, and the search must beat one below its size, so it still
     meets the first set of the seed's size and replaces the seed with it.
     The one exception is a seed of the whole root, the only set of its
     size, which the search must beat outright.  A node is one candidate
-    branched on, and ``budget`` caps the nodes.  After a vertex joins,
-    :meth:`_Checker.survivors` returns the later candidates that can still
-    join: the property is hereditary, so a vertex that cannot join at a node
-    cannot join anywhere below it.  That forward check makes at most one
-    test per candidate per node, none of them counted as nodes, and it stops
-    once too few candidates are left to beat the best.  A node's subtree is
-    pruned when its size plus :meth:`_Checker.bounds` of its candidates
-    cannot beat the best.  For GP and IGP that bound is a partition of the
-    candidates into cliques of pairwise conflicts, each of which can add at
-    most one vertex; the partition is the bound's justification.
+    branched on.  After a vertex joins, :meth:`_Checker.survivors` returns
+    the later candidates that can still join: the property is hereditary,
+    so a vertex that cannot join at a node cannot join anywhere below it.
+    That forward check makes at most one test per candidate per node, none
+    of them counted as nodes, and it stops once too few candidates are left
+    to beat the best.  A node's subtree is pruned when its size plus
+    :meth:`_Checker.bounds` of its candidates cannot beat the best.  For GP
+    and IGP that bound is a partition of the candidates into cliques of
+    pairwise conflicts, each of which can add at most one vertex; the
+    partition is the bound's justification.
 
     Dropping only vertices and subtrees that hold no larger set, the search
     meets its improvements in the same order as a plain include-before-skip
-    enumeration of ``order``, which visits the sets of each size in
-    lexicographic order of ``order``.  So for order ``0..n-1``, the order of
-    every :func:`max_set` call, the witness is the lexicographically smallest
-    maximum set: the first one met, or a seed of the whole root.  ``best``
-    may sit one below the size of ``witness``, so readers take the
-    witness's size.  ``exact`` is False when the node budget ran out or the
-    clock read past ``deadline`` (a :func:`time.perf_counter` reading).  The
-    clock is read at node 1 and every 64 nodes after it, so the greedy seed,
-    a started forward check and the nodes up to the next read may run past
-    the deadline.  :func:`max_set_heuristic` restarts this search with
-    growing budgets, one checker for all its runs.
+    enumeration of ``0..n-1``, which visits the sets of each size in
+    lexicographic order.  So the witness of a finished search is the
+    lexicographically smallest maximum set: the first one met, or a seed of
+    the whole root.  ``best`` may sit one below the size of ``witness``, so
+    readers take the witness's size.
     """
 
-    def __init__(self, checker: _Checker, order: Sequence[int], budget: int,
-                 deadline: float = INF):
+    def __init__(self, checker: _Checker, budget: int, deadline: float):
+        super().__init__(budget, deadline)
         self.checker = checker
-        self.budget = budget
-        self.deadline = deadline
-        self.nodes = 0
-        while checker.members:  # a cut search leaves its set on the checker
-            checker.pop()
-        root = checker.survivors(order)
+        root = checker.survivors(range(checker.g.n))
         cands = root[::-1]
-        while cands:
+        cut = False
+        while cands and not cut:
             checker.add(cands[0])
             cands = checker.survivors(cands[1:])
+            cut = time.perf_counter() > deadline
         self.witness = checker.mask
         # One below the seed, so the search still meets the first set of the
         # seed's size; only the whole root is a set of the root's size.
         self.best = len(checker.members) - (len(checker.members) < len(root))
         while checker.members:  # the search starts from the empty set
             checker.pop()
-        try:
-            self._extend(root, 0)
-            self.exact = True
-        except BudgetExhausted:
-            self.exact = False
+        if not cut:
+            self._run(root, 0)
 
     def _extend(self, cands: list[int], size: int) -> None:
         # Every candidate has passed the forward check, so it joins as it is.
@@ -388,11 +420,7 @@ class _MaxSetSearch:
         for j, w in enumerate(cands):
             if size + bounds[j] <= self.best:
                 return
-            self.nodes += 1
-            # The clock is read at node 1 and every 64 nodes after it.
-            if self.nodes > self.budget or (self.nodes & 63 == 1
-                                            and time.perf_counter() > self.deadline):
-                raise BudgetExhausted
+            self._node()
             checker.add(w)
             if size + 1 > self.best:
                 self.best = size + 1
@@ -403,8 +431,9 @@ class _MaxSetSearch:
             checker.pop()
 
 
-def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
-    """Exact maximum-cardinality set with the given hereditary property.
+def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
+            time_budget: float = INF) -> InvariantReport:
+    """Maximum-cardinality set with the given hereditary property.
 
     One branch and bound with forward checking (:class:`_MaxSetSearch`),
     its candidates taken in order ``0..n-1``, so an exact witness is the
@@ -412,69 +441,36 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> I
     pre-filtered to the vertices that form a one-vertex set, which every
     vertex does for GP and MV.  ``nodes_explored`` counts the candidates
     branched on; each that joins also pays for at most one forward-check
-    test per later candidate.  If the node budget runs out the largest set
-    found so far, at least the reverse-order greedy seed, is returned with
-    ``exact=False``; that value is still a certified lower bound because
-    every reported witness is feasibility-checked.
+    test per later candidate.  The search stops after ``budget`` nodes or
+    once the clock reads ``time_budget`` seconds past the call's start.  A
+    stopped search returns the largest set it found, at least a prefix of
+    the reverse-order greedy seed, with ``exact=False``; that value is
+    still a certified lower bound.  Every witness is checked before it is
+    returned, by a check that raises rather than asserts, so it still runs
+    under ``python -O``.
     """
-    if not is_connected(g):
-        raise GraphError("maximum-set search requires a connected graph")
-    start = time.perf_counter()
-    t = shared_distances(g)
-    search = _MaxSetSearch(_make_checker(prop, g, t), range(g.n), budget)
-    return _certified_set(prop, g, t, search.witness, search.exact, search.nodes, start)
-
-
-def _certified_set(prop: SetProperty, g: Graph, t: DistanceTable, witness: VertexMask,
-                   exact: bool, nodes: int, start: float) -> InvariantReport:
-    """The report of a ``prop`` set search, once its witness is checked.
-
-    The check raises rather than asserts, so it still runs under ``python -O``.
-    """
-    if not check_property(prop, g, t, witness):
+    start, t = _connected_table(g, "maximum-set search")
+    search = _MaxSetSearch(_make_checker(prop, g, t), budget, start + time_budget)
+    if not check_property(prop, g, t, search.witness):
         raise RuntimeError(f"{_PROPERTY_CODE[prop]} witness failed the {prop.value} certification")
-    return InvariantReport(invariant=_PROPERTY_CODE[prop], value=witness.bit_count(),
-                           witness=witness, exact=exact, nodes_explored=nodes,
-                           elapsed=time.perf_counter() - start)
+    return InvariantReport(invariant=_PROPERTY_CODE[prop], value=search.witness.bit_count(),
+                           witness=search.witness, exact=search.exact,
+                           nodes_explored=search.nodes, elapsed=time.perf_counter() - start)
 
 
-def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0,
-                      seed: int = 0) -> InvariantReport:
-    """Restarts of the exact search with growing node budgets; an anytime bound.
+def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0) -> InvariantReport:
+    """:func:`max_set` stopped at a wall-clock deadline ``time_budget``
+    seconds after its start: an anytime lower bound.
 
-    Restart r runs :class:`_MaxSetSearch` on at most ``n << r`` nodes, in
-    degree-descending order for r = 0, its reverse for r = 1, and after that
-    an order shuffled by ``random.Random(seed * 0x9E3779B9 + r)``.  The first
-    restart that finishes has proved its set maximum, so the run stops there
-    with ``exact=True`` and that restart's set; only in exact mode is the
-    witness always the lexicographically smallest maximum set.  Otherwise it
+    A run that finishes before it reports ``exact=True`` with the same value,
+    witness and node count as :func:`max_set`.  A run cut by the deadline
     returns the largest set found, a certified lower bound, with
-    ``exact=False``.  Restarts start only before ``start + time_budget``, and
-    each search reads the clock every 64 nodes; a greedy seed, a forward
-    check or the final certificate runs to its end once started, so a run
-    can overrun ``time_budget``.  A run that finishes before the deadline
-    repeats per ``seed``; one cut by it depends on the machine's speed.
+    ``exact=False``; what it finds depends on the machine's speed.  A run
+    can still overrun ``time_budget`` by the distance table, a started
+    forward check, the set-up of the TMV and ITMV checker, or the final
+    certificate.
     """
-    if not is_connected(g):
-        raise GraphError("heuristic search requires a connected graph")
-    start = time.perf_counter()
-    deadline = start + time_budget
-    t = shared_distances(g)
-    checker = _make_checker(prop, g, t)
-    deg_desc = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    best = nodes = 0
-    for restart in itertools.count():
-        if restart < 2:
-            order = deg_desc if restart == 0 else deg_desc[::-1]
-        else:
-            order = list(range(g.n))
-            random.Random(seed * 0x9E3779B9 + restart).shuffle(order)
-        search = _MaxSetSearch(checker, order, g.n << restart, deadline)
-        nodes += search.nodes
-        if search.witness.bit_count() > best.bit_count():
-            best = search.witness
-        if search.exact or time.perf_counter() > deadline:
-            return _certified_set(prop, g, t, best, search.exact, nodes, start)
+    return max_set(prop, g, time_budget=time_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -516,30 +512,24 @@ def _enumerate_geodesics(g: Graph, t: DistanceTable) -> tuple[dict[int, tuple[in
     return paths, True
 
 
-class _SetCoverSearch:
+class _SetCoverSearch(_Search):
     """Branch and bound for the fewest ``masks`` covering ``universe``.
 
     It seeds itself with the greedy cover, then must beat it.  A node is one
-    branching on a still uncovered vertex, and ``budget`` caps the nodes;
-    ``exact`` is False when it ran out, and ``best`` is then the smallest
-    cover found, an upper bound.
+    branching on a still uncovered vertex.  When the search stops early,
+    ``best`` is the smallest cover found, an upper bound.
     """
 
-    def __init__(self, universe: int, masks: list[int], budget: int):
+    def __init__(self, universe: int, masks: list[int], budget: int, deadline: float):
+        super().__init__(budget, deadline)
         self.masks = masks
         # holders[v]: the indices of the parts that hold v, in ``masks`` order.
         self.holders: list[list[int]] = [[] for _ in range(universe.bit_length())]
         for i, m in enumerate(masks):
             for v in iter_bits(m):
                 self.holders[v].append(i)
-        self.budget = budget
-        self.nodes = 0
         self.best = self._greedy(universe)
-        try:
-            self._extend(universe, [])
-            self.exact = True
-        except BudgetExhausted:
-            self.exact = False
+        self._run(universe, [])
 
     def _greedy(self, uncovered: int) -> list[int]:
         chosen = []
@@ -555,9 +545,7 @@ class _SetCoverSearch:
             if len(chosen) < len(self.best):
                 self.best = chosen[:]
             return
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExhausted
+        self._node()
         max_gain = max((m & uncovered).bit_count() for m in self.masks)
         lb = -(-uncovered.bit_count() // max_gain)
         if len(chosen) + lb >= len(self.best):
@@ -571,7 +559,7 @@ class _SetCoverSearch:
 
 
 def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[int, tuple],
-               exact: bool, start: float, budget: int,
+               exact: bool, start: float, budget: int, time_budget: float,
                disjoint: bool = False) -> InvariantReport:
     """Fewest of ``sets`` (vertex mask -> vertex sequence) that cover every vertex.
 
@@ -581,7 +569,8 @@ def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[
     instead of inventing a value.  With ``disjoint`` each vertex
     stays only in the first chosen set that holds it.  The reported cover is
     certified by :func:`_certify_cover`, with the same ``disjoint``; it is
-    an upper bound with ``exact=False`` when the node ``budget`` ran out.
+    an upper bound with ``exact=False`` when the node ``budget`` ran out or
+    the clock read ``time_budget`` seconds past ``start``.
     """
     # Largest first.  This exact expression fixes the order of ties, and so every
     # witness and node count; ``set(sets)`` sizes its hash table differently.
@@ -592,7 +581,7 @@ def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[
     if covered != g.vertex_mask():
         return InvariantReport(invariant=invariant, value=0, witness=None, exact=True,
                                coverable=False, elapsed=time.perf_counter() - start)
-    cover = _SetCoverSearch(g.vertex_mask(), masks, budget)
+    cover = _SetCoverSearch(g.vertex_mask(), masks, budget, start + time_budget)
     witness = [sets[masks[i]] for i in cover.best]
     if disjoint:
         taken = 0
@@ -641,14 +630,12 @@ def _certify_cover(report: InvariantReport, g: Graph, t: Optional[DistanceTable]
     return report
 
 
-def isometric_path_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
+def isometric_path_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
+                         time_budget: float = INF) -> InvariantReport:
     """Fewest geodesics covering all vertices: a set cover over the maximal ones."""
-    if not is_connected(g):
-        raise GraphError("path cover requires a connected graph")
-    start = time.perf_counter()
-    t = shared_distances(g)
+    start, t = _connected_table(g, "path cover")
     paths, complete = _enumerate_geodesics(g, t)
-    return _min_cover("ip", g, t, paths, complete, start, budget)
+    return _min_cover("ip", g, t, paths, complete, start, budget, time_budget)
 
 
 def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[int, ...]]:
@@ -678,19 +665,18 @@ def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[i
     return out
 
 
-def isometric_cycle_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
+def isometric_cycle_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
+                          time_budget: float = INF) -> InvariantReport:
     """Minimum number of isometric cycles covering all vertices.
 
     If some vertex lies on no isometric cycle the instance is not
     coverable; the report flags that instead of inventing a value.
     """
-    if not is_connected(g):
-        raise GraphError("cycle cover requires a connected graph")
+    start, t = _connected_table(g, "cycle cover")
     if g.n > 14:
         raise GraphError(f"cycle cover capped at 14 vertices, got {g.n}")
-    start = time.perf_counter()
-    t = shared_distances(g)
-    return _min_cover("ic", g, t, _enumerate_isometric_cycles(g, t), True, start, budget)
+    return _min_cover("ic", g, t, _enumerate_isometric_cycles(g, t), True, start, budget,
+                      time_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +706,8 @@ def _maximal_independent_sets(g: Graph) -> Iterator[VertexMask]:
     return expand(0, full, 0)
 
 
-def chromatic_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
+def chromatic_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
+                     time_budget: float = INF) -> InvariantReport:
     """Exact chromatic number: the fewest maximal independent sets covering V.
 
     Moon-Moser bounds the number of maximal independent sets by 3^(n/3), 324
@@ -733,5 +720,5 @@ def chromatic_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantRe
         raise GraphError(f"chromatic number capped at 16 vertices, got {g.n}")
     start = time.perf_counter()
     sets = {m: tuple(iter_bits(m)) for m in _maximal_independent_sets(g)}
-    return _min_cover("chi", g, None, sets, True, start, budget, disjoint=True)
+    return _min_cover("chi", g, None, sets, True, start, budget, time_budget, disjoint=True)
 

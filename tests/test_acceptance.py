@@ -321,7 +321,7 @@ def test_c12_balloon():
     g = generate(FamilySpec("balloon", (2,)))
     mut = max_set(SetProperty.TMV, g)
     sg = shadow(g).graph
-    heur = max_set_heuristic(SetProperty.MV, sg, time_budget=60.0, seed=0)
+    heur = max_set_heuristic(SetProperty.MV, sg, time_budget=60.0)
     elapsed = time.perf_counter() - start
     detail = f"{elapsed:.1f}s mu_t={mut.value} heuristic_mv={heur.value}"
     if heur.value < 13:

@@ -39,7 +39,7 @@ def test_compute_examples(runner):
 def test_compute_heuristic(runner):
     result, payload = _compute(runner, "--invariant", "mu", "--graph",
                                "balloon:2", "--shadow", "--heuristic",
-                               "--time", "0.3", "--seed", "1")
+                               "--time", "0.3")
     assert result.exit_code == 0
     assert payload["value"] >= 11
     assert payload["value"] == 13 or not payload["exact"]
@@ -53,13 +53,12 @@ def test_compute_canonical_witness(runner):
     assert payload["witness"] == [0, 1]
 
 
-def test_compute_heuristic_keeps_its_restarts_set(runner):
-    # Restart 0 takes P_4 in degree-descending order 1, 2, 0, 3 and proves
-    # {1, 2} maximum, so an exact heuristic run need not give exact mode's
-    # lexicographically smallest set [0, 1].
+def test_compute_heuristic_gives_the_canonical_witness(runner):
+    # A --heuristic run that finishes is the exact search, so it gives exact
+    # mode's lexicographically smallest set.
     result, payload = _compute(runner, "--invariant", "gp", "--graph", "path:4", "--heuristic")
     assert result.exit_code == 0
-    assert payload["exact"] is True and payload["witness"] == [1, 2]
+    assert payload["exact"] is True and payload["witness"] == [0, 1]
 
 
 def test_compute_reads_files_and_literals(runner, tmp_path):
@@ -89,6 +88,10 @@ def test_compute_parse_error_exit_2(runner):
                                "--canonical-witness")
     assert result.exit_code == 2 and payload is None
     assert "Error: No such option '--canonical-witness'." in result.stderr
+    result, payload = _compute(runner, "--invariant", "mu", "--graph", "cycle:6",
+                               "--heuristic", "--seed", "1")
+    assert result.exit_code == 2 and payload is None
+    assert "Error: No such option '--seed'" in result.stderr
 
 
 def test_compute_precondition_exit_3(runner, tmp_path):
@@ -121,17 +124,26 @@ def test_compute_cover_budget_exit_4(runner):
     assert {v for path in payload["witness"] for v in path} == set(range(40))
 
 
+def test_compute_heuristic_cover_stops_at_its_deadline(runner):
+    result, payload = _compute(runner, "--invariant", "ip", "--graph", "tree:40:seed=2",
+                               "--heuristic", "--time", "0.2")
+    assert result.exit_code == 0
+    assert payload["exact"] is False and payload["value"] == len(payload["witness"])
+    assert {v for path in payload["witness"] for v in path} == set(range(40))
+
+
+# The one refused option: exact mode runs to the end of its node budget, so
+# none of the nine codes takes a deadline there.
 @pytest.mark.parametrize("args, message", [
-    (("gp", "cycle:6", "--time", "2", "--seed", "1"), "exact mode takes no --seed, --time"),
-    (("mu", "cycle:9", "--shadow", "--heuristic", "--budget", "10"),
-     "--heuristic takes no --budget"),
-    (("mu", "cycle:6", "--heuristic", "--budget", str(DEFAULT_NODE_BUDGET)),
-     "--heuristic takes no --budget"),
-    (("ip", "cycle:6", "--heuristic"), "--invariant ip takes no --heuristic"),
-    (("ic", "cycle:5", "--budget", "3", "--seed", "0"), "--invariant ic takes no --seed"),
-    (("chi", "cycle:5", "--heuristic", "--time", "1"), "--invariant chi takes no --heuristic, --time"),
     (("gp", "cycle:6", "--time", "2"), "exact mode takes no --time"),
-    (("mu", "cycle:6", "--exact", "--seed", "0"), "exact mode takes no --seed"),
+    (("igp", "cycle:6", "--exact", "--time", "0"), "exact mode takes no --time"),
+    (("mu", "cycle:9", "--shadow", "--time", "1", "--budget", "10"), "exact mode takes no --time"),
+    (("mui", "cycle:6", "--time", "0.5"), "exact mode takes no --time"),
+    (("mut", "cycle:6", "--exact", "--time", "1"), "exact mode takes no --time"),
+    (("muit", "cycle:6", "--time", "1"), "exact mode takes no --time"),
+    (("ip", "cycle:6", "--time", "2"), "exact mode takes no --time"),
+    (("ic", "cycle:5", "--budget", "3", "--time", "0.5"), "exact mode takes no --time"),
+    (("chi", "cycle:5", "--exact", "--time", "1"), "exact mode takes no --time"),
 ])
 def test_compute_refuses_unused_options(runner, args, message):
     invariant, graph, *rest = args
@@ -172,7 +184,10 @@ def test_cover_size_caps_exit_3(runner, invariant, n, message):
 def test_compute_accepts_options_that_apply(runner):
     for args in (("ip", "cycle:6", "--exact"),
                  ("gp", "cycle:6", "--exact", "--budget", str(DEFAULT_NODE_BUDGET)),
-                 ("mu", "cycle:6", "--heuristic", "--time", "0.05", "--seed", "3")):
+                 ("mu", "cycle:6", "--heuristic", "--time", "0.05"),
+                 ("mu", "cycle:9", "--shadow", "--heuristic", "--budget", "10"),
+                 ("ip", "cycle:6", "--heuristic"),
+                 ("chi", "cycle:5", "--heuristic", "--time", "1")):
         invariant, graph, *rest = args
         result, payload = _compute(runner, "--invariant", invariant, "--graph", graph, *rest)
         assert result.exit_code == 0 and payload["invariant"] == invariant, args

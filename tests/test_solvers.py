@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,9 @@ def test_canonical_witness_is_lexicographically_smallest():
         for code in ALL_CODES:
             prop = property_for_code(code)
             r = max_set(prop, g)
+            # A heuristic run that finishes is the same search.
+            h = max_set_heuristic(prop, g, time_budget=60.0)
+            assert h.exact and h.witness == r.witness, (text, code)
             t = distances(g)
             best = None
             for combo in itertools.combinations(range(g.n), r.value):
@@ -271,9 +275,9 @@ def test_heuristic_is_valid_deterministic_and_bounded():
         for code in ALL_CODES:
             prop = property_for_code(code)
             exact = max_set(prop, g).value
-            # A run that finishes before its deadline repeats per seed.
-            h1 = max_set_heuristic(prop, g, time_budget=30.0, seed=5)
-            h2 = max_set_heuristic(prop, g, time_budget=30.0, seed=5)
+            # A run that finishes before its deadline repeats.
+            h1 = max_set_heuristic(prop, g, time_budget=30.0)
+            h2 = max_set_heuristic(prop, g, time_budget=30.0)
             assert h1.value == h2.value and h1.witness == h2.witness, code
             assert h1.nodes_explored == h2.nodes_explored
             assert h1.exact and h1.value == exact
@@ -281,31 +285,54 @@ def test_heuristic_is_valid_deterministic_and_bounded():
 
 
 def test_heuristic_restarts_finish_exact_on_small_graphs():
-    # Every connected graph of order 2..6 and its shadow.
+    # Every connected graph of order 2..6 and its shadow: a heuristic run
+    # that finishes is the exact search, with its witness and node count.
     bases = [g for g in enumerate_connected(6) if g.n > 1]
     for g in bases + [shadow(b).graph for b in bases]:
         for code in ALL_CODES:
             prop = property_for_code(code)
-            h = max_set_heuristic(prop, g, time_budget=60.0)
-            assert h.exact and h.value == max_set(prop, g).value, (g.edges(), code)
+            h, r = max_set_heuristic(prop, g, time_budget=60.0), max_set(prop, g)
+            assert h.exact and h.value == r.value, (g.edges(), code)
+            assert h.witness == r.witness and h.nodes_explored == r.nodes_explored
 
 
-def test_heuristic_deadline_cuts_like_the_node_budget():
-    # At a deadline already past, restart 0 stops at its first node, as the
-    # exact search does at node budget 0.  On S(C_n) restart 0's degree
-    # order is the exact search's order 0..n-1, so the witnesses agree.
+def _tick_clock(monkeypatch):
+    # The solvers' clock reads 0, 1, 2, ...: one tick per read, so a
+    # deadline falls between two reads whatever the machine's speed.
+    ticks = itertools.count()
+    monkeypatch.setattr(solvers, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+
+def test_heuristic_deadline_cuts_like_the_node_budget(monkeypatch):
+    # The start reads tick 0 and the 40 joins of the seed, the twin set of
+    # S(C_40), ticks 1..40.  A deadline at 40.5 lets the seed finish and
+    # stops the search at node 1, as the exact search stops at node budget 0.
+    _tick_clock(monkeypatch)
     g = shadow(_family("cycle:40")).graph
-    h = max_set_heuristic(SetProperty.MV, g, time_budget=0)
+    h = max_set_heuristic(SetProperty.MV, g, time_budget=40.5)
     r = max_set(SetProperty.MV, g, budget=0)
     assert not h.exact and not r.exact
     assert h.nodes_explored == r.nodes_explored == 1
     assert h.witness == r.witness
 
 
-def test_heuristic_cut_at_its_first_node_reports_the_seed():
-    # Restart 0 stops at node 1, before it re-finds its seed, the twin set.
-    h = max_set_heuristic(SetProperty.MV, shadow(_family("cycle:40")).graph, time_budget=0)
-    assert not h.exact and h.value == 40
+def test_heuristic_cut_at_its_first_node_reports_the_seed(monkeypatch):
+    # Cut at node 1, before the search re-finds its seed, the twin set.
+    _tick_clock(monkeypatch)
+    g = shadow(_family("cycle:40")).graph
+    h = max_set_heuristic(SetProperty.MV, g, time_budget=40.5)
+    assert not h.exact and h.nodes_explored == 1
+    assert h.value == 40 and h.witness == mask_of(range(40, 80))
+
+
+def test_heuristic_cut_in_its_seed_reports_a_certified_set():
+    # At a deadline already past, the greedy seed stops after its first join
+    # and the search never starts.
+    g = shadow(_family("cycle:40")).graph
+    h = max_set_heuristic(SetProperty.MV, g, time_budget=0)
+    assert not h.exact and h.nodes_explored == 0
+    assert h.value == h.witness.bit_count() >= 1
+    assert check_property(SetProperty.MV, g, distances(g), h.witness)
 
 
 def test_cover_budget_exhaustion_reports_upper_bound():
@@ -434,7 +461,7 @@ broken = {
     "non-geodesic path": lambda: _certify_cover(
         InvariantReport("ip", 1, [(0, 1, 2, 3)]), c4, t4),
     "one vertex filed under mask 3": lambda: _min_cover(
-        "ip", p2, distances(p2), {0b11: (0,)}, True, 0.0, 10),
+        "ip", p2, distances(p2), {0b11: (0,)}, True, 0.0, 10, float("inf")),
     "non-isometric cycle": lambda: _certify_cover(
         InvariantReport("ic", 1, [(0, 1, 2, 3, 4, 5)]), c6_chord, t6),
     "class holding an edge": lambda: _certify_cover(
