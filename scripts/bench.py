@@ -9,11 +9,12 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
 ``--label`` next to the runs already there.  The rows:
 
 - ``max_set``: exact ``max_set`` under the row's node ``budget``, the best of
-  ``repeat`` runs, on MV S(C_14), S(C_18), S(C_22), GP S(C_18), S(C_40),
-  S(C_60), S(tree:40:seed=1), IGP S(tree:30:seed=1), TMV S(tree:14:seed=3),
-  ITMV S(tree:16:seed=1), and MV on the 160 seed-0 trees of the ``search``
-  workload as one batch.  The budget lets an older tree that cannot finish
-  an instance record it as not exact.
+  ``repeat`` runs, on MV S(C_14), S(C_18), S(C_22), S(C_26), S(balloon:3),
+  GP S(C_18), S(C_40), S(C_60), S(tree:40:seed=1), IGP and IMV
+  S(tree:30:seed=1), TMV S(tree:14:seed=3), ITMV S(tree:16:seed=1), and MV
+  on the 160 seed-0 trees of the ``search`` workload as one batch.  The
+  budget lets an older tree that cannot finish an instance record it as not
+  exact.
 - ``heuristic``: one ``max_set_heuristic`` run per instance, the exact
   search stopped at the row's ``time_budget`` in seconds.
 - ``covers``: ip, ic and chi on every connected graph of order 2..7 up to
@@ -215,9 +216,11 @@ def _table_counts() -> dict:
 ROWS = {
     "max_set": Row("instances", {"repeat": 3, "budget": 1_000_000}, (
         ("MV", "S(cycle:14)"), ("MV", "S(cycle:18)"), ("MV", "S(cycle:22)"),
+        ("MV", "S(cycle:26)"), ("MV", "S(balloon:3)"),
         ("GP", "S(cycle:18)"), ("GP", "S(cycle:40)"), ("GP", "S(cycle:60)"),
         ("GP", "S(tree:40:seed=1)"), ("IGP", "S(tree:30:seed=1)"),
-        ("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"), ("MV", "S(T)")),
+        ("IMV", "S(tree:30:seed=1)"), ("TMV", "S(tree:14:seed=3)"),
+        ("ITMV", "S(tree:16:seed=1)"), ("MV", "S(T)")),
         _max_set),
     "heuristic": Row("instances", {"time_budget": 1.0}, tuple(
         (prop, f"S({spec})") for prop, spec in (

@@ -8,12 +8,12 @@ branches over candidate lists: its root holds the vertices that form a
 one-vertex set, after ``w`` joins the checker's forward check drops the
 candidates that can no longer join (for all six properties a test of only
 what ``w`` can break), and a subtree is pruned by its size plus a bound on
-how many of its candidates can still join: their number, or for GP and IGP
-the cliques of a greedy partition of the candidates' pairwise conflicts, the
-colouring bound of max-clique solvers.  Its seed is the greedy set in
-reverse order, which on a shadow reaches the twins, the last vertices,
-first; the search starts one below it.  It takes the vertices in order
-``0..n-1``, so every exact witness is the lexicographically smallest
+how many of its candidates can still join: their number, or for GP, IGP,
+MV and IMV the cliques of a greedy partition of the candidates' pairwise
+conflicts, the colouring bound of max-clique solvers.  Its seed is the
+greedy set in reverse order, which on a shadow reaches the twins, the last
+vertices, first; the search starts one below it.  It takes the vertices in
+order ``0..n-1``, so every exact witness is the lexicographically smallest
 maximum set.
 
 The one other search is an exact minimum set cover.  It serves the
@@ -190,8 +190,9 @@ class _Checker:
     joins through :meth:`add`, which does not test again.
 
     :meth:`bounds` caps, for each suffix of a candidate list, how many of its
-    candidates can join the set together.  The search prunes with it, so a
-    subclass's count must never fall below that number.
+    candidates can join the set together, from the :meth:`conflicts` a
+    subclass names.  The search prunes with it, so two candidates that some
+    superset of the set holds together must never conflict.
     """
 
     def __init__(self, g: Graph, t: DistanceTable, independent: bool = False):
@@ -220,13 +221,35 @@ class _Checker:
     def add(self, w: int) -> None:
         self._push(w, 0)
 
+    def conflicts(self, cands: Sequence[int]) -> Optional[dict[int, VertexMask]]:
+        """Each candidate's conflicts: the candidates no superset of the set
+        holds together with it.  None here, where none are known."""
+        return None
+
     def bounds(self, cands: Sequence[int], need: int = 0) -> Sequence[int]:
         """For each j, at most how many of ``cands[j:]`` can still join the
-        set together: ``len(cands) - j`` here.  A subclass may count fewer.
-        It may keep this count when ``cands`` holds no more than ``need``, the
-        number that must join to beat the best; a smaller count would then
-        spare at most one node."""
-        return range(len(cands), 0, -1)
+        set together: the cliques of pairwise :meth:`conflicts` in a greedy
+        partition of the suffix, built from the last candidate back, since
+        each clique adds at most one (the colouring bound of max-clique
+        solvers); ``common`` holds each clique's shared conflicts.  It is
+        ``len(cands) - j`` with no conflicts, on the empty set, and when
+        ``cands`` holds no more than ``need``, the number that must join to
+        beat the best; a smaller count would then spare at most one node."""
+        conflicts = self.members and len(cands) > need and self.conflicts(cands)
+        if not conflicts:
+            return range(len(cands), 0, -1)
+        common: list[int] = []
+        counts = [0] * len(cands)
+        for j in range(len(cands) - 1, -1, -1):
+            x = cands[j]
+            for i, c in enumerate(common):
+                if c >> x & 1:
+                    common[i] = c & conflicts[x]
+                    break
+            else:
+                common.append(conflicts[x])
+            counts[j] = len(common)
+        return counts
 
 
 class _GpChecker(_Checker):
@@ -248,35 +271,52 @@ class _GpChecker(_Checker):
         blocked = self.blocked
         return [x for x in cands if not blocked >> x & 1]
 
-    def bounds(self, cands: Sequence[int], need: int = 0) -> Sequence[int]:
-        # Candidates x and y conflict when a member m has x on the line of m
-        # and y (or, for IGP, x and y are adjacent): no superset of the set
-        # takes both, so a clique of pairwise conflicts adds at most one.
-        # Greedy clique partitions of every suffix, built from the last
-        # candidate back; ``common`` holds each clique's shared conflicts.
-        members = self.members
-        if not members or len(cands) <= need:
-            return super().bounds(cands)
+    def conflicts(self, cands: Sequence[int]) -> dict[int, VertexMask]:
+        # x and y conflict when a member m has x on the line of m and y (or,
+        # for IGP, x and y are adjacent).
         line, adj, independent = self.t.line, self.adj, self.independent
-        common: list[int] = []
-        counts = [0] * len(cands)
-        for j in range(len(cands) - 1, -1, -1):
-            x = cands[j]
+        out = {}
+        for x in cands:
             line_x = line[x]
             conflicts = adj[x] if independent else 0
-            for m in members:
+            for m in self.members:
                 conflicts |= line_x[m]
-            for i, c in enumerate(common):
-                if c >> x & 1:
-                    common[i] = c & conflicts
-                    break
-            else:
-                common.append(conflicts)
-            counts[j] = len(common)
-        return counts
+            out[x] = conflicts
+        return out
 
 
 class _MvChecker(_Checker):
+    def conflicts(self, cands: Sequence[int]) -> dict[int, VertexMask]:
+        # Every u,v-geodesic takes one vertex of each layer k of the u,v
+        # geodesic DAG, layers[u][k] & layers[v][d(u, v) - k].  So x and y
+        # conflict when layer k of a member m's DAG with y is, outside the
+        # set, x alone; when a layer of their own DAG is inside the set; or,
+        # for IMV, when they are adjacent.
+        d, layers, btw = self.t.d, self.t.layers, self.t.between
+        mask, free = self.mask, ~self.mask
+        out = ({x: self.adj[x] for x in cands} if self.independent
+               else dict.fromkeys(cands, 0))
+        for m in self.members:
+            lm, dm = layers[m], d[m]
+            for y in cands:
+                ly, dmy = layers[y], dm[y]
+                for k in range(1, dmy):
+                    rest = lm[k] & ly[dmy - k] & free
+                    if not rest & (rest - 1):  # one vertex, as y can join
+                        x = rest.bit_length() - 1
+                        if x in out:
+                            out[x] |= 1 << y
+                            out[y] |= rest
+        for x, y in itertools.combinations(cands, 2):
+            if btw[x][y] & mask:
+                lx, ly, dxy = layers[x], layers[y], d[x][y]
+                for k in range(1, dxy):
+                    if not lx[k] & ly[dxy - k] & free:
+                        out[x] |= 1 << y
+                        out[y] |= 1 << x
+                        break
+        return out
+
     def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
         # x already passed with the set before w, so a pair needs a new
         # geodesic only if the newcomer it did not avoid is between its ends:
@@ -380,10 +420,14 @@ class _MaxSetSearch(_Search):
     That forward check makes at most one test per candidate per node, none
     of them counted as nodes, and it stops once too few candidates are left
     to beat the best.  A node's subtree is pruned when its size plus
-    :meth:`_Checker.bounds` of its candidates cannot beat the best.  For GP
-    and IGP that bound is a partition of the candidates into cliques of
-    pairwise conflicts, each of which can add at most one vertex; the
-    partition is the bound's justification.
+    :meth:`_Checker.bounds` of its candidates cannot beat the best.  For GP,
+    IGP, MV and IMV that bound is a partition of the candidates into cliques
+    of pairwise conflicts, each of which can add at most one vertex: a
+    member's line through both (GP); a layer of a member's geodesic DAG
+    with one of them that, outside the set, is the other alone, or a layer
+    of their own geodesic DAG inside the set (MV); an edge (IGP, IMV).  The
+    partition, with each conflict's member or pair and layer, is the bound's
+    justification.
 
     Dropping only vertices and subtrees that hold no larger set, the search
     meets its improvements in the same order as a plain include-before-skip

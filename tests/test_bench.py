@@ -25,7 +25,7 @@ SLICE = {
                ("ic", "complete:14"), ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30")),
     "metric": ((None, "S(cycle:40)"), (None, "lemma")),
     "max_set": (("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"),
-                ("GP", "S(cycle:40)")),
+                ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)")),
     "heuristic": (("TMV", "S(tree:14:seed=3)"), ("GP", "S(kpartite:3,3,3)"),
                   ("MV", "S(kpartite:3,3,3)"), ("TMV", "S(balloon:2)")),
 }

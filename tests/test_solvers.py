@@ -22,6 +22,10 @@ from shadowpos.graph_core import (
 )
 from shadowpos.shadow import shadow, star_shadow
 from shadowpos.solvers import (
+    DEFAULT_NODE_BUDGET,
+    _GpChecker,
+    _MaxSetSearch,
+    _MvChecker,
     _make_checker,
     _maximal_independent_sets,
     chromatic_number,
@@ -149,14 +153,14 @@ def test_forward_check_filters_match_the_certifier():
 
 def test_clique_bounds_count_at_least_the_largest_joining_subset():
     # On states the search can reach, bounds(cands)[j] is at least the size
-    # of the largest subset of cands[j:] that joins the members as a GP
-    # (IGP) set, found by the oracle over every feasible extension; the
-    # bounds never increase with j and never exceed len(cands) - j.
+    # of the largest subset of cands[j:] that joins the members as a GP,
+    # IGP, MV or IMV set, found by the oracle over every feasible extension;
+    # the bounds never increase with j and never exceed len(cands) - j.
     rng = random.Random(2103)
     bases = list(enumerate_connected(5))
     for g in bases + [shadow(b).graph for b in bases if b.n > 1]:
         t, d = distances(g), matrix_power_distances(g)
-        for code in ("gp", "igp"):
+        for code in ("gp", "igp", "mu", "mui"):
             checker = _make_checker(property_for_code(code), g, t)
             for _ in range(2):
                 cands = list(range(g.n))
@@ -201,6 +205,39 @@ def test_clique_bounds_finish_gp_searches_on_shadows():
     assert r.exact and r.value == 22
     r = max_set(SetProperty.GP, shadow(_family("cycle:40")).graph)
     assert r.exact and r.value == 6 and r.nodes_explored <= 2000
+
+
+def test_clique_bounds_finish_mv_searches_on_shadows():
+    # mu(S(C_n)) = n.  Without the clique bound, MV S(C_22) took 14,438
+    # nodes and IMV S(tree:30:seed=1) 212,060.
+    r = max_set(SetProperty.MV, shadow(_family("cycle:22")).graph)
+    assert r.exact and r.value == 22 and r.nodes_explored <= 1000
+    r = max_set(SetProperty.IMV, shadow(_family("tree:30:seed=1")).graph, budget=10_000)
+    assert r.exact and r.value == 32
+
+
+def _certified(checker, prop):
+    # The exact forward check, by heredity: x survives exactly when the set
+    # with x passes the certifier.
+    class Certified(checker):
+        def survivors(self, cands, need=0):
+            return [x for x in cands if check_property(prop, self.g, self.t, self.mask | 1 << x)]
+    return Certified
+
+
+@pytest.mark.parametrize("prop, spec, checker", [
+    (SetProperty.MV, "cycle:14", _MvChecker), (SetProperty.MV, "balloon:2", _MvChecker),
+    (SetProperty.GP, "cycle:40", _GpChecker)])
+def test_certifier_replay_visits_the_same_nodes(prop, spec, checker):
+    # With the certifier in place of the forward check, the search meets the
+    # same value, witness and node count: the filters and the clique bounds
+    # agree with the certifier at every node visited.
+    g = shadow(_family(spec)).graph
+    r = max_set(prop, g)
+    certified = _certified(checker, prop)(g, distances(g))
+    replay = _MaxSetSearch(certified, DEFAULT_NODE_BUDGET, float("inf"))
+    assert replay.exact and r.exact
+    assert replay.witness == r.witness and replay.nodes == r.nodes_explored
 
 
 def test_tmv_root_holds_only_vertices_that_stand_alone():
@@ -284,7 +321,7 @@ def test_heuristic_is_valid_deterministic_and_bounded():
             assert check_property(prop, g, distances(g), h1.witness)
 
 
-def test_heuristic_restarts_finish_exact_on_small_graphs():
+def test_a_finished_heuristic_run_is_the_exact_search():
     # Every connected graph of order 2..6 and its shadow: a heuristic run
     # that finishes is the exact search, with its witness and node count.
     bases = [g for g in enumerate_connected(6) if g.n > 1]
