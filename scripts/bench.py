@@ -19,8 +19,9 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
   search stopped at the row's ``time_budget`` in seconds.
 - ``covers``: ip, ic and chi on every connected graph of order 2..7 up to
   isomorphism, ic on the shadows of those of order 2..6, ic on K_8, K_9,
-  K_10, K_14 and K_{4,5,5}, and ip on K_{30,30}, the best of ``repeat``
-  runs per set.
+  K_10, K_14 and K_{4,5,5}, ip on K_{30,30}, and ic and chi on S(C_8..12),
+  S(balloon:2) and S(balloon:3), the best of ``repeat`` runs per set.  A
+  tree that refuses a graph records the refusal.
 - ``metric``: ``distances(g)`` alone and followed by a read of ``.between``,
   the best of ``repeat`` runs each, on the seed-0 ``lemma-large`` graphs and
   their shadows, S(C_40) and the 160 ``search`` trees; then the distance
@@ -151,9 +152,13 @@ def _heuristic(prop: str, gs: list, settings: dict) -> dict:
 
 def _cover(prop: str, gs: list, settings: dict) -> dict:
     from shadowpos import solvers
+    from shadowpos.graph_core import GraphError
     solve = {"ip": solvers.isometric_path_cover, "ic": solvers.isometric_cycle_cover,
              "chi": solvers.chromatic_number}[prop]
-    reports, s = best_of(lambda: [solve(g) for g in gs], settings["repeat"])
+    try:
+        reports, s = best_of(lambda: [solve(g) for g in gs], settings["repeat"])
+    except GraphError as exc:  # an order cap of an older tree
+        return {"graphs": len(gs), "refused": str(exc)}
     return {"graphs": len(gs), **_totals(reports), "best_s": round(s, 4),
             "sha256": sha(json.dumps([[r.value, r.witness_vertices(), r.exact, r.coverable]
                                       for r in reports]))}
@@ -236,7 +241,10 @@ ROWS = {
     "covers": Row("sets", {"repeat": 3}, (
         ("ip", "G"), ("ic", "G"), ("chi", "G"), ("ic", "S(G)"), ("ic", "complete:8"),
         ("ic", "complete:9"), ("ic", "complete:10"), ("ic", "complete:14"),
-        ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30")), _cover),
+        ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30"), *(
+            (prop, f"S({spec})") for spec in ("cycle:8", "cycle:9", "cycle:10", "cycle:11",
+                                             "cycle:12", "balloon:2", "balloon:3")
+            for prop in ("ic", "chi"))), _cover),
     "metric": Row("instances", {"repeat": 3}, (
         (None, "lemma"), (None, "S(cycle:40)"), (None, "S(T)")), _metric,
         extra=_table_counts, agree="table_sha256"),

@@ -1,9 +1,9 @@
 """Command-line entry point: compute invariants, transform graphs, replay suites.
 
 Exit codes: 0 success, 2 parse error, 3 precondition failure (disconnected
-input, size cap), 4 budget exhausted in --exact mode, 5 unwritable output
-path.  All JSON records state the twin-index convention explicitly so
-serialized witnesses are unambiguous.
+input, or a verify range that is empty or past order 7), 4 budget exhausted
+in --exact mode, 5 unwritable output path.  All JSON records state the
+twin-index convention explicitly so serialized witnesses are unambiguous.
 """
 
 from __future__ import annotations

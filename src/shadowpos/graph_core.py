@@ -260,11 +260,10 @@ def is_connected(g: Graph) -> bool:
 
 def structural_queries(g: Graph) -> StructuralSummary:
     """Exact basic structure: connectivity, diameter, degrees, leaves, etc."""
-    n = g.n
+    n, t = g.n, shared_distances(g)
     degs = [g.degree(u) for u in range(n)]
-    # The largest eccentricity; INF from a source whose layers miss a vertex.
-    diameter = max((len(ls) - 1 if sum(map(int.bit_count, ls)) == n else INF
-                    for ls in (_bfs_layers(g.adj, s) for s in range(n))), default=0)
+    connected = n == 0 or INF not in t.d[0]
+    diameter = max((len(ls) - 1 for ls in t.layers), default=0) if connected else INF
     leaves = mask_of(u for u in range(n) if degs[u] == 1)
     tri_free = True
     for u in range(n):
@@ -275,7 +274,7 @@ def structural_queries(g: Graph) -> StructuralSummary:
         if not tri_free:
             break
     return StructuralSummary(
-        connected=diameter != INF,
+        connected=connected,
         diameter=diameter,
         min_degree=min(degs) if n else 0,
         max_degree=max(degs) if n else 0,

@@ -20,9 +20,10 @@ The one other search is an exact minimum set cover.  It serves the
 isometric path and cycle covers and the chromatic number, a minimum cover
 of the vertices by maximal independent sets.
 
-Both searches have the same two stopping rules, a node budget and a
-wall-clock deadline; a stopped search reports the best set or cover it
-holds, a certified bound, with ``exact`` False.  The heuristic is nothing
+Both searches, and the enumeration of a cover's parts, have the same two
+stopping rules, a node budget and a wall-clock deadline; a stopped search
+reports the best set or cover it holds, a certified bound, with ``exact``
+False.  The heuristic is nothing
 more than the exact search under a deadline.  :func:`solve` is the one
 exact entry by invariant code over both searches.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph_core import (
     DistanceTable,
@@ -49,11 +50,6 @@ from .graph_core import (
 from .visibility import SetProperty, check as check_property, is_independent
 
 DEFAULT_NODE_BUDGET = 10**8
-
-# Most inclusion-maximal geodesic vertex sets the path cover enumerates; past
-# it every single vertex joins them and the cover is reported with
-# ``exact=False``.
-GEODESIC_CAP = 200_000
 
 _PROPERTY_CODE = {
     SetProperty.GP: "gp",
@@ -97,7 +93,8 @@ class InvariantReport:
     sequences for covers, and a list of color classes for the chromatic
     number.  ``exact`` is False when a node/time budget ran out, in which
     case ``value`` is a certified bound (lower for max problems, upper for
-    covers).  ``coverable`` only matters for cycle covers.
+    covers).  ``coverable`` only matters for cycle covers; a cycle cover cut
+    before its cycles cover V has no witness and stays ``coverable``.
     """
 
     invariant: str
@@ -134,9 +131,9 @@ class BudgetExhausted(Exception):
 class _Search:
     """The two stopping rules of both searches: at most ``budget`` nodes, and
     no node once the clock reads past ``deadline`` (a
-    :func:`time.perf_counter` reading).  The clock is read at node 1 and
-    every 64 nodes after it, so the work up to the next read may run past
-    the deadline.  ``exact`` is False when either rule stopped the search.
+    :func:`time.perf_counter` reading).  With a finite deadline the clock is
+    read at every node, so only the work of one node runs past it.
+    ``exact`` is False when either rule stopped the search.
     """
 
     def __init__(self, budget: int, deadline: float):
@@ -147,8 +144,7 @@ class _Search:
 
     def _node(self) -> None:
         self.nodes += 1
-        if self.nodes > self.budget or (self.nodes & 63 == 1
-                                        and time.perf_counter() > self.deadline):
+        if self.nodes > self.budget or self.deadline < INF and time.perf_counter() > self.deadline:
             raise BudgetExhausted
 
     def _run(self, *args) -> None:
@@ -520,19 +516,19 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 # Isometric path / cycle covers
 
+# A part a cover may take: its vertex mask and a vertex sequence on it.
+Part = tuple[VertexMask, tuple[int, ...]]
 
-def _enumerate_geodesics(g: Graph, t: DistanceTable) -> tuple[dict[int, tuple[int, ...]], bool]:
-    """Every inclusion-maximal geodesic vertex set, as mask -> one geodesic.
+
+def _enumerate_geodesics(g: Graph, t: DistanceTable, tick: Callable[[], None]) -> Iterator[Part]:
+    """Every inclusion-maximal geodesic vertex set, with one geodesic on it.
 
     A geodesic's vertex set lies inside another's exactly when one of its
     ends has a neighbour one step further from the other end.  So only the
     pairs u <= v with no such neighbour are walked: each of their geodesics
     is maximal, and no two share a vertex set.  K_1's pair (0, 0) gives its
-    one vertex.  Returns (mapping, complete).  Past ``GEODESIC_CAP`` sets
-    the walk stops with ``complete`` False, and every single vertex joins
-    the sets found, so they still cover V.
+    one vertex.  ``tick`` is called at each step of the walk.
     """
-    paths: dict[int, tuple[int, ...]] = {}
     for u in range(g.n):
         lu = t.layers[u]
         for v in range(u, g.n):
@@ -543,37 +539,37 @@ def _enumerate_geodesics(g: Graph, t: DistanceTable) -> tuple[dict[int, tuple[in
                 continue
             stack = [(u, (u,))]
             while stack:
+                tick()
                 x, seq = stack.pop()
                 if x == v:
-                    if len(paths) >= GEODESIC_CAP:
-                        return {**paths, **{1 << w: (w,) for w in range(g.n)}}, False
-                    paths[mask_of(seq)] = seq
+                    yield mask_of(seq), seq
                     continue
                 # y extends the path to hop k = len(seq) of the u,v-geodesic DAG.
                 k = len(seq)
                 for y in iter_bits(g.adj[x] & lu[k] & lv[duv - k]):
                     stack.append((y, seq + (y,)))
-    return paths, True
 
 
 class _SetCoverSearch(_Search):
     """Branch and bound for the fewest ``masks`` covering ``universe``.
 
-    It seeds itself with the greedy cover, then must beat it.  A node is one
-    branching on a still uncovered vertex.  When the search stops early,
-    ``best`` is the smallest cover found, an upper bound.
+    :meth:`search` seeds it with the greedy cover, which it must then beat
+    unless the enumeration of the parts was ``cut``.  A node is one
+    branching on a still uncovered vertex, or one step of that enumeration
+    (see :func:`_min_cover`).  When the search stops early, ``best`` is the
+    smallest cover found, an upper bound.
     """
 
-    def __init__(self, universe: int, masks: list[int], budget: int, deadline: float):
-        super().__init__(budget, deadline)
+    def search(self, universe: int, masks: list[int], cut: bool) -> None:
         self.masks = masks
-        # holders[v]: the indices of the parts that hold v, in ``masks`` order.
-        self.holders: list[list[int]] = [[] for _ in range(universe.bit_length())]
-        for i, m in enumerate(masks):
-            for v in iter_bits(m):
-                self.holders[v].append(i)
         self.best = self._greedy(universe)
-        self._run(universe, [])
+        if not cut:
+            # holders[v]: the indices of the parts that hold v, in ``masks`` order.
+            self.holders: list[list[int]] = [[] for _ in range(universe.bit_length())]
+            for i, m in enumerate(masks):
+                for v in iter_bits(m):
+                    self.holders[v].append(i)
+            self._run(universe, [])
 
     def _greedy(self, uncovered: int) -> list[int]:
         chosen = []
@@ -602,20 +598,31 @@ class _SetCoverSearch(_Search):
             chosen.pop()
 
 
-def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[int, tuple],
-               exact: bool, start: float, budget: int, time_budget: float,
-               disjoint: bool = False) -> InvariantReport:
-    """Fewest of ``sets`` (vertex mask -> vertex sequence) that cover every vertex.
+def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable],
+               parts: Callable[[Callable[[], None]], Iterator[Part]], start: float,
+               budget: int, time_budget: float, disjoint: bool = False) -> InvariantReport:
+    """Fewest of the parts ``parts(tick)`` yields that cover every vertex.
 
     No part lies inside another (geodesics and independent sets are maximal,
-    isometric cycles induced), so the search takes them all.  If their union
-    misses a vertex the instance is not coverable; the report flags that
-    instead of inventing a value.  With ``disjoint`` each vertex
-    stays only in the first chosen set that holds it.  The reported cover is
-    certified by :func:`_certify_cover`, with the same ``disjoint``; it is
-    an upper bound with ``exact=False`` when the node ``budget`` ran out or
-    the clock read ``time_budget`` seconds past ``start``.
+    isometric cycles induced), so the search takes them all.  ``tick``
+    counts each step of the enumeration as a search node.  A cut enumeration
+    leaves the greedy cover of the parts found, with every single vertex
+    added for ip and chi.  A cut ic whose cycles miss a vertex has no
+    witness; a finished one flags the instance as not coverable.  With
+    ``disjoint`` each vertex stays only in the first chosen set that holds
+    it.  The cover is certified by :func:`_certify_cover`, with the same
+    ``disjoint``, and is an upper bound with ``exact=False`` when cut.
     """
+    cover = _SetCoverSearch(budget, start + time_budget)
+    sets: dict[VertexMask, tuple] = {}
+    cut = False
+    try:
+        for mask, seq in parts(cover._node):
+            sets[mask] = seq
+    except BudgetExhausted:
+        cut = True
+        if invariant != "ic":  # a single vertex is a geodesic and an independent set
+            sets.update((1 << v, (v,)) for v in range(g.n))
     # Largest first.  This exact expression fixes the order of ties, and so every
     # witness and node count; ``set(sets)`` sizes its hash table differently.
     masks = sorted(set(list(sets)), key=lambda m: -m.bit_count())
@@ -623,9 +630,9 @@ def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[
     for m in masks:
         covered |= m
     if covered != g.vertex_mask():
-        return InvariantReport(invariant=invariant, value=0, witness=None, exact=True,
-                               coverable=False, elapsed=time.perf_counter() - start)
-    cover = _SetCoverSearch(g.vertex_mask(), masks, budget, start + time_budget)
+        return InvariantReport(invariant, 0, exact=not cut, nodes_explored=cover.nodes,
+                               coverable=cut, elapsed=time.perf_counter() - start)
+    cover.search(g.vertex_mask(), masks, cut)
     witness = [sets[masks[i]] for i in cover.best]
     if disjoint:
         taken = 0
@@ -633,7 +640,7 @@ def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable], sets: dict[
             witness[i] = tuple(v for v in part if not taken >> v & 1)
             taken |= mask_of(part)
     report = InvariantReport(invariant=invariant, value=len(witness), witness=witness,
-                             exact=exact and cover.exact, nodes_explored=cover.nodes,
+                             exact=cover.exact, nodes_explored=cover.nodes,
                              elapsed=time.perf_counter() - start)
     return _certify_cover(report, g, t, disjoint)
 
@@ -678,24 +685,25 @@ def isometric_path_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
                          time_budget: float = INF) -> InvariantReport:
     """Fewest geodesics covering all vertices: a set cover over the maximal ones."""
     start, t = _connected_table(g, "path cover")
-    paths, complete = _enumerate_geodesics(g, t)
-    return _min_cover("ip", g, t, paths, complete, start, budget, time_budget)
+    return _min_cover("ip", g, t, lambda tick: _enumerate_geodesics(g, t, tick), start, budget,
+                      time_budget)
 
 
-def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[int, ...]]:
-    """All isometric cycles, as mask -> one representative vertex sequence.
+def _enumerate_isometric_cycles(g: Graph, t: DistanceTable,
+                                tick: Callable[[], None]) -> Iterator[Part]:
+    """All isometric cycles, each with one vertex sequence around it.
 
     Cycles are enumerated with the smallest vertex first and orientation
     fixed by second < last, so each cycle appears once.  An isometric cycle
     has no chord, so a path never takes a vertex next to one of its inner
     vertices, and stops growing once its last vertex neighbours the first.
+    ``tick`` is called at each step of the walk.
     """
-    out: dict[int, tuple[int, ...]] = {}
-    n = g.n
-    for s in range(n):
+    for s in range(g.n):
         allowed = g.vertex_mask() & ~((1 << (s + 1)) - 1)
         stack = [((s,), 1 << s)]
         while stack:
+            tick()
             path, mask = stack.pop()
             last = path[-1]
             closed = len(path) >= 3 and g.adj[last] >> s & 1
@@ -703,10 +711,8 @@ def _enumerate_isometric_cycles(g: Graph, t: DistanceTable) -> dict[int, tuple[i
             for y in iter_bits(0 if closed else g.adj[last] & allowed & ~mask):
                 if not g.adj[y] & inner:
                     stack.append((path + (y,), mask | (1 << y)))
-            if closed and path[1] < path[-1]:
-                if mask not in out and _is_isometric_cycle(g, t, path):
-                    out[mask] = path
-    return out
+            if closed and path[1] < path[-1] and _is_isometric_cycle(g, t, path):
+                yield mask, path
 
 
 def isometric_cycle_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
@@ -717,29 +723,29 @@ def isometric_cycle_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     coverable; the report flags that instead of inventing a value.
     """
     start, t = _connected_table(g, "cycle cover")
-    if g.n > 14:
-        raise GraphError(f"cycle cover capped at 14 vertices, got {g.n}")
-    return _min_cover("ic", g, t, _enumerate_isometric_cycles(g, t), True, start, budget,
-                      time_budget)
+    return _min_cover("ic", g, t, lambda tick: _enumerate_isometric_cycles(g, t, tick), start,
+                      budget, time_budget)
 
 
 # ---------------------------------------------------------------------------
 # Chromatic number
 
 
-def _maximal_independent_sets(g: Graph) -> Iterator[VertexMask]:
-    """Every maximal independent set, once each.
+def _maximal_independent_sets(g: Graph, tick: Callable[[], None]) -> Iterator[Part]:
+    """Every maximal independent set, once each, with its vertices in order.
 
     Bron-Kerbosch with a pivot over the complement's rows: a maximal clique
     of the complement is a maximal independent set.  ``r`` is the set so
     far, ``p`` the vertices that may extend it, ``x`` those already tried.
+    ``tick`` is called at each call.
     """
     full = g.vertex_mask()
     co = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
 
-    def expand(r: int, p: int, x: int) -> Iterator[VertexMask]:
+    def expand(r: int, p: int, x: int) -> Iterator[Part]:
+        tick()
         if not p | x:
-            yield r
+            yield r, tuple(iter_bits(r))
             return
         pivot = max(iter_bits(p | x), key=lambda u: (co[u] & p).bit_count())
         for v in iter_bits(p & ~co[pivot]):
@@ -754,15 +760,9 @@ def chromatic_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
                      time_budget: float = INF) -> InvariantReport:
     """Exact chromatic number: the fewest maximal independent sets covering V.
 
-    Moon-Moser bounds the number of maximal independent sets by 3^(n/3), 324
-    at the 16-vertex cap.  The witness lists colour classes: each vertex
-    takes the first chosen set that holds it.  A minimum cover has no
-    redundant set, so no class is empty; the classes are certified as a
-    disjoint cover.
+    The witness lists colour classes: each vertex takes the first chosen set
+    that holds it.  A minimum cover has no redundant set, so no class is
+    empty; the classes are certified as a disjoint cover.
     """
-    if g.n > 16:
-        raise GraphError(f"chromatic number capped at 16 vertices, got {g.n}")
-    start = time.perf_counter()
-    sets = {m: tuple(iter_bits(m)) for m in _maximal_independent_sets(g)}
-    return _min_cover("chi", g, None, sets, True, start, budget, time_budget, disjoint=True)
-
+    return _min_cover("chi", g, None, lambda tick: _maximal_independent_sets(g, tick),
+                      time.perf_counter(), budget, time_budget, disjoint=True)

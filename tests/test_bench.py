@@ -22,7 +22,8 @@ _spec.loader.exec_module(bench)
 
 SLICE = {
     "covers": (("ic", "complete:8"), ("ic", "complete:9"), ("ic", "complete:10"),
-               ("ic", "complete:14"), ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30")),
+               ("ic", "complete:14"), ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30"),
+               ("ic", "S(cycle:8)"), ("chi", "S(cycle:9)")),
     "metric": ((None, "S(cycle:40)"), (None, "lemma")),
     "max_set": (("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"),
                 ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)")),

@@ -344,13 +344,16 @@ def test_heuristic_deadline_cuts_like_the_node_budget(monkeypatch):
     # The start reads tick 0 and the 40 joins of the seed, the twin set of
     # S(C_40), ticks 1..40.  A deadline at 40.5 lets the seed finish and
     # stops the search at node 1, as the exact search stops at node budget 0.
-    _tick_clock(monkeypatch)
+    # Each node reads the clock, so a deadline at 43.5 stops it at node 4,
+    # as node budget 3 does.
     g = shadow(_family("cycle:40")).graph
-    h = max_set_heuristic(SetProperty.MV, g, time_budget=40.5)
-    r = max_set(SetProperty.MV, g, budget=0)
-    assert not h.exact and not r.exact
-    assert h.nodes_explored == r.nodes_explored == 1
-    assert h.witness == r.witness
+    for budget in (0, 3):
+        _tick_clock(monkeypatch)
+        h = max_set_heuristic(SetProperty.MV, g, time_budget=40.5 + budget)
+        r = max_set(SetProperty.MV, g, budget=budget)
+        assert not h.exact and not r.exact
+        assert h.nodes_explored == r.nodes_explored == budget + 1
+        assert h.witness == r.witness
 
 
 def test_heuristic_cut_at_its_first_node_reports_the_seed(monkeypatch):
@@ -377,24 +380,50 @@ def test_cover_budget_exhaustion_reports_upper_bound():
     r = isometric_path_cover(g, budget=2000)
     assert not r.exact and r.nodes_explored == 2001
     assert r.value == len(r.witness) >= 8  # its 15 leaves need 8 paths
-    # At budget 0 each cover stops at its root node with the greedy cover.
+    # At budget 0 each cover stops at the first step of its enumeration.  ip
+    # and chi take every single vertex as a part; ic has no cycle yet, so it
+    # has no witness, and it never claims that C_5 has no cycle cover.
     c5 = _family("cycle:5")
-    for cover in (isometric_path_cover, isometric_cycle_cover, chromatic_number):
-        r, full = cover(c5, budget=0), cover(c5)
-        assert not r.exact and r.nodes_explored == 1 and full.exact
-        assert r.value >= full.value
+    for cover in (isometric_path_cover, chromatic_number):
+        r = cover(c5, budget=0)
+        assert not r.exact and r.nodes_explored == 1
+        assert r.value == 5 and r.witness == [(v,) for v in range(5)]
+    r = isometric_cycle_cover(c5, budget=0)
+    assert not r.exact and r.nodes_explored == 1
+    assert r.coverable and r.witness is None
 
 
-def test_isometric_path_cover_past_the_geodesic_cap(monkeypatch):
-    # The star K_{1,4} has six maximal geodesics, leaf-centre-leaf.  A cap
-    # of one stops after the first, 1-0-2, and every single vertex joins it,
-    # so the cover is the upper bound 3 rather than the exact 2.
-    monkeypatch.setattr(solvers, "GEODESIC_CAP", 1)
+def test_isometric_path_cover_cut_in_its_walk():
+    # The star K_{1,4} has six maximal geodesics, leaf-centre-leaf.  Three
+    # steps walk the first, 1-0-2, and the fourth runs out of budget; every
+    # single vertex joins it, so the cover is the upper bound 3, not the
+    # exact 2.
     g = _family("star:4")
-    r = isometric_path_cover(g)
-    assert r.exact is False and r.coverable
+    r = isometric_path_cover(g, budget=3)
+    assert r.exact is False and r.coverable and r.nodes_explored == 4
     assert r.value == 3 and r.witness == [(1, 0, 2), (3,), (4,)]
     assert sorted(v for path in r.witness for v in path) == list(range(g.n))
+    assert isometric_path_cover(g).value == 2
+
+
+@pytest.mark.parametrize("cover, budget, witness", [
+    (isometric_path_cover, 3, [(0, 1, 2), (3,), (4,)]),
+    (isometric_cycle_cover, 9, [(0, 1, 2, 3, 4)]),
+    (chromatic_number, 3, [(0, 2), (1,), (3,), (4,)]),
+])
+def test_covers_cut_in_their_enumeration(monkeypatch, cover, budget, witness):
+    # A cover cut in its enumeration takes the greedy cover of the parts it
+    # found, with every single vertex for ip and chi; the 5-cycle, found at
+    # step 9 of the cycle walk, covers C_5 alone.  The cover start reads
+    # clock tick 0 and each step one more, so a deadline half a tick past
+    # the budget cuts at the same step.
+    c5 = _family("cycle:5")
+    r = cover(c5, budget=budget)
+    assert not r.exact and r.coverable and r.nodes_explored == budget + 1
+    assert r.witness == witness and r.value == len(witness) >= cover(c5).value
+    _tick_clock(monkeypatch)
+    h = cover(c5, time_budget=budget + 0.5)
+    assert not h.exact and h.nodes_explored == budget + 1 and h.witness == witness
 
 
 def test_isometric_path_cover_values():
@@ -426,6 +455,10 @@ def test_isometric_path_cover_is_a_cover_of_geodesics():
         assert len(r.witness) == r.value
 
 
+def _no_tick():
+    pass
+
+
 def _antichain(masks):
     return not any(a != b and a & b == a for a in masks for b in masks)
 
@@ -440,17 +473,17 @@ def test_covers_take_only_maximal_parts():
         geodesic_sets = {mask_of(p) for u in range(g.n) for v in range(g.n)
                          for p in all_geodesics(g, t.d, u, v)}
         maximal = {m for m in geodesic_sets if not any(m != k and m & k == m for k in geodesic_sets)}
-        paths, complete = solvers._enumerate_geodesics(g, t)
-        assert complete and set(paths) == maximal, g.edges()
+        paths = dict(solvers._enumerate_geodesics(g, t, _no_tick))
+        assert set(paths) == maximal, g.edges()
         for mask, seq in paths.items():
             assert mask_of(seq) == mask and seq in all_geodesics(g, t.d, seq[0], seq[-1])
-        if g.n <= 14:
-            assert _antichain(list(solvers._enumerate_isometric_cycles(g, t))), g.edges()
-        assert _antichain(list(_maximal_independent_sets(g))), g.edges()
+        cycles = dict(solvers._enumerate_isometric_cycles(g, t, _no_tick))
+        assert _antichain(list(cycles)), g.edges()
+        assert _antichain([m for m, _ in _maximal_independent_sets(g, _no_tick)]), g.edges()
     k1 = build_graph(1, [])
-    assert solvers._enumerate_geodesics(k1, distances(k1)) == ({1: (0,)}, True)
+    assert list(solvers._enumerate_geodesics(k1, distances(k1), _no_tick)) == [(1, (0,))]
     big = shadow(_family("tree:40:seed=1")).graph
-    assert len(solvers._enumerate_geodesics(big, distances(big))[0]) == 22_821
+    assert len(list(solvers._enumerate_geodesics(big, distances(big), _no_tick))) == 22_821
 
 
 def test_isometric_cycle_cover_values():
@@ -498,7 +531,7 @@ broken = {
     "non-geodesic path": lambda: _certify_cover(
         InvariantReport("ip", 1, [(0, 1, 2, 3)]), c4, t4),
     "one vertex filed under mask 3": lambda: _min_cover(
-        "ip", p2, distances(p2), {0b11: (0,)}, True, 0.0, 10, float("inf")),
+        "ip", p2, distances(p2), lambda tick: [(0b11, (0,))], 0.0, 10, float("inf")),
     "non-isometric cycle": lambda: _certify_cover(
         InvariantReport("ic", 1, [(0, 1, 2, 3, 4, 5)]), c6_chord, t6),
     "class holding an edge": lambda: _certify_cover(
@@ -583,7 +616,9 @@ def test_maximal_independent_sets_each_once():
             independent = all(not g.adj[v] & s for v in iter_bits(s))
             if independent and all(g.adj[v] & s for v in range(g.n) if not s >> v & 1):
                 expected.append(s)
-        assert sorted(_maximal_independent_sets(g)) == expected, (g.n, g.edges())
+        found = list(_maximal_independent_sets(g, _no_tick))
+        assert all(seq == tuple(iter_bits(m)) for m, seq in found)
+        assert sorted(m for m, _ in found) == expected, (g.n, g.edges())
 
 
 def test_chromatic_witness_is_a_proper_coloring():

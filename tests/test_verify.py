@@ -112,10 +112,11 @@ def test_budget_exhaustion_has_one_skipped_shape():
 
 
 def test_ip_ic_bounds_spends_the_suite_budget_on_the_covers():
-    # GP on Fsb~w takes 11 nodes and its ic cover 16, so only the cover runs out.
+    # GP on Fsb~w takes 7 nodes, its ip cover 49 and its ic cover 76, the
+    # steps of their enumerations included, so only the ic cover runs out.
     check = SUITES["ip-ic-bounds"].check_instance
-    assert check(verify._GraphProfile("Fsb~w", 16)).status == PASS
-    r = check(verify._GraphProfile("Fsb~w", 15))
+    assert check(verify._GraphProfile("Fsb~w", 76)).status == PASS
+    r = check(verify._GraphProfile("Fsb~w", 75))
     assert r.status == SKIPPED and r.actual == "budget exhausted" and r.graph6 == "Fsb~w"
 
 
