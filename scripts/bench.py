@@ -11,14 +11,15 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
 - ``max_set``: exact ``max_set`` under the row's node ``budget``, the best of
   ``repeat`` runs, on MV S(C_14), S(C_18), S(C_22), S(C_26), S(balloon:3),
   GP S(C_18), S(C_40), S(C_60), S(tree:40:seed=1), IGP and IMV
-  S(tree:30:seed=1), TMV S(tree:14:seed=3), ITMV S(tree:16:seed=1), and MV
-  on the 160 seed-0 trees of the ``search`` workload as one batch.  The
-  budget lets an older tree that cannot finish an instance record it as not
-  exact.
+  S(tree:30:seed=1), TMV S(tree:14:seed=3), ITMV S(tree:16:seed=1), MV on
+  the 160 seed-0 trees of the ``search`` workload as one batch, and all six
+  properties on every connected graph of order 2..7 up to isomorphism and
+  on the shadows of those of order 2..6.  The budget lets an older tree
+  that cannot finish an instance record it as not exact.
 - ``heuristic``: one ``max_set_heuristic`` run per instance, the exact
   search stopped at the row's ``time_budget`` in seconds.
 - ``covers``: ip, ic and chi on every connected graph of order 2..7 up to
-  isomorphism, ic on the shadows of those of order 2..6, ic on K_8, K_9,
+  isomorphism and on the shadows of those of order 2..6, ic on K_8, K_9,
   K_10, K_14 and K_{4,5,5}, ip on K_{30,30}, and ic and chi on S(C_8..12),
   S(balloon:2) and S(balloon:3), the best of ``repeat`` runs per set.  A
   tree that refuses a graph records the refusal.
@@ -225,7 +226,9 @@ ROWS = {
         ("GP", "S(cycle:18)"), ("GP", "S(cycle:40)"), ("GP", "S(cycle:60)"),
         ("GP", "S(tree:40:seed=1)"), ("IGP", "S(tree:30:seed=1)"),
         ("IMV", "S(tree:30:seed=1)"), ("TMV", "S(tree:14:seed=3)"),
-        ("ITMV", "S(tree:16:seed=1)"), ("MV", "S(T)")),
+        ("ITMV", "S(tree:16:seed=1)"), ("MV", "S(T)"),
+        *((prop, spec) for spec in ("G", "S(G)")
+          for prop in ("GP", "IGP", "MV", "IMV", "TMV", "ITMV"))),
         _max_set),
     "heuristic": Row("instances", {"time_budget": 1.0}, tuple(
         (prop, f"S({spec})") for prop, spec in (
@@ -239,9 +242,9 @@ ROWS = {
             ("TMV", "tree:14:seed=3"), ("TMV", "balloon:2"),
             ("ITMV", "tree:16:seed=1"), ("ITMV", "tree:30:seed=1"))), _heuristic),
     "covers": Row("sets", {"repeat": 3}, (
-        ("ip", "G"), ("ic", "G"), ("chi", "G"), ("ic", "S(G)"), ("ic", "complete:8"),
-        ("ic", "complete:9"), ("ic", "complete:10"), ("ic", "complete:14"),
-        ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30"), *(
+        ("ip", "G"), ("ic", "G"), ("chi", "G"), ("ip", "S(G)"), ("ic", "S(G)"),
+        ("chi", "S(G)"), ("ic", "complete:8"), ("ic", "complete:9"), ("ic", "complete:10"),
+        ("ic", "complete:14"), ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30"), *(
             (prop, f"S({spec})") for spec in ("cycle:8", "cycle:9", "cycle:10", "cycle:11",
                                              "cycle:12", "balloon:2", "balloon:3")
             for prop in ("ic", "chi"))), _cover),

@@ -16,16 +16,15 @@ vertices, first; the search starts one below it.  It takes the vertices in
 order ``0..n-1``, so every exact witness is the lexicographically smallest
 maximum set.
 
-The one other search is an exact minimum set cover.  It serves the
-isometric path and cycle covers and the chromatic number, a minimum cover
-of the vertices by maximal independent sets.
+Two other searches are exact: a minimum set cover serves the isometric
+path and cycle covers, and a DSATUR colouring search the chromatic number.
 
-Both searches, and the enumeration of a cover's parts, have the same two
-stopping rules, a node budget and a wall-clock deadline; a stopped search
-reports the best set or cover it holds, a certified bound, with ``exact``
-False.  The heuristic is nothing
+All three searches, and the enumeration of a cover's parts, have the same
+two stopping rules, a node budget and a wall-clock deadline; a stopped search
+reports the best set, cover or colouring it holds, a certified bound, with
+``exact`` False.  The heuristic is nothing
 more than the exact search under a deadline.  :func:`solve` is the one
-exact entry by invariant code over both searches.
+exact entry by invariant code over the three searches.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .graph_core import (
     mask_to_sorted_list,
     shared_distances,
 )
-from .visibility import SetProperty, check as check_property, is_independent
+from .visibility import SetProperty, check as check_property
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -76,12 +75,12 @@ def property_for_code(code: str) -> SetProperty:
 def solve(code: str, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
           time_budget: float = INF) -> InvariantReport:
     """The report of ``code``, one of ``INVARIANT_CODES``, on ``g``: a
-    :func:`max_set` or a cover search, under a node ``budget`` and a
-    ``time_budget`` in seconds.  The covers are looked up per call, so a
-    function put in place of one of this module's solvers sees every call."""
-    covers = {"ip": isometric_path_cover, "ic": isometric_cycle_cover, "chi": chromatic_number}
-    if code in covers:
-        return covers[code](g, budget=budget, time_budget=time_budget)
+    :func:`max_set`, a cover or the colouring search, under a node ``budget``
+    and a ``time_budget`` in seconds.  The others are looked up per call, so
+    a function put in place of one of this module's solvers sees every call."""
+    others = {"ip": isometric_path_cover, "ic": isometric_cycle_cover, "chi": chromatic_number}
+    if code in others:
+        return others[code](g, budget=budget, time_budget=time_budget)
     return max_set(property_for_code(code), g, budget=budget, time_budget=time_budget)
 
 
@@ -93,8 +92,9 @@ class InvariantReport:
     sequences for covers, and a list of color classes for the chromatic
     number.  ``exact`` is False when a node/time budget ran out, in which
     case ``value`` is a certified bound (lower for max problems, upper for
-    covers).  ``coverable`` only matters for cycle covers; a cycle cover cut
-    before its cycles cover V has no witness and stays ``coverable``.
+    covers and the chromatic number).  ``coverable`` only matters for cycle
+    covers; a cycle cover cut before its cycles cover V has no witness and
+    stays ``coverable``.
     """
 
     invariant: str
@@ -129,7 +129,7 @@ class BudgetExhausted(Exception):
 
 
 class _Search:
-    """The two stopping rules of both searches: at most ``budget`` nodes, and
+    """The two stopping rules of every search: at most ``budget`` nodes, and
     no node once the clock reads past ``deadline`` (a
     :func:`time.perf_counter` reading).  With a finite deadline the clock is
     read at every node, so only the work of one node runs past it.
@@ -598,30 +598,29 @@ class _SetCoverSearch(_Search):
             chosen.pop()
 
 
-def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable],
-               parts: Callable[[Callable[[], None]], Iterator[Part]], start: float,
-               budget: int, time_budget: float, disjoint: bool = False) -> InvariantReport:
-    """Fewest of the parts ``parts(tick)`` yields that cover every vertex.
+def _min_cover(invariant: str, g: Graph, t: DistanceTable,
+               parts: Callable[[Graph, DistanceTable, Callable[[], None]], Iterator[Part]],
+               start: float, budget: int, time_budget: float) -> InvariantReport:
+    """Fewest of the parts ``parts(g, t, tick)`` yields that cover every vertex.
 
-    No part lies inside another (geodesics and independent sets are maximal,
-    isometric cycles induced), so the search takes them all.  ``tick``
-    counts each step of the enumeration as a search node.  A cut enumeration
-    leaves the greedy cover of the parts found, with every single vertex
-    added for ip and chi.  A cut ic whose cycles miss a vertex has no
-    witness; a finished one flags the instance as not coverable.  With
-    ``disjoint`` each vertex stays only in the first chosen set that holds
-    it.  The cover is certified by :func:`_certify_cover`, with the same
-    ``disjoint``, and is an upper bound with ``exact=False`` when cut.
+    No part lies inside another (geodesics are maximal, isometric cycles
+    induced), so the search takes them all.  ``tick`` counts each step of
+    the enumeration as a search node.  A cut enumeration leaves the greedy
+    cover of the parts found, with every single vertex added for ip.  A cut
+    ic whose cycles miss a vertex has no witness; a finished one flags the
+    instance as not coverable.  The cover is certified by
+    :func:`_certify_cover`, and is an upper bound with ``exact=False`` when
+    cut.
     """
     cover = _SetCoverSearch(budget, start + time_budget)
     sets: dict[VertexMask, tuple] = {}
     cut = False
     try:
-        for mask, seq in parts(cover._node):
+        for mask, seq in parts(g, t, cover._node):
             sets[mask] = seq
     except BudgetExhausted:
         cut = True
-        if invariant != "ic":  # a single vertex is a geodesic and an independent set
+        if invariant == "ip":  # a single vertex is a geodesic
             sets.update((1 << v, (v,)) for v in range(g.n))
     # Largest first.  This exact expression fixes the order of ties, and so every
     # witness and node count; ``set(sets)`` sizes its hash table differently.
@@ -634,15 +633,10 @@ def _min_cover(invariant: str, g: Graph, t: Optional[DistanceTable],
                                coverable=cut, elapsed=time.perf_counter() - start)
     cover.search(g.vertex_mask(), masks, cut)
     witness = [sets[masks[i]] for i in cover.best]
-    if disjoint:
-        taken = 0
-        for i, part in enumerate(witness):
-            witness[i] = tuple(v for v in part if not taken >> v & 1)
-            taken |= mask_of(part)
     report = InvariantReport(invariant=invariant, value=len(witness), witness=witness,
                              exact=cover.exact, nodes_explored=cover.nodes,
                              elapsed=time.perf_counter() - start)
-    return _certify_cover(report, g, t, disjoint)
+    return _certify_cover(report, g, t)
 
 
 def _is_geodesic(g: Graph, t: DistanceTable, seq: Sequence[int]) -> bool:
@@ -658,24 +652,20 @@ def _is_isometric_cycle(g: Graph, t: DistanceTable, cycle: Sequence[int]) -> boo
                           for i, j in itertools.combinations(range(k), 2))
 
 
-_COVER_PART = {"ip": _is_geodesic, "ic": _is_isometric_cycle,
-               "chi": lambda g, t, part: len(part) > 0 and is_independent(g, mask_of(part))}
+_COVER_PART = {"ip": _is_geodesic, "ic": _is_isometric_cycle}
 
 
-def _certify_cover(report: InvariantReport, g: Graph, t: Optional[DistanceTable],
-                   disjoint: bool = False) -> InvariantReport:
+def _certify_cover(report: InvariantReport, g: Graph, t: DistanceTable) -> InvariantReport:
     """Return ``report`` once its witness is checked: ``value`` parts that
-    cover V, each a geodesic (ip), an isometric cycle (ic) or a non-empty
-    independent set (chi), and with ``disjoint`` no two sharing a vertex.
-    The check raises rather than asserts, so it still runs under ``python -O``.
+    cover V, each a geodesic (ip) or an isometric cycle (ic).  The check
+    raises rather than asserts, so it still runs under ``python -O``.
     """
     part_ok = _COVER_PART[report.invariant]
     covered = 0
     for part in report.witness:
-        mask = mask_of(part)
-        if not part_ok(g, t, part) or (disjoint and mask & covered):
+        if not part_ok(g, t, part):
             raise RuntimeError(f"{report.invariant} witness part {list(part)} failed certification")
-        covered |= mask
+        covered |= mask_of(part)
     if covered != g.vertex_mask() or report.value != len(report.witness):
         raise RuntimeError(f"{report.invariant} witness is no cover of V by {report.value} parts")
     return report
@@ -685,8 +675,7 @@ def isometric_path_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
                          time_budget: float = INF) -> InvariantReport:
     """Fewest geodesics covering all vertices: a set cover over the maximal ones."""
     start, t = _connected_table(g, "path cover")
-    return _min_cover("ip", g, t, lambda tick: _enumerate_geodesics(g, t, tick), start, budget,
-                      time_budget)
+    return _min_cover("ip", g, t, _enumerate_geodesics, start, budget, time_budget)
 
 
 def _enumerate_isometric_cycles(g: Graph, t: DistanceTable,
@@ -723,46 +712,70 @@ def isometric_cycle_cover(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     coverable; the report flags that instead of inventing a value.
     """
     start, t = _connected_table(g, "cycle cover")
-    return _min_cover("ic", g, t, lambda tick: _enumerate_isometric_cycles(g, t, tick), start,
-                      budget, time_budget)
+    return _min_cover("ic", g, t, _enumerate_isometric_cycles, start, budget, time_budget)
 
 
 # ---------------------------------------------------------------------------
 # Chromatic number
 
 
-def _maximal_independent_sets(g: Graph, tick: Callable[[], None]) -> Iterator[Part]:
-    """Every maximal independent set, once each, with its vertices in order.
-
-    Bron-Kerbosch with a pivot over the complement's rows: a maximal clique
-    of the complement is a maximal independent set.  ``r`` is the set so
-    far, ``p`` the vertices that may extend it, ``x`` those already tried.
-    ``tick`` is called at each call.
+class _ColourSearch(_Search):
+    """DSATUR branch and bound (Brelaz, *CACM* 1979; San Segundo, *Computers
+    & OR* 2012).  A node gives one colour to the uncoloured vertex with the
+    most distinct colours among its neighbours, ties to the most uncoloured
+    neighbours, then the lowest index.  Each colour it can take is tried in
+    order, a new one last, while the colouring uses fewer than ``best``.
+    ``best`` starts as one class per vertex, so the first descent is greedy
+    DSATUR and a stopped search still holds a proper colouring.
     """
-    full = g.vertex_mask()
-    co = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
 
-    def expand(r: int, p: int, x: int) -> Iterator[Part]:
-        tick()
-        if not p | x:
-            yield r, tuple(iter_bits(r))
+    def __init__(self, g: Graph, budget: int, deadline: float):
+        super().__init__(budget, deadline)
+        self.adj = g.adj
+        self.classes = [0] * g.n  # the first ``used`` are the colour classes
+        self.best = [1 << v for v in range(g.n)]
+        self._run(g.vertex_mask(), 0)
+
+    def _extend(self, uncoloured: VertexMask, used: int) -> None:
+        adj, classes = self.adj, self.classes
+        if not uncoloured:
+            self.best = classes[:used]
             return
-        pivot = max(iter_bits(p | x), key=lambda u: (co[u] & p).bit_count())
-        for v in iter_bits(p & ~co[pivot]):
-            yield from expand(r | 1 << v, p & co[v], x & co[v])
-            p &= ~(1 << v)
-            x |= 1 << v
+        v = max(iter_bits(uncoloured), key=lambda u: (
+            sum(1 for m in classes[:used] if adj[u] & m), (adj[u] & uncoloured).bit_count(), -u))
+        for c in range(used + 1):
+            # A child may have lowered ``best``, so it is read at every colour.
+            if max(c + 1, used) >= len(self.best):
+                return
+            if not adj[v] & classes[c]:
+                self._node()
+                classes[c] |= 1 << v
+                self._extend(uncoloured & ~(1 << v), max(c + 1, used))
+                classes[c] &= ~(1 << v)
 
-    return expand(0, full, 0)
+
+def _certify_colouring(report: InvariantReport, g: Graph) -> InvariantReport:
+    """Return ``report`` once its witness is checked: ``value`` non-empty
+    independent classes that partition V.  The check raises rather than
+    asserts, so it still runs under ``python -O``."""
+    coloured = 0
+    for cls in report.witness:
+        mask = mask_of(cls)
+        if not cls or mask & coloured or any(g.adj[v] & mask for v in cls):
+            raise RuntimeError(f"chi witness class {list(cls)} failed certification")
+        coloured |= mask
+    if coloured != g.vertex_mask() or report.value != len(report.witness):
+        raise RuntimeError(f"chi witness is no colouring of V by {report.value} classes")
+    return report
 
 
 def chromatic_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
                      time_budget: float = INF) -> InvariantReport:
-    """Exact chromatic number: the fewest maximal independent sets covering V.
-
-    The witness lists colour classes: each vertex takes the first chosen set
-    that holds it.  A minimum cover has no redundant set, so no class is
-    empty; the classes are certified as a disjoint cover.
-    """
-    return _min_cover("chi", g, None, lambda tick: _maximal_independent_sets(g, tick),
-                      time.perf_counter(), budget, time_budget, disjoint=True)
+    """Exact chromatic number by :class:`_ColourSearch`; the witness lists
+    the colour classes, each in vertex order.  A stopped search returns the
+    fewest colours it found, an upper bound, with ``exact=False``."""
+    start = time.perf_counter()
+    search = _ColourSearch(g, budget, start + time_budget)
+    witness = [tuple(iter_bits(m)) for m in search.best]
+    return _certify_colouring(InvariantReport("chi", len(witness), witness, search.exact,
+                                              search.nodes, time.perf_counter() - start), g)

@@ -23,10 +23,13 @@ _spec.loader.exec_module(bench)
 SLICE = {
     "covers": (("ic", "complete:8"), ("ic", "complete:9"), ("ic", "complete:10"),
                ("ic", "complete:14"), ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30"),
-               ("ic", "S(cycle:8)"), ("chi", "S(cycle:9)")),
+               ("ic", "S(cycle:8)"), ("chi", "S(cycle:9)"), ("ip", "G"), ("ic", "G"),
+               ("chi", "G"), ("ip", "S(G)"), ("ic", "S(G)"), ("chi", "S(G)")),
     "metric": ((None, "S(cycle:40)"), (None, "lemma")),
     "max_set": (("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"),
-                ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)")),
+                ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)"),
+                *((prop, spec) for spec in ("G", "S(G)")
+                  for prop in ("GP", "IGP", "MV", "IMV", "TMV", "ITMV"))),
     "heuristic": (("TMV", "S(tree:14:seed=3)"), ("GP", "S(kpartite:3,3,3)"),
                   ("MV", "S(kpartite:3,3,3)"), ("TMV", "S(balloon:2)")),
 }

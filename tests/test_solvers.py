@@ -27,7 +27,6 @@ from shadowpos.solvers import (
     _MaxSetSearch,
     _MvChecker,
     _make_checker,
-    _maximal_independent_sets,
     chromatic_number,
     isometric_cycle_cover,
     isometric_path_cover,
@@ -380,8 +379,9 @@ def test_cover_budget_exhaustion_reports_upper_bound():
     r = isometric_path_cover(g, budget=2000)
     assert not r.exact and r.nodes_explored == 2001
     assert r.value == len(r.witness) >= 8  # its 15 leaves need 8 paths
-    # At budget 0 each cover stops at the first step of its enumeration.  ip
-    # and chi take every single vertex as a part; ic has no cycle yet, so it
+    # At budget 0 each cover stops at the first step of its enumeration, and
+    # chi at its first colour.  ip takes every single vertex as a part and
+    # chi keeps its seed, one class per vertex; ic has no cycle yet, so it
     # has no witness, and it never claims that C_5 has no cycle cover.
     c5 = _family("cycle:5")
     for cover in (isometric_path_cover, chromatic_number):
@@ -409,11 +409,10 @@ def test_isometric_path_cover_cut_in_its_walk():
 @pytest.mark.parametrize("cover, budget, witness", [
     (isometric_path_cover, 3, [(0, 1, 2), (3,), (4,)]),
     (isometric_cycle_cover, 9, [(0, 1, 2, 3, 4)]),
-    (chromatic_number, 3, [(0, 2), (1,), (3,), (4,)]),
 ])
 def test_covers_cut_in_their_enumeration(monkeypatch, cover, budget, witness):
     # A cover cut in its enumeration takes the greedy cover of the parts it
-    # found, with every single vertex for ip and chi; the 5-cycle, found at
+    # found, with every single vertex for ip; the 5-cycle, found at
     # step 9 of the cycle walk, covers C_5 alone.  The cover start reads
     # clock tick 0 and each step one more, so a deadline half a tick past
     # the budget cuts at the same step.
@@ -423,6 +422,30 @@ def test_covers_cut_in_their_enumeration(monkeypatch, cover, budget, witness):
     assert r.witness == witness and r.value == len(witness) >= cover(c5).value
     _tick_clock(monkeypatch)
     h = cover(c5, time_budget=budget + 0.5)
+    assert not h.exact and h.nodes_explored == budget + 1 and h.witness == witness
+
+
+# The one connected graph of order <= 7 that greedy DSATUR, the first descent
+# of the colouring search, colours with 4 colours; its chromatic number is 3.
+_GREEDY_MISS = build_graph(7, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 5), (2, 6),
+                               (3, 5), (3, 6), (5, 6)])
+
+
+@pytest.mark.parametrize("budget, witness", [
+    (3, [(v,) for v in range(7)]),
+    (7, [(0, 3), (1, 2), (4, 5), (6,)]),
+])
+def test_chromatic_number_cut_in_its_search(monkeypatch, budget, witness):
+    # A node is one colour given to one vertex.  Cut before its first full
+    # colouring, the search keeps its seed, one class per vertex; cut after
+    # the greedy descent's 7 nodes, it keeps that 4-colouring.  The start
+    # reads clock tick 0 and each node one more, so a deadline half a tick
+    # past the budget cuts at the same node.
+    r = chromatic_number(_GREEDY_MISS, budget=budget)
+    assert not r.exact and r.nodes_explored == budget + 1
+    assert r.witness == witness and r.value == len(witness) > chromatic_number(_GREEDY_MISS).value
+    _tick_clock(monkeypatch)
+    h = chromatic_number(_GREEDY_MISS, time_budget=budget + 0.5)
     assert not h.exact and h.nodes_explored == budget + 1 and h.witness == witness
 
 
@@ -464,8 +487,8 @@ def _antichain(masks):
 
 
 def test_covers_take_only_maximal_parts():
-    # The path cover walks only the maximal geodesics; isometric cycles and
-    # maximal independent sets never nest.  So no cover needs a filter.
+    # The path cover walks only the maximal geodesics; isometric cycles never
+    # nest.  So no cover needs a filter.
     graphs = list(enumerate_connected(6))
     graphs += [shadow(g).graph for g in enumerate_connected(5) if g.n >= 2]
     for g in graphs:
@@ -479,7 +502,6 @@ def test_covers_take_only_maximal_parts():
             assert mask_of(seq) == mask and seq in all_geodesics(g, t.d, seq[0], seq[-1])
         cycles = dict(solvers._enumerate_isometric_cycles(g, t, _no_tick))
         assert _antichain(list(cycles)), g.edges()
-        assert _antichain([m for m, _ in _maximal_independent_sets(g, _no_tick)]), g.edges()
     k1 = build_graph(1, [])
     assert list(solvers._enumerate_geodesics(k1, distances(k1), _no_tick)) == [(1, (0,))]
     big = shadow(_family("tree:40:seed=1")).graph
@@ -517,7 +539,7 @@ def test_isometric_cycle_cover_certificate():
 # Run in-process and under `python -O`: each broken witness must raise.
 _BROKEN_COVERS = """
 from shadowpos.graph_core import build_graph, distances
-from shadowpos.solvers import InvariantReport, _certify_cover, _min_cover
+from shadowpos.solvers import InvariantReport, _certify_colouring, _certify_cover, _min_cover
 
 c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 p2 = build_graph(2, [(0, 1)])
@@ -526,20 +548,22 @@ t4, t6 = distances(c4), distances(c6_chord)
 # Near misses of the broken witnesses below, which must pass.
 _certify_cover(InvariantReport("ip", 2, [(0, 1), (2, 3)]), c4, t4)
 _certify_cover(InvariantReport("ic", 1, [(0, 1, 2, 3)]), c4, t4)
-_certify_cover(InvariantReport("chi", 2, [(0, 2), (1, 3)]), c4, None, disjoint=True)
+_certify_colouring(InvariantReport("chi", 2, [(0, 2), (1, 3)]), c4)
 broken = {
     "non-geodesic path": lambda: _certify_cover(
         InvariantReport("ip", 1, [(0, 1, 2, 3)]), c4, t4),
     "one vertex filed under mask 3": lambda: _min_cover(
-        "ip", p2, distances(p2), lambda tick: [(0b11, (0,))], 0.0, 10, float("inf")),
+        "ip", p2, distances(p2), lambda g, t, tick: [(0b11, (0,))], 0.0, 10, float("inf")),
     "non-isometric cycle": lambda: _certify_cover(
         InvariantReport("ic", 1, [(0, 1, 2, 3, 4, 5)]), c6_chord, t6),
-    "class holding an edge": lambda: _certify_cover(
-        InvariantReport("chi", 2, [(0, 1), (2, 3)]), c4, None, disjoint=True),
-    "overlapping classes": lambda: _certify_cover(
-        InvariantReport("chi", 3, [(0, 2), (1, 3), (2,)]), c4, None, disjoint=True),
-    "empty class": lambda: _certify_cover(
-        InvariantReport("chi", 3, [(0, 2), (1, 3), ()]), c4, None, disjoint=True),
+    "class holding an edge": lambda: _certify_colouring(
+        InvariantReport("chi", 2, [(0, 1), (2, 3)]), c4),
+    "overlapping classes": lambda: _certify_colouring(
+        InvariantReport("chi", 3, [(0, 2), (1, 3), (2,)]), c4),
+    "empty class": lambda: _certify_colouring(
+        InvariantReport("chi", 3, [(0, 2), (1, 3), ()]), c4),
+    "colour count not the value": lambda: _certify_colouring(
+        InvariantReport("chi", 3, [(0, 2), (1, 3)]), c4),
     "cover missing a vertex": lambda: _certify_cover(
         InvariantReport("ip", 2, [(0, 1), (1, 2)]), c4, t4),
     "value not the witness count": lambda: _certify_cover(
@@ -606,19 +630,25 @@ def test_chromatic_number_matches_partition_oracle():
         _assert_proper_coloring(g, r.witness)
 
 
-def test_maximal_independent_sets_each_once():
-    rng = random.Random(71)
-    graphs = list(enumerate_connected(5))
-    graphs += [_random_graph(rng.randint(0, 8), rng) for _ in range(40)]
-    for g in graphs:
-        expected = []
-        for s in range(1 << g.n):
-            independent = all(not g.adj[v] & s for v in iter_bits(s))
-            if independent and all(g.adj[v] & s for v in range(g.n) if not s >> v & 1):
-                expected.append(s)
-        found = list(_maximal_independent_sets(g, _no_tick))
-        assert all(seq == tuple(iter_bits(m)) for m, seq in found)
-        assert sorted(m for m, _ in found) == expected, (g.n, g.edges())
+def test_chromatic_number_of_a_shadow_is_that_of_its_graph():
+    # G is an induced subgraph of S(G), and each shadow vertex v' can take
+    # v's colour, since its neighbours are v's.  So chi(S(G)) = chi(G), and
+    # the oracle reaches shadows twice its order.
+    for g in enumerate_connected(6):
+        r = chromatic_number(shadow(g).graph)
+        assert r.exact and r.value == naive_chromatic_number(g), g.edges()
+
+
+@pytest.mark.parametrize("spec, value", [
+    ("tree:40:seed=2", 2), ("S(cycle:41)", 3), ("S(tree:80:seed=2)", 2), ("S(balloon:3)", 3),
+])
+def test_chromatic_number_colours_large_graphs_directly(spec, value):
+    # The colouring search never lists independent sets, of which
+    # tree:40:seed=2 alone has 24,624; each of these takes one node per vertex.
+    base = spec.removeprefix("S(").removesuffix(")")
+    g = _family(base) if base == spec else shadow(_family(base)).graph
+    r = chromatic_number(g, budget=1_000)
+    assert r.exact and r.value == value and r.nodes_explored == g.n
 
 
 def test_chromatic_witness_is_a_proper_coloring():
