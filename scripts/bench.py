@@ -1,6 +1,6 @@
 """Run benchmark rows on a checkout and merge each row's results into its record.
 
-    python3 scripts/bench.py max_set heuristic covers metric --label change
+    python3 scripts/bench.py max_set heuristic covers metric enumerate --label change
     python3 scripts/bench.py covers --src ../parent/src --label parent
 
 ``--src`` is the ``src`` directory of the checkout to measure, so the same
@@ -30,6 +30,10 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
   one ``lemma-large`` pass, and how many hold their interval masks when the
   pass ends.  ``digests_agree`` says whether every run in the record has the
   same table digests.
+- ``enumerate``: ``enumerate_connected(k)`` for k = 5, 6 and 7, with its
+  graph count, the ``canonical_key`` calls it makes, the best of ``repeat``
+  runs and a digest of its graph6 sequence; then ``canonical_key`` alone on
+  K_8, K_{4,4}, C_8 and C_9, the best of ``repeat`` runs each.
 
 The workload graphs come from ``perfbench/workloads.py`` itself, so they stay
 the workloads' graphs.  Values, node counts, graph counts and sha256 digests
@@ -92,10 +96,13 @@ def sha(text: str) -> str:
 def graphs(spec: str) -> dict[str, list]:
     """The named graph lists of an instance spec: a family spec, ``S(spec)``
     for its shadow, ``G`` for the connected graphs of order 2..7, ``S(G)``,
-    ``S(T)`` for the seed-0 ``search`` trees and ``lemma`` for the seed-0
-    ``lemma-large`` graphs and their shadows."""
+    ``S(T)`` for the seed-0 ``search`` trees, ``lemma`` for the seed-0
+    ``lemma-large`` graphs and their shadows, and ``n<=k`` for what
+    ``enumerate_connected(k)`` yields."""
     from shadowpos import families
     from shadowpos.shadow import shadow
+    if spec.startswith("n<="):
+        return {spec: list(families.enumerate_connected(int(spec[3:])))}
     if spec == "G":
         gs = [g for g in families.enumerate_connected(7) if g.n >= 2]
         return {f"G, {len(gs)} graphs n=2..7": gs}
@@ -176,6 +183,21 @@ def _metric(_: None, gs: list, settings: dict) -> dict:
             "table_sha256": sha(tables)}
 
 
+def _patched(original: Callable, replacement: Callable, run: Callable[[], object]) -> None:
+    """Run ``run()`` with every name in a ``shadowpos`` module that is bound to
+    ``original`` bound to ``replacement`` instead."""
+    patched = [(ns, key) for name, ns in sorted(sys.modules.items())
+               if name == "shadowpos" or name.startswith("shadowpos.")
+               for key, value in vars(ns).items() if value is original]
+    for ns, key in patched:
+        setattr(ns, key, replacement)
+    try:
+        run()
+    finally:
+        for ns, key in patched:
+            setattr(ns, key, original)
+
+
 def _count_tables(run: Callable[[], object]) -> dict:
     """Tables built while ``run()`` runs from an empty table cache, and how
     many hold their intervals after it.  It counts builds, not reads: a read
@@ -189,17 +211,23 @@ def _count_tables(run: Callable[[], object]) -> dict:
         tables.append(original(g))
         return tables[-1]
 
-    patched = [(ns, key) for name, ns in sorted(sys.modules.items())
-               if name == "shadowpos" or name.startswith("shadowpos.")
-               for key, value in vars(ns).items() if value is original]
-    for ns, key in patched:
-        setattr(ns, key, recording)
-    try:
-        run()
-    finally:
-        for ns, key in patched:
-            setattr(ns, key, original)
+    _patched(original, recording, run)
     return {"tables": len(tables), "between_built": sum("between" in vars(t) for t in tables)}
+
+
+def _enumerate(prop: str, gs: list, settings: dict) -> dict:
+    from shadowpos import families
+    from shadowpos.formats import graph_to_graph6
+    repeat = settings["repeat"]
+    if prop == "canonical_key":
+        (g,) = gs
+        return {"best_s": round(best_of(lambda: families.canonical_key(g), repeat)[1], 5)}
+    n_max, original, calls = gs[-1].n, families.canonical_key, []
+    _patched(original, lambda g: calls.append(g) or original(g),
+             lambda: list(families.enumerate_connected(n_max)))
+    out, s = best_of(lambda: list(families.enumerate_connected(n_max)), repeat)
+    return {"graphs": len(out), "canonical_key_calls": len(calls), "best_s": round(s, 4),
+            "graph6_sha256": sha("\n".join(map(graph_to_graph6, out)))}
 
 
 def _table_counts() -> dict:
@@ -251,6 +279,10 @@ ROWS = {
     "metric": Row("instances", {"repeat": 3}, (
         (None, "lemma"), (None, "S(cycle:40)"), (None, "S(T)")), _metric,
         extra=_table_counts, agree="table_sha256"),
+    "enumerate": Row("instances", {"repeat": 3}, (
+        *(("enumerate", f"n<={k}") for k in (5, 6, 7)),
+        *(("canonical_key", spec) for spec in ("complete:8", "bipartite:4,4", "cycle:8",
+                                               "cycle:9"))), _enumerate),
 }
 
 

@@ -1,5 +1,11 @@
 """Deterministic graph-family generators and small-graph enumeration.
 
+Small connected graphs are enumerated up to isomorphism by extending each
+graph of one order less with a new vertex, one neighbourhood per orbit of
+that graph's automorphisms, and keeping the first graph of each canonical
+key.  The key and the automorphisms come from one
+individualisation-refinement search, :func:`_canonical_search`.
+
 Each family is one row of a table: its flat-text alias (``kpartite`` in
 ``kpartite:3,2,2``), how many size parameters it takes, the least first
 parameter, and its builder.  :class:`FamilySpec` validation, its
@@ -178,47 +184,109 @@ def random_tree(n: int, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
-def _refined_classes(g: Graph) -> list[list[int]]:
-    """Partition vertices into isomorphism-invariant classes (1-dim refinement)."""
-    color = [g.degree(v) for v in range(g.n)]
-    while True:
-        sig = [(color[v], tuple(sorted(color[w] for w in iter_bits(g.adj[v]))))
-               for v in range(g.n)]
-        order = sorted(set(sig))
-        new = [order.index(s) for s in sig]
-        if new == color:
-            break
-        color = new
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(color[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Split the ordered cells (vertex masks) until the partition is equitable.
+
+    Each splitter W, and each fragment made after it, splits every cell by
+    neighbour counts in W, the fragments in order of count, never of vertex
+    index, so the result commutes with relabelling.  ``splitters`` are the
+    cells the partition may not be equitable against: all at the root, and
+    ``[v]`` once v leaves an equitable partition's cell.
+    """
+    splitters = list(splitters)
+    for w in splitters:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):  # a singleton cannot split
+                out.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            for v in iter_bits(cell):
+                count = (adj[v] & w).bit_count()
+                parts[count] = parts.get(count, 0) | 1 << v
+            fragments = [parts[count] for count in sorted(parts)]
+            out.extend(fragments)
+            if len(fragments) > 1:
+                splitters.extend(fragments)
+        cells = out
+    return cells
+
+
+def _orbit_roots(size: int, maps: list[list[int]]) -> list[int]:
+    """The least point of each point's orbit under ``maps`` of ``range(size)``."""
+    root = list(range(size))
+
+    def find(s: int) -> int:
+        while root[s] != s:
+            root[s] = s = root[root[s]]
+        return s
+
+    for image in maps:
+        for s, t in enumerate(image):
+            a, b = find(s), find(t)
+            root[max(a, b)] = min(a, b)
+    return [find(s) for s in range(size)]
+
+
+def _canonical_search(g: Graph) -> tuple[int, list[list[int]]]:
+    """The least leaf key of the individualisation-refinement tree of ``g``,
+    and automorphisms (``perm[v]`` is v's image) that generate Aut(g).
+
+    A node refines its partition and branches on each vertex of the first
+    non-singleton cell, put before the rest of the cell.  A leaf's key is
+    the adjacency bitstring under its vertex order: an edge uv sets bits
+    ``n*pos[u] + pos[v]`` and ``n*pos[v] + pos[u]``.  A leaf with the first
+    or the best leaf's key gives the automorphism between their orders, and
+    the search backs up to where their paths part: the rest of that branch
+    maps onto an explored one.  A child in the orbit of an explored sibling,
+    under the automorphisms found that fix the node's path, is skipped for
+    the same reason (McKay 1981; McKay and Piperno 2014).
+    """
+    n, adj = g.n, g.adj
+    leaves: list[tuple[int, list[int], list[int]]] = []  # the first leaf, then the best
+    generators: list[list[int]] = []
+
+    def visit(cells: list[int], path: list[int]) -> int:
+        """Explore a node; the depth of the ancestor whose next child comes next."""
+        cells = _refine(adj, cells, [1 << path[-1]] if path else cells)
+        at = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
+        if at is None:
+            order = [cell.bit_length() - 1 for cell in cells]
+            bit = [0] * n
+            for i, v in enumerate(order):
+                bit[v] = 1 << i
+            key = sum(sum(bit[w] for w in iter_bits(adj[v])) << n * i for i, v in enumerate(order))
+            for seen_key, seen, seen_path in leaves:
+                if key == seen_key:
+                    generators.append([v for _, v in sorted(zip(seen, order))])
+                    return next(d for d, (u, v) in enumerate(zip(path, seen_path)) if u != v)
+            if not leaves or key < leaves[-1][0]:
+                leaves[1:] = [(key, order, path)]  # sets the first leaf, later the best
+            return len(path)
+        explored: list[int] = []
+        for v in iter_bits(cells[at]):
+            fixing = [p for p in generators if all(p[u] == u for u in path)]
+            if fixing and explored:
+                roots = _orbit_roots(n, fixing)
+                if any(roots[u] == roots[v] for u in explored):
+                    continue
+            explored.append(v)
+            back = visit(cells[:at] + [1 << v, cells[at] ^ 1 << v] + cells[at + 1:], path + [v])
+            if back < len(path):
+                return back
+        return len(path)
+
+    visit([(1 << n) - 1] if n else [], [])
+    return leaves[-1][0], generators
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
-    """Isomorphism-invariant key: minimum adjacency bitstring over all
-    class-respecting vertex orders.
+    """Isomorphism-invariant key ``(n, bits)``: equal keys <=> isomorphic graphs.
 
-    Classes come from degree-based refinement, so only permutations within
-    refinement classes are tried; equal keys <=> isomorphic graphs.  Under
-    the order ``pos`` an edge uv sets bits ``n*pos[u] + pos[v]`` and
-    ``n*pos[v] + pos[u]`` of the n x n adjacency matrix.
+    ``bits`` is the least leaf key of :func:`_canonical_search`, whose tree
+    and leaf keys commute with relabelling.
     """
-    n = g.n
-    classes = _refined_classes(g)
-    best = None
-    edges = g.edges()
-    for orders in itertools.product(*(itertools.permutations(c) for c in classes)):
-        perm_old = [v for group in orders for v in group]
-        pos = [0] * n
-        for new, old in enumerate(perm_old):
-            pos[old] = new
-        key = 0
-        for u, v in edges:
-            key |= 1 << (n * pos[u] + pos[v]) | 1 << (n * pos[v] + pos[u])
-        if best is None or key < best:
-            best = key
-    return (n, best if best is not None else 0)
+    return (g.n, _canonical_search(g)[0])
 
 
 def enumerate_connected(n_max: int) -> Iterator[Graph]:
@@ -233,20 +301,32 @@ def enumerate_connected(n_max: int) -> Iterator[Graph]:
         return
     # Orderly extension: every connected graph on n >= 2 vertices arises from
     # a connected graph on n-1 vertices by adding one vertex with a nonempty
-    # neighborhood (delete any non-cut vertex to see this).
-    level = [Graph(1, (0,))]
-    yield level[0]
+    # neighborhood (delete any non-cut vertex to see this).  A neighborhood
+    # that an automorphism of the parent maps to a smaller one gives a graph
+    # isomorphic to an earlier candidate, so it is skipped and the first
+    # candidate of each class, the one kept, is the same.
+    level = [(Graph(1, (0,)), [])]
+    yield level[0][0]
     for n in range(2, n_max + 1):
         seen = set()
         nxt = []
-        for g in level:
-            for nb in range(1, 1 << (n - 1)):
+        size = 1 << (n - 1)
+        for g, generators in level:
+            images = [[0] * size for _ in generators]
+            for image, perm in zip(images, generators):
+                for nb in range(1, size):
+                    low = nb & -nb
+                    image[nb] = image[nb ^ low] | 1 << perm[low.bit_length() - 1]
+            roots = _orbit_roots(size, images)
+            for nb in range(1, size):
+                if roots[nb] != nb:
+                    continue
                 rows = [g.adj[u] | ((nb >> u & 1) << (n - 1)) for u in range(n - 1)]
                 rows.append(nb)
                 cand = Graph(n, tuple(rows))
                 key = canonical_key(cand)
                 if key not in seen:
                     seen.add(key)
-                    nxt.append(cand)
+                    nxt.append((cand, _canonical_search(cand)[1] if n < n_max else []))
                     yield cand
         level = nxt

@@ -193,3 +193,36 @@ def naive_chromatic_number(g: Graph) -> int:
 
     place(0)
     return best
+
+
+def _isomorphisms(g: Graph, h: Graph):
+    """Every bijection f of V(g) onto V(h) with uv an edge of g exactly when
+    f(u)f(v) is an edge of h, each as the list of images, by extending a
+    partial map one vertex at a time."""
+    if g.n != h.n:
+        return
+    image: list[int] = []
+
+    def extend():
+        u = len(image)
+        if u == g.n:
+            yield list(image)
+            return
+        for x in range(h.n):
+            if x not in image and all((g.adj[u] >> w & 1) == (h.adj[x] >> image[w] & 1)
+                                      for w in range(u)):
+                image.append(x)
+                yield from extend()
+                image.pop()
+
+    yield from extend()
+
+
+def naive_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether some bijection maps the edges of g exactly onto those of h."""
+    return next(_isomorphisms(g, h), None) is not None
+
+
+def naive_automorphism_count(g: Graph) -> int:
+    """The order of Aut(g): the bijections of V(g) that keep every edge and non-edge."""
+    return sum(1 for _ in _isomorphisms(g, g))

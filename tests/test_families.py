@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -7,13 +8,19 @@ import pytest
 from shadowpos.families import (
     ENUMERATION_CAP,
     FamilySpec,
+    _canonical_search,
+    _refine,
     canonical_key,
     enumerate_connected,
     generate,
     parse_family_spec,
     random_tree,
 )
-from shadowpos.graph_core import GraphError, build_graph, is_connected, structural_queries
+from shadowpos.formats import graph_to_graph6
+from shadowpos.graph_core import (
+    Graph, GraphError, build_graph, is_connected, iter_bits, structural_queries)
+
+from oracles import naive_automorphism_count, naive_isomorphic
 
 
 def test_parse_round_trip():
@@ -115,21 +122,78 @@ def test_random_tree_rejects_tiny():
         random_tree(1, 0)
 
 
+def _relabelled(g, perm):
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_canonical_key_is_isomorphism_invariant():
     rng = random.Random(5)
     from conftest import random_connected_graph
-    for _ in range(20):
-        n = rng.randint(2, 7)
+    for _ in range(60):
+        n = rng.randint(2, 10)
         g = random_connected_graph(n, rng)
         perm = list(range(n))
         rng.shuffle(perm)
-        rows = [0] * n
-        for u, v in g.edges():
-            rows[perm[u]] |= 1 << perm[v]
-            rows[perm[v]] |= 1 << perm[u]
-        h = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                            if rows[u] >> v & 1])
-        assert canonical_key(g) == canonical_key(h)
+        assert canonical_key(g) == canonical_key(_relabelled(g, perm))
+
+
+def test_canonical_key_matches_naive_isomorphism():
+    # Pairs with equal degree sequences: h is g after random edge switches
+    # (uv, xy -> ux, vy), relabelled, so degrees cannot tell them apart.
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(200):
+        n = rng.randint(6, 7)
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < 0.5])
+        h = g
+        switches = rng.randint(0, 3)
+        for _ in range(20 * switches):
+            edges = h.edges()
+            if len(edges) < 2 or not switches:
+                break
+            (u, v), (x, y) = rng.sample(edges, 2)
+            if len({u, v, x, y}) == 4 and not h.has_edge(u, x) and not h.has_edge(v, y):
+                h = build_graph(n, [e for e in edges if e not in ((u, v), (x, y))]
+                                + [(u, x), (v, y)])
+                switches -= 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = _relabelled(h, perm)
+        assert sorted(map(g.degree, range(n))) == sorted(map(h.degree, range(n)))
+        same = naive_isomorphic(g, h)
+        assert (canonical_key(g) == canonical_key(h)) == same
+        verdicts.append(same)
+    assert 50 <= sum(verdicts) <= 150
+
+
+def _cayley(n, steps, coords):
+    """The graph on ``coords`` (tuples mod n) joining each c to c + s for each step s."""
+    index = {c: i for i, c in enumerate(coords)}
+    return build_graph(len(coords), [(index[c], index[tuple((a + b) % n for a, b in zip(c, s))])
+                                     for c in coords for s in steps])
+
+
+def test_canonical_key_separates_what_refinement_cannot():
+    # Each pair is regular of one degree and order, so the refined partition
+    # is one cell for both, and only individualisation tells them apart.
+    grid = list(itertools.product(range(4), repeat=2))
+    pairs = [
+        (_cayley(6, [(2,), (3,)], [(i,) for i in range(6)]),  # the prism K_3 x K_2
+         generate(parse_family_spec("bipartite:3,3"))),
+        (_cayley(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], list(itertools.product(range(2), repeat=3))),
+         _cayley(8, [(1,), (4,)], [(i,) for i in range(8)])),  # Q_3, the Wagner graph
+        (_cayley(4, [(1, 0), (0, 1), (1, 1)], grid),  # Shrikhande, the 4 x 4 rook's graph
+         build_graph(16, [(4 * a + b, 4 * c + d) for (a, b), (c, d)
+                          in itertools.combinations(grid, 2) if a == c or b == d])),
+    ]
+    for g, h in pairs:
+        full = (1 << g.n) - 1
+        assert g.n == h.n and g.m == h.m
+        assert _refine(g.adj, [full], [full]) == _refine(h.adj, [full], [full]) == [full]
+        assert canonical_key(g) != canonical_key(h)
+    assert canonical_key(Graph(0, ())) == (0, 0)
+    assert canonical_key(Graph(1, (0,))) == (1, 0)
 
 
 def test_canonical_key_separates_non_isomorphic():
@@ -140,14 +204,52 @@ def test_canonical_key_separates_non_isomorphic():
     assert len(keys) == 3
 
 
-def test_dedup_enumeration_counts():
-    # Connected graphs up to isomorphism: 1, 1, 2, 6, 21, 112 for n = 1..6.
-    counts = {}
+def test_refinement_is_equitable_and_commutes_with_relabelling():
+    rng = random.Random(7)
     for g in enumerate_connected(6):
+        full = (1 << g.n) - 1
+        cells = _refine(g.adj, [full], [full])
+        assert all(len({(g.adj[v] & other).bit_count() for v in iter_bits(cell)}) == 1
+                   for cell in cells for other in cells)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        moved = [sum(1 << perm[v] for v in iter_bits(cell)) for cell in cells]
+        assert _refine(_relabelled(g, perm).adj, [full], [full]) == moved
+
+
+def test_generators_generate_the_automorphism_group():
+    for g in enumerate_connected(6):
+        n = g.n
+        _, generators = _canonical_search(g)
+        for perm in generators:
+            assert sorted(perm) == list(range(n))
+            assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+        group = {tuple(range(n))}
+        todo = list(group)
+        while todo:
+            p = todo.pop()
+            for perm in generators:
+                q = tuple(perm[p[v]] for v in range(n))
+                if q not in group:
+                    group.add(q)
+                    todo.append(q)
+        assert len(group) == naive_automorphism_count(g), g
+
+
+def test_dedup_enumeration_counts():
+    # Connected graphs up to isomorphism: 1, 1, 2, 6, 21, 112, 853 for
+    # n = 1..7 (OEIS A001349), the first of each class met, in the order
+    # the enumeration has always yielded them.
+    graphs = list(enumerate_connected(7))
+    counts = {}
+    for g in graphs:
         counts[g.n] = counts.get(g.n, 0) + 1
-    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-    keys = [canonical_key(g) for g in enumerate_connected(5)]
+    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+    keys = [canonical_key(g) for g in graphs]
     assert len(keys) == len(set(keys))
+    sequence = "\n".join(graph_to_graph6(g) for g in graphs)
+    assert hashlib.sha256(sequence.encode()).hexdigest() == (
+        "b189084ab307f9f29b4f1ae39db2570182af02bbe82ef4d08ed035473aa9a883")
 
 
 def test_enumeration_cap():
