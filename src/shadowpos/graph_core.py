@@ -9,7 +9,9 @@ The one metric primitive is the per-source BFS layer mask: the vertices at
 hop k from s.  Distances, geodesic intervals, collinearity, the layers of
 each geodesic DAG, connectivity and the diameter are all read off these
 masks (see :class:`DistanceTable`); the intervals and collinearity only when
-first read.  :func:`distances` builds a fresh table on every call;
+first read.  :func:`distances` builds a fresh table on every call, growing
+the BFS balls of all sources together, one hop per round, and filling each
+distance row from its layers at and after the row's own vertex;
 :func:`shared_distances` keeps the last two, so the solvers that read one
 graph in turn share one table and the masks built on it.
 """
@@ -132,22 +134,6 @@ def _neighbourhood(adj: Sequence[int], mask: int) -> VertexMask:
     return out
 
 
-def _bfs_layers(adj: Sequence[int], source: int) -> list[int]:
-    """Masks of the vertices at hop 0, 1, 2, ... from ``source``.
-
-    The layers partition the component of ``source``; there is one per hop
-    up to its eccentricity.
-    """
-    layers = [1 << source]
-    seen = frontier = 1 << source
-    while True:
-        frontier = _neighbourhood(adj, frontier) & ~seen
-        if not frontier:
-            return layers
-        seen |= frontier
-        layers.append(frontier)
-
-
 @dataclass(frozen=True)
 class DistanceTable:
     """All-pairs hop distances and geodesic intervals, from BFS layer masks.
@@ -212,16 +198,55 @@ class DistanceTable:
         return tuple(tuple(row) for row in line)
 
 
+def _ball_layers(adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Masks of the vertices at hop 0, 1, 2, ... from each source, all grown together.
+
+    Round k sets ball_k(s) = ball_{k-1}(s) | OR of ball_{k-1}(t) over the
+    neighbours t of s, read from a snapshot of round k-1 (updating in place
+    would let a ball grow by two hops in one round).  The new layer is
+    ball_k & ~ball_{k-1}, and a source whose ball stops growing, having
+    reached its whole component, leaves the active sources: deg(s) ORs in
+    each of ecc(s) + 1 rounds per source.
+    """
+    nbrs = []  # extracted inline: a generator per vertex costs ~10% on small graphs
+    for row in adj:
+        vs = []
+        while row:
+            vs.append((row & -row).bit_length() - 1)
+            row &= row - 1
+        nbrs.append(vs)
+    balls = [1 << s for s in range(len(adj))]
+    layers = [[ball] for ball in balls]
+    active = range(len(adj))
+    while active:
+        prev, growing = balls[:], []
+        for s in active:
+            ball = last = prev[s]
+            for t in nbrs[s]:
+                ball |= prev[t]
+            if ball != last:
+                balls[s] = ball
+                layers[s].append(ball & ~last)
+                growing.append(s)
+        active = growing
+    return tuple(map(tuple, layers))
+
+
 def distances(g: Graph) -> DistanceTable:
-    """One BFS per source; distances come from its layers, intervals on first read."""
-    n = g.n
-    layers = tuple(tuple(_bfs_layers(g.adj, s)) for s in range(n))
+    """All sources' BFS layers at once; distances read off them, intervals on first read.
+
+    ``d`` is symmetric, so row u copies its entries before u from the rows
+    already built and extracts only the layer bits v >= u.
+    """
+    n, layers = g.n, _ball_layers(g.adj)
     d = []
-    for row_layers in layers:
-        row = [INF] * n
+    for u, row_layers in enumerate(layers):
+        row = [r[u] for r in d]
+        row += [INF] * (n - u)
         for k, layer in enumerate(row_layers):
+            layer >>= u
             while layer:
-                row[(layer & -layer).bit_length() - 1] = k
+                row[u + (layer & -layer).bit_length() - 1] = k
                 layer &= layer - 1
         d.append(tuple(row))
     return DistanceTable(tuple(d), layers)
@@ -255,7 +280,13 @@ class StructuralSummary:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n == 0 or sum(layer.bit_count() for layer in _bfs_layers(g.adj, 0)) == g.n
+    if g.n == 0:
+        return True
+    seen = frontier = 1
+    while frontier:
+        frontier = _neighbourhood(g.adj, frontier) & ~seen
+        seen |= frontier
+    return seen == g.vertex_mask()
 
 
 def structural_queries(g: Graph) -> StructuralSummary:

@@ -1,14 +1,15 @@
 """Naive reference implementations used only by the tests.
 
 Everything here is deliberately independent of the package's bitmask and
-branch-and-bound machinery: distances come from adjacency-matrix powers,
-geodesics from explicit path enumeration, and maximum sets from full
-subset enumeration.  Slow but obviously correct.
+branch-and-bound machinery: distances come from adjacency-matrix powers or
+a queue BFS over adjacency lists, geodesics from explicit path enumeration,
+and maximum sets from full subset enumeration.  Slow but obviously correct.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from shadowpos.graph_core import Graph
 
@@ -42,6 +43,23 @@ def matrix_power_distances(g: Graph) -> list[list[float]]:
         reach = nxt
         if not changed:
             break
+    return d
+
+
+def bfs_distances(g: Graph) -> list[list[float]]:
+    """All-pairs distances by one queue BFS per source over adjacency lists."""
+    n = g.n
+    nbrs = [[v for v in range(n) if g.has_edge(u, v)] for u in range(n)]
+    d = [[INF] * n for _ in range(n)]
+    for s in range(n):
+        d[s][s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                if d[s][v] == INF:
+                    d[s][v] = d[s][u] + 1
+                    queue.append(v)
     return d
 
 

@@ -25,7 +25,7 @@ SLICE = {
                ("ic", "complete:14"), ("ic", "kpartite:4,5,5"), ("ip", "kpartite:30,30"),
                ("ic", "S(cycle:8)"), ("chi", "S(cycle:9)"), ("ip", "G"), ("ic", "G"),
                ("chi", "G"), ("ip", "S(G)"), ("ic", "S(G)"), ("chi", "S(G)")),
-    "metric": ((None, "S(cycle:40)"), (None, "lemma")),
+    "metric": ((None, "S(cycle:40)"), (None, "lemma"), (None, "S(T)")),
     "enumerate": (("enumerate", "n<=5"), ("enumerate", "n<=6")),
     "max_set": (("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"),
                 ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)"),

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,7 @@ from shadowpos.verify import fuzz
 from shadowpos.visibility import SetProperty
 
 from conftest import random_connected_graph
-from oracles import all_geodesics, interval_vertices, matrix_power_distances
+from oracles import all_geodesics, bfs_distances, interval_vertices, matrix_power_distances
 
 
 def test_build_graph_rejects_bad_input():
@@ -69,6 +70,35 @@ def test_distances_match_matrix_power_oracle():
         for u in range(n):
             for v in range(n):
                 assert t.d[u][v] == ref[u][v]
+
+
+def _large_metric_cases():
+    """The seed-0 lemma-large graphs (order 70) and their shadows, S(C_40),
+    S(tree:80:seed=2) and S(K_30), then the empty graph, K_1, a graph with
+    isolated vertices and one with three components."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    import workloads
+    graphs = [h for _, g in workloads.lemma_inputs(0) for h in (g, shadow(g).graph)]
+    graphs += [shadow(generate(parse_family_spec(spec))).graph
+               for spec in ("cycle:40", "tree:80:seed=2", "complete:30")]
+    graphs += [build_graph(0, []), build_graph(1, []), build_graph(6, [(1, 4), (4, 2)]),
+               build_graph(9, [(0, 8), (8, 3), (1, 5), (5, 6), (6, 1), (2, 7)])]
+    return graphs
+
+
+def test_distances_match_queue_bfs_oracle():
+    cases = _large_metric_cases()
+    assert [g.n for g in cases[:6]] == [70, 140] * 3
+    for g in cases:
+        t, ref = distances(g), bfs_distances(g)
+        assert [list(row) for row in t.d] == ref
+        for s, layers in enumerate(t.layers):
+            ecc = max(k for k in ref[s] if k != INF)
+            assert len(layers) == ecc + 1
+            for k, layer in enumerate(layers):
+                assert layer == mask_of(v for v in range(g.n) if ref[s][v] == k)
 
 
 def test_distances_on_disconnected_graph():
