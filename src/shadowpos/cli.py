@@ -1,9 +1,10 @@
 """Command-line entry point: compute invariants, transform graphs, replay suites.
 
 Exit codes: 0 success, 2 parse error, 3 precondition failure (disconnected
-input, or a verify range that is empty or past order 7), 4 budget exhausted
-in --exact mode, 5 unwritable output path.  All JSON records state the
-twin-index convention explicitly so serialized witnesses are unambiguous.
+input, or a verify range that is empty or past order 7), 4 the search
+stopped before it finished (node budget or --time), 5 unwritable output
+path.  All JSON records state the twin-index convention explicitly so
+serialized witnesses are unambiguous.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from typing import Optional
 
 import click
-from click.core import ParameterSource
 
 from .families import generate, parse_family_spec
 from .formats import (
@@ -39,7 +39,7 @@ from .verify import FAIL, SKIPPED, SUITES, SuiteParams, run_suite
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-EXIT_BUDGET = 4
+EXIT_STOPPED = 4
 EXIT_UNWRITABLE = 5
 
 INDEX_CONVENTION = "twin of base vertex i is i + n; apex (star shadow) is 2n"
@@ -77,9 +77,10 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
+def _finite(ctx: click.Context, param: click.Parameter,
+            value: Optional[float]) -> Optional[float]:
     # No clock reading passes a nan or inf deadline: the time budget would be off.
-    if not math.isfinite(value):
+    if value is not None and not math.isfinite(value):
         raise click.BadParameter(f"{value} is not a finite number.")
     return value
 
@@ -98,23 +99,17 @@ def main() -> None:
               help="Apply the shadow construction before solving.")
 @click.option("--star-shadow", "apply_star", is_flag=True,
               help="Apply the star shadow construction before solving.")
-@click.option("--exact/--heuristic", "exact_mode", default=True,
-              help="Exact search (default), or the same search stopped at --time.")
-@click.option("--time", "time_budget", type=click.FloatRange(min=0), default=1.0,
-              callback=_finite, show_default=True,
-              help="Wall-clock deadline of a --heuristic search, in seconds.")
+@click.option("--time", "time_budget", type=click.FloatRange(min=0), default=None,
+              callback=_finite,
+              help="Stop the search this many seconds after it starts (default: no deadline).")
 @click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_NODE_BUDGET,
               show_default=True, help="Node budget of the search.")
 def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: bool,
-                exact_mode: bool, time_budget: float, budget: int) -> None:
+                time_budget: Optional[float], budget: int) -> None:
     """Compute one invariant and print a JSON report on stdout."""
     if apply_shadow and apply_star:
         click.echo("error: --shadow and --star-shadow are mutually exclusive",
                    err=True)
-        sys.exit(EXIT_PARSE)
-    ctx = click.get_current_context()
-    if exact_mode and ctx.get_parameter_source("time_budget") is not ParameterSource.DEFAULT:
-        click.echo("error: exact mode takes no --time", err=True)
         sys.exit(EXIT_PARSE)
     try:
         g, identifier = _load_graph(source)
@@ -126,7 +121,8 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
             g = shadow(g).graph
         elif apply_star:
             g = star_shadow(g)
-        report = solve(invariant, g, budget, math.inf if exact_mode else time_budget)
+        report = solve(invariant, g, budget,
+                       math.inf if time_budget is None else time_budget)
     except GraphError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PRECONDITION)
@@ -139,8 +135,8 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
         **report.to_dict(),
     }
     click.echo(json.dumps(record))
-    if exact_mode and not report.exact:
-        sys.exit(EXIT_BUDGET)
+    if not report.exact:
+        sys.exit(EXIT_STOPPED)
 
 
 @main.command("transform")

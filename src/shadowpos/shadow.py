@@ -74,6 +74,9 @@ def star_shadow(g: Graph) -> Graph:
     return Graph(2 * n + 1, tuple(rows), labels)
 
 
+_DISTANCE_CLAUSES = ("base pair", "base/twin pair", "base/twin pair", "twin pair")
+
+
 def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     """Check the six distance clauses tying d_{S(G)} to d_G.
 
@@ -85,29 +88,25 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     g = sg.graph
     n = sg.base_n
     base_adj = tuple(row & ((1 << n) - 1) for row in g.adj[:n])
-    base = shared_distances(Graph(n, base_adj))
-    t = shared_distances(g)
+    base = shared_distances(Graph(n, base_adj)).d
+    d = shared_distances(g).d
     out = []
-
-    def expect(u, v, got, want, clause):
-        if got != want:
-            out.append(f"{clause}: d({u},{v}) = {got}, expected {want}")
-
     for x in range(n):
+        dx, dtx = d[x], d[x + n]
         for y in range(x + 1, n):
-            dxy = base.d[x][y]
+            # d(x,y), d(x,y'), d(y,x'), d(x',y') against the lemma, in one test.
+            got = (dx[y], dx[y + n], d[y][x + n], dtx[y + n])
             if base_adj[x] >> y & 1:
-                expect(x, y, t.d[x][y], 1, "adjacent base pair")
-                expect(x, y + n, t.d[x][y + n], 1, "adjacent base/twin pair")
-                expect(y, x + n, t.d[y][x + n], 1, "adjacent base/twin pair")
-                in_triangle = bool(base_adj[x] & base_adj[y])
-                expect(x + n, y + n, t.d[x + n][y + n],
-                       2 if in_triangle else 3, "adjacent twin pair")
+                kind = "adjacent"
+                want = (1, 1, 1, 2 if base_adj[x] & base_adj[y] else 3)
             else:
-                expect(x, y, t.d[x][y], dxy, "non-adjacent base pair")
-                expect(x, y + n, t.d[x][y + n], dxy, "non-adjacent base/twin pair")
-                expect(y, x + n, t.d[y][x + n], dxy, "non-adjacent base/twin pair")
-                expect(x + n, y + n, t.d[x + n][y + n], dxy, "non-adjacent twin pair")
+                kind = "non-adjacent"
+                want = (base[x][y],) * 4
+            if got != want:
+                pairs = ((x, y), (x, y + n), (y, x + n), (x + n, y + n))
+                for (u, v), clause, a, b in zip(pairs, _DISTANCE_CLAUSES, got, want):
+                    if a != b:
+                        out.append(f"{kind} {clause}: d({u},{v}) = {a}, expected {b}")
     return out
 
 

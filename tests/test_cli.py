@@ -37,9 +37,8 @@ def test_compute_examples(runner):
 
 def test_compute_heuristic(runner):
     result, payload = _compute(runner, "--invariant", "mu", "--graph",
-                               "balloon:2", "--shadow", "--heuristic",
-                               "--time", "0.3")
-    assert result.exit_code == 0
+                               "balloon:2", "--shadow", "--time", "0.3")
+    assert result.exit_code == (0 if payload["exact"] else 4)
     assert payload["value"] >= 11
     assert payload["value"] == 13 or not payload["exact"]
 
@@ -53,9 +52,9 @@ def test_compute_canonical_witness(runner):
 
 
 def test_compute_heuristic_gives_the_canonical_witness(runner):
-    # A --heuristic run that finishes is the exact search, so it gives exact
-    # mode's lexicographically smallest set.
-    result, payload = _compute(runner, "--invariant", "gp", "--graph", "path:4", "--heuristic")
+    # A --time run that finishes is the exact search, so it gives the
+    # lexicographically smallest set.
+    result, payload = _compute(runner, "--invariant", "gp", "--graph", "path:4", "--time", "1")
     assert result.exit_code == 0
     assert payload["exact"] is True and payload["witness"] == [0, 1]
 
@@ -88,9 +87,14 @@ def test_compute_parse_error_exit_2(runner):
     assert result.exit_code == 2 and payload is None
     assert "Error: No such option '--canonical-witness'." in result.stderr
     result, payload = _compute(runner, "--invariant", "mu", "--graph", "cycle:6",
-                               "--heuristic", "--seed", "1")
+                               "--time", "1", "--seed", "1")
     assert result.exit_code == 2 and payload is None
     assert "Error: No such option '--seed'" in result.stderr
+    # --time alone sets the deadline; the old mode flags are unknown options.
+    for flag in ("--heuristic", "--exact"):
+        result, payload = _compute(runner, "--invariant", "gp", "--graph", "cycle:6", flag)
+        assert result.exit_code == 2 and payload is None
+        assert f"Error: No such option '{flag}'" in result.stderr
 
 
 def test_compute_precondition_exit_3(runner, tmp_path):
@@ -125,39 +129,39 @@ def test_compute_cover_budget_exit_4(runner):
 
 def test_compute_heuristic_cover_stops_at_its_deadline(runner):
     result, payload = _compute(runner, "--invariant", "ip", "--graph", "tree:40:seed=2",
-                               "--heuristic", "--time", "0.2")
-    assert result.exit_code == 0
+                               "--time", "0.2")
+    assert result.exit_code == 4
     assert payload["exact"] is False and payload["value"] == len(payload["witness"])
     assert {v for path in payload["witness"] for v in path} == set(range(40))
 
 
-# The one refused option: exact mode runs to the end of its node budget, so
-# none of the nine codes takes a deadline there.
-@pytest.mark.parametrize("args, message", [
-    (("gp", "cycle:6", "--time", "2"), "exact mode takes no --time"),
-    (("igp", "cycle:6", "--exact", "--time", "0"), "exact mode takes no --time"),
-    (("mu", "cycle:9", "--shadow", "--time", "1", "--budget", "10"), "exact mode takes no --time"),
-    (("mui", "cycle:6", "--time", "0.5"), "exact mode takes no --time"),
-    (("mut", "cycle:6", "--exact", "--time", "1"), "exact mode takes no --time"),
-    (("muit", "cycle:6", "--time", "1"), "exact mode takes no --time"),
-    (("ip", "cycle:6", "--time", "2"), "exact mode takes no --time"),
-    (("ic", "cycle:5", "--budget", "3", "--time", "0.5"), "exact mode takes no --time"),
-    (("chi", "cycle:5", "--exact", "--time", "1"), "exact mode takes no --time"),
-])
-def test_compute_refuses_unused_options(runner, args, message):
+# --time is a deadline for every code.  A run exits 4 exactly when it is cut:
+# igp by its zero deadline, mu and ic by their node budgets.
+@pytest.mark.parametrize("args, exact", [
+    (("gp", "cycle:6", "--time", "2"), True),
+    (("igp", "cycle:6", "--time", "0"), False),
+    (("mu", "cycle:9", "--shadow", "--time", "1", "--budget", "10"), False),
+    (("mui", "cycle:6", "--time", "0.5"), True),
+    (("mut", "cycle:6", "--time", "1"), True),
+    (("muit", "cycle:6", "--time", "1"), True),
+    (("ip", "cycle:6", "--time", "2"), True),
+    (("ic", "cycle:5", "--budget", "3", "--time", "0.5"), False),
+    (("chi", "cycle:5", "--time", "1"), True),
+], ids=lambda v: v[0] if isinstance(v, tuple) else "exact" if v else "cut")
+def test_compute_time_exits_4_iff_cut(runner, args, exact):
     invariant, graph, *rest = args
     result, payload = _compute(runner, "--invariant", invariant, "--graph", graph, *rest)
-    assert result.exit_code == 2 and payload is None
-    assert result.stderr == f"error: {message}\n"
+    assert payload["exact"] is exact
+    assert result.exit_code == (0 if exact else 4)
 
 
 @pytest.mark.parametrize("args", [
     ("compute", "--invariant", "mu", "--graph", "cycle:9", "--shadow", "--budget", "-1"),
-    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--heuristic", "--time", "-0.5"),
+    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--time", "-0.5"),
     ("verify", "--suite", "gp-cycles", "--workers", "0"),
     ("verify", "--suite", "gp-cycles", "--n-max", "1"),
-    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--heuristic", "--time", "nan"),
-    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--heuristic", "--time", "inf"),
+    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--time", "nan"),
+    ("compute", "--invariant", "mu", "--graph", "cycle:6", "--time", "inf"),
 ])
 def test_out_of_range_numbers_exit_2(runner, args):
     result = runner.invoke(main, list(args))
@@ -173,15 +177,16 @@ def test_covers_take_any_order(runner, invariant, n):
 
 
 def test_compute_accepts_options_that_apply(runner):
-    for args in (("ip", "cycle:6", "--exact"),
-                 ("gp", "cycle:6", "--exact", "--budget", str(DEFAULT_NODE_BUDGET)),
-                 ("mu", "cycle:6", "--heuristic", "--time", "0.05"),
-                 ("mu", "cycle:9", "--shadow", "--heuristic", "--budget", "10"),
-                 ("ip", "cycle:6", "--heuristic"),
-                 ("chi", "cycle:5", "--heuristic", "--time", "1")):
+    for args in (("ip", "cycle:6"),
+                 ("gp", "cycle:6", "--budget", str(DEFAULT_NODE_BUDGET)),
+                 ("mu", "cycle:6", "--time", "0.05"),
+                 ("mu", "cycle:9", "--shadow", "--budget", "10"),
+                 ("ip", "cycle:6", "--time", "1", "--budget", "100"),
+                 ("chi", "cycle:5", "--time", "1")):
         invariant, graph, *rest = args
         result, payload = _compute(runner, "--invariant", invariant, "--graph", graph, *rest)
-        assert result.exit_code == 0 and payload["invariant"] == invariant, args
+        assert payload["invariant"] == invariant, args
+        assert result.exit_code == (0 if payload["exact"] else 4), args
 
 
 def test_transform_shadow_g6(runner, tmp_path):

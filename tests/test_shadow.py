@@ -67,16 +67,28 @@ def test_distance_clauses_hold_on_random_graphs():
         assert shadow_distance_violations(shadow(g)) == []
 
 
+def _toggled(sg, u, v):
+    # The same twin map over the graph with the edge uv added or removed.
+    n = sg.graph.n
+    edges = {(a, b) for a in range(n) for b in range(a + 1, n) if sg.graph.has_edge(a, b)}
+    return type(sg)(build_graph(n, sorted(edges ^ {(u, v)})), sg.base_n)
+
+
 def test_distance_clauses_catch_a_corrupted_shadow():
-    sg = shadow(generate(parse_family_spec("path:3")))
     # Add an illegal twin-twin edge; the clause checker must notice.
-    rows = list(sg.graph.adj)
-    rows[3] |= 1 << 5
-    rows[5] |= 1 << 3
-    bad = type(sg)(build_graph(6, [(u, v) for u in range(6)
-                                   for v in range(u + 1, 6)
-                                   if rows[u] >> v & 1]), 3)
-    assert shadow_distance_violations(bad) != []
+    bad = _toggled(shadow(generate(parse_family_spec("path:3"))), 3, 5)
+    assert shadow_distance_violations(bad) == [
+        "non-adjacent twin pair: d(3,5) = 1, expected 2"]
+
+
+def test_distance_clauses_catch_a_missing_base_twin_edge():
+    # Drop the edge 0-1' (1' is 6).  One message per broken clause, in pair
+    # order x < y and, within a pair, d(x,y), d(x,y'), d(y,x'), d(x',y').
+    bad = _toggled(shadow(generate(parse_family_spec("cycle:5"))), 0, 6)
+    assert shadow_distance_violations(bad) == [
+        "adjacent base/twin pair: d(0,6) = 3, expected 1",
+        "non-adjacent base/twin pair: d(4,6) = 3, expected 2",
+        "non-adjacent twin pair: d(6,9) = 3, expected 2"]
 
 
 def test_pi_partition_arithmetic():

@@ -26,6 +26,7 @@ from shadowpos.solvers import (
     _GpChecker,
     _MaxSetSearch,
     _MvChecker,
+    _TmvChecker,
     _make_checker,
     chromatic_number,
     isometric_cycle_cover,
@@ -217,8 +218,13 @@ def test_clique_bounds_finish_mv_searches_on_shadows():
 
 def _certified(checker, prop):
     # The exact forward check, by heredity: x survives exactly when the set
-    # with x passes the certifier.
+    # with x passes the certifier.  The independent variants keep their edge
+    # conflicts, which the clique bounds read.
     class Certified(checker):
+        def __init__(self, g, t):
+            super().__init__(g, t, independent=prop in (
+                SetProperty.IGP, SetProperty.IMV, SetProperty.ITMV))
+
         def survivors(self, cands, need=0):
             return [x for x in cands if check_property(prop, self.g, self.t, self.mask | 1 << x)]
     return Certified
@@ -226,7 +232,9 @@ def _certified(checker, prop):
 
 @pytest.mark.parametrize("prop, spec, checker", [
     (SetProperty.MV, "cycle:14", _MvChecker), (SetProperty.MV, "balloon:2", _MvChecker),
-    (SetProperty.GP, "cycle:40", _GpChecker)])
+    (SetProperty.GP, "cycle:40", _GpChecker), (SetProperty.IGP, "tree:30:seed=1", _GpChecker),
+    (SetProperty.IMV, "cycle:12", _MvChecker), (SetProperty.IMV, "tree:12:seed=1", _MvChecker),
+    (SetProperty.TMV, "star:4", _TmvChecker), (SetProperty.ITMV, "tree:12:seed=1", _TmvChecker)])
 def test_certifier_replay_visits_the_same_nodes(prop, spec, checker):
     # With the certifier in place of the forward check, the search meets the
     # same value, witness and node count: the filters and the clique bounds
