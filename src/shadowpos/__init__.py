@@ -18,7 +18,7 @@ from .solvers import (
     max_set,
     max_set_heuristic,
 )
-from .verify import SuiteParams, fuzz, run_all, run_suite
+from .verify import SuiteParams, fuzz, run_suite
 from .visibility import SetProperty
 
 __all__ = [
@@ -26,8 +26,8 @@ __all__ = [
     "SetProperty", "ShadowGraph", "SuiteParams", "build_graph",
     "chromatic_number", "distances", "enumerate_connected", "fuzz", "generate",
     "isometric_cycle_cover", "isometric_path_cover", "max_set",
-    "max_set_heuristic", "parse_family_spec", "random_tree", "run_all",
-    "run_suite", "shadow", "star_shadow", "structural_queries",
+    "max_set_heuristic", "parse_family_spec", "random_tree", "run_suite",
+    "shadow", "star_shadow", "structural_queries",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .formats import (
     text_to_edges,
 )
 from .graph_core import Graph, GraphError
-from .shadow import ShadowGraph, shadow, star_shadow
+from .shadow import shadow, star_shadow
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     INVARIANT_CODES,
@@ -155,10 +155,8 @@ def cmd_transform(source: str, op: str, out_path: str, fmt: str) -> None:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
     try:
-        sg: Optional[ShadowGraph] = None
         if op == "shadow":
-            sg = shadow(g)
-            out = sg.graph
+            out = shadow(g).graph
         else:
             out = star_shadow(g)
     except GraphError as exc:
@@ -169,7 +167,7 @@ def cmd_transform(source: str, op: str, out_path: str, fmt: str) -> None:
     elif fmt == "edges":
         payload = edges_to_text(out)
     else:
-        payload = graph_to_dot(out, shadow_of=sg)
+        payload = graph_to_dot(out, base_n=g.n)
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)

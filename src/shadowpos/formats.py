@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .graph_core import Graph, GraphError, build_graph, iter_bits
-from .shadow import ShadowGraph
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -142,22 +141,30 @@ def looks_like_edge_list(text: str) -> bool:
     return False
 
 
-def graph_to_dot(g: Graph, shadow_of: Optional[ShadowGraph] = None) -> str:
-    """DOT export; twin vertices go into a labeled rank group when known."""
+def graph_to_dot(g: Graph, base_n: Optional[int] = None) -> str:
+    """DOT export, each vertex named by the package's index convention.
+
+    With ``base_n`` given, vertex ``i < base_n`` is named ``i``, its twin
+    ``i + base_n`` is ``i'`` and the star-shadow apex ``2 * base_n`` is
+    ``s*``; when ``g`` is a shadow (``g.n == 2 * base_n``) the twins go into
+    a labeled rank group.  Without it every vertex is named by its index.
+    """
+    def name(v: int) -> str:
+        if base_n is None or v < base_n:
+            return str(v)
+        return f"{v - base_n}'" if v < 2 * base_n else "s*"
+
+    grouped = base_n is not None and g.n == 2 * base_n
     lines = ["graph G {"]
-    if shadow_of is not None:
-        n = shadow_of.base_n
+    if grouped:
         lines.append("  subgraph cluster_shadow {")
         lines.append('    label="shadow vertices";')
         lines.append("    rank=same;")
-        for v in range(n, 2 * n):
-            lines.append(f'    {v} [label="{g.label(v)}"];')
+        for v in range(base_n, g.n):
+            lines.append(f'    {v} [label="{name(v)}"];')
         lines.append("  }")
-        for v in range(n):
-            lines.append(f'  {v} [label="{g.label(v)}"];')
-    else:
-        for v in range(g.n):
-            lines.append(f'  {v} [label="{g.label(v)}"];')
+    for v in range(base_n if grouped else g.n):
+        lines.append(f'  {v} [label="{name(v)}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

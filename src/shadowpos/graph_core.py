@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 INF = float("inf")
 
@@ -60,7 +60,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if len(self.adj) != self.n:
@@ -97,14 +96,8 @@ class Graph:
     def vertex_mask(self) -> VertexMask:
         return (1 << self.n) - 1
 
-    def label(self, u: int) -> str:
-        if self.labels is not None:
-            return self.labels[u]
-        return str(u)
 
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]],
-                labels: Optional[Sequence[str]] = None) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a :class:`Graph` from an edge list; duplicate edges collapse.
 
     Raises :class:`GraphError` for out-of-range endpoints or loops, naming
@@ -120,10 +113,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
             raise GraphError(f"edge ({u}, {v}) is a loop")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != n:
-        raise GraphError(f"{len(lab)} labels for {n} vertices")
-    return Graph(n, tuple(rows), lab)
+    return Graph(n, tuple(rows))
 
 
 def _neighbourhood(adj: Sequence[int], mask: int) -> VertexMask:

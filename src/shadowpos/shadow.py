@@ -22,26 +22,23 @@ from .graph_core import (
 
 @dataclass(frozen=True)
 class ShadowGraph:
-    """A doubled graph together with its twin bijection.
+    """A doubled graph together with the graph it doubles.
 
-    ``graph`` has ``2 * base_n`` vertices; twin of ``i`` is ``i + base_n``.
+    ``graph`` has ``2 * base.n`` vertices; twin of ``i`` is ``i + base.n``.
     """
 
     graph: Graph
-    base_n: int
+    base: Graph
 
     def shadow_side_mask(self) -> VertexMask:
-        return ((1 << self.base_n) - 1) << self.base_n
+        return ((1 << self.base.n) - 1) << self.base.n
 
     def base_side_mask(self) -> VertexMask:
-        return (1 << self.base_n) - 1
+        return (1 << self.base.n) - 1
 
 
 def shadow(g: Graph) -> ShadowGraph:
-    """Construct the shadow graph of a connected graph.
-
-    Base vertex labels are preserved; twins carry a prime suffix.
-    """
+    """Construct the shadow graph of a connected graph; twin of ``i`` is ``i + n``."""
     if not is_connected(g):
         raise GraphError("shadow graph requires a connected base graph")
     n = g.n
@@ -53,9 +50,7 @@ def shadow(g: Graph) -> ShadowGraph:
         rows[u + n] = row
         for v in iter_bits(row):
             rows[v + n] |= 1 << u
-    labels = tuple(g.label(u) for u in range(n)) + \
-        tuple(g.label(u) + "'" for u in range(n))
-    return ShadowGraph(Graph(2 * n, tuple(rows), labels), n)
+    return ShadowGraph(Graph(2 * n, tuple(rows)), g)
 
 
 def star_shadow(g: Graph) -> Graph:
@@ -65,13 +60,12 @@ def star_shadow(g: Graph) -> Graph:
     produces the classical triangle-free graphs of growing chromatic number.
     """
     sg = shadow(g)
-    n = sg.base_n
+    n = g.n
     shadow_mask = sg.shadow_side_mask()
     rows = [sg.graph.adj[u] | ((shadow_mask >> u & 1) << (2 * n))
             for u in range(2 * n)]
     rows.append(shadow_mask)
-    labels = tuple(sg.graph.label(u) for u in range(2 * n)) + ("s*",)
-    return Graph(2 * n + 1, tuple(rows), labels)
+    return Graph(2 * n + 1, tuple(rows))
 
 
 _DISTANCE_CLAUSES = ("base pair", "base/twin pair", "base/twin pair", "twin pair")
@@ -83,13 +77,12 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     For non-adjacent x, y: d(x,y), d(x,y') and d(x',y') all equal the base
     distance.  For adjacent x, y: d(x,y) = d(x,y') = 1, and d(x',y') is 2
     when the edge xy lies in a triangle and 3 otherwise.  Returns a list of
-    human-readable violations (empty when all clauses hold).
+    human-readable violations (empty when all clauses hold).  Adjacency and
+    the base distances are read from ``sg.base``, the graph that was doubled.
     """
-    g = sg.graph
-    n = sg.base_n
-    base_adj = tuple(row & ((1 << n) - 1) for row in g.adj[:n])
-    base = shared_distances(Graph(n, base_adj)).d
-    d = shared_distances(g).d
+    n, base_adj = sg.base.n, sg.base.adj
+    base = shared_distances(sg.base).d
+    d = shared_distances(sg.graph).d
     out = []
     for x in range(n):
         dx, dtx = d[x], d[x + n]
@@ -135,7 +128,7 @@ class PiPartition:
 
 def pi_partition(sg: ShadowGraph, s: VertexMask) -> PiPartition:
     """Split base vertices by membership pattern of (v, v') in ``s``."""
-    n = sg.base_n
+    n = sg.base.n
     base_bits = s & sg.base_side_mask()
     twin_bits = (s >> n) & sg.base_side_mask()
     full = sg.base_side_mask()
@@ -156,9 +149,7 @@ def gp_partition_violations(sg: ShadowGraph, s: VertexMask) -> list[str]:
     Assumes the caller verified that ``s`` is a general position set of the
     shadow graph; violated clauses are returned as strings.
     """
-    n = sg.base_n
-    g = sg.graph
-    base_adj = tuple(row & sg.base_side_mask() for row in g.adj[:n])
+    base_adj = sg.base.adj
     p = pi_partition(sg, s)
     out = []
     for u in iter_bits(p.v1):

@@ -84,16 +84,6 @@ class SuiteReport:
     def skipped(self) -> int:
         return sum(1 for r in self.results if r.status == SKIPPED)
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instances": len(self.results),
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "results": [r.to_dict() for r in self.results],
-        }
-
 
 def worker_count() -> int:
     """The CPUs this process may run on, else all CPUs of the machine."""
@@ -494,11 +484,6 @@ def run_suite(suite_id: str, params: SuiteParams = SuiteParams(),
     report = SuiteReport(suite_id)
     report.results = sorted(results, key=lambda r: r.key)
     return report
-
-
-def run_all(params: SuiteParams = SuiteParams(),
-            workers: Optional[int] = None) -> list[SuiteReport]:
-    return [run_suite(sid, params, workers) for sid in SUITES]
 
 
 # ---------------------------------------------------------------------------

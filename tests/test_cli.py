@@ -218,13 +218,57 @@ def test_transform_star_shadow_k1(runner, tmp_path):
     assert graph6_to_graph(out.read_text()).n == 3
 
 
+_PATH3_DOT = {
+    # Twins i' = i + n in a rank group; the star shadow's apex 2n is s*.
+    "shadow": """graph G {
+  subgraph cluster_shadow {
+    label="shadow vertices";
+    rank=same;
+    3 [label="0'"];
+    4 [label="1'"];
+    5 [label="2'"];
+  }
+  0 [label="0"];
+  1 [label="1"];
+  2 [label="2"];
+  0 -- 1;
+  0 -- 4;
+  1 -- 2;
+  1 -- 3;
+  1 -- 5;
+  2 -- 4;
+}
+""",
+    "star-shadow": """graph G {
+  0 [label="0"];
+  1 [label="1"];
+  2 [label="2"];
+  3 [label="0'"];
+  4 [label="1'"];
+  5 [label="2'"];
+  6 [label="s*"];
+  0 -- 1;
+  0 -- 4;
+  1 -- 2;
+  1 -- 3;
+  1 -- 5;
+  2 -- 4;
+  3 -- 6;
+  4 -- 6;
+  5 -- 6;
+}
+""",
+}
+
+
 def test_transform_dot(runner, tmp_path):
     out = tmp_path / "g.dot"
-    result = runner.invoke(main, ["transform", "--graph", "path:3",
-                                  "--op", "shadow", "--out", str(out),
-                                  "--format", "dot"])
-    assert result.exit_code == 0
-    assert "cluster_shadow" in out.read_text()
+    for op, expected in _PATH3_DOT.items():
+        result = runner.invoke(main, ["transform", "--graph", "path:3",
+                                      "--op", op, "--out", str(out),
+                                      "--format", "dot"])
+        assert result.exit_code == 0
+        assert out.read_text() == expected, op
 
 
 def test_transform_unwritable_exit_5(runner):

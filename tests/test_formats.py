@@ -100,7 +100,7 @@ def test_looks_like_edge_list():
 
 def test_dot_export():
     sg = shadow(generate(parse_family_spec("path:3")))
-    dot = graph_to_dot(sg.graph, shadow_of=sg)
+    dot = graph_to_dot(sg.graph, base_n=sg.base.n)
     assert "cluster_shadow" in dot
     assert dot.count(" -- ") == sg.graph.m
     assert '"1\'"' in dot

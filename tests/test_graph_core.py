@@ -35,8 +35,6 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [(1, 1)])
     with pytest.raises(GraphError):
         build_graph(-1, [])
-    with pytest.raises(GraphError):
-        build_graph(2, [(0, 1)], labels=["a"])
 
 
 def test_build_graph_collapses_duplicates():
@@ -51,7 +49,6 @@ def test_basic_accessors():
     assert g.adj[1] == 0b101
     assert g.has_edge(2, 3) and not g.has_edge(0, 3)
     assert g.vertex_mask() == 0b1111
-    assert g.label(2) == "2"
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), unique=True))

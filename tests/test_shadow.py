@@ -3,6 +3,7 @@ import random
 import pytest
 
 from shadowpos.families import canonical_key, generate, parse_family_spec
+from shadowpos.formats import graph_to_dot
 from shadowpos.graph_core import GraphError, build_graph, structural_queries
 from shadowpos.shadow import (
     gp_partition_violations,
@@ -29,12 +30,13 @@ def test_shadow_edge_count_and_independent_shadow_side():
     for _ in range(15):
         g = random_connected_graph(rng.randint(2, 8), rng)
         sg = shadow(g)
+        dot = graph_to_dot(sg.graph, base_n=g.n)
         assert sg.graph.m == 3 * g.m
         for u in range(g.n, 2 * g.n):
             assert sg.graph.adj[u] & sg.shadow_side_mask() == 0
         for v in range(g.n):
             assert not sg.graph.has_edge(v, v + g.n)
-            assert sg.graph.label(v + g.n) == sg.graph.label(v) + "'"
+            assert f'{v + g.n} [label="{v}\'"]' in dot
             # Twin neighborhood equals the base neighborhood.
             assert sg.graph.adj[v + g.n] == sg.graph.adj[v] & sg.base_side_mask()
 
@@ -47,7 +49,7 @@ def test_shadow_requires_connected():
 def test_star_shadow_shape():
     g = generate(parse_family_spec("cycle:5"))
     h = star_shadow(g)
-    assert h.n == 11 and h.label(10) == "s*"
+    assert h.n == 11 and '10 [label="s*"]' in graph_to_dot(h, base_n=g.n)
     assert h.degree(10) == 5
     s = structural_queries(h)
     assert s.connected and s.is_triangle_free
@@ -68,10 +70,10 @@ def test_distance_clauses_hold_on_random_graphs():
 
 
 def _toggled(sg, u, v):
-    # The same twin map over the graph with the edge uv added or removed.
+    # The same base graph under a doubled graph with the edge uv added or removed.
     n = sg.graph.n
     edges = {(a, b) for a in range(n) for b in range(a + 1, n) if sg.graph.has_edge(a, b)}
-    return type(sg)(build_graph(n, sorted(edges ^ {(u, v)})), sg.base_n)
+    return type(sg)(build_graph(n, sorted(edges ^ {(u, v)})), sg.base)
 
 
 def test_distance_clauses_catch_a_corrupted_shadow():
@@ -89,6 +91,16 @@ def test_distance_clauses_catch_a_missing_base_twin_edge():
         "adjacent base/twin pair: d(0,6) = 3, expected 1",
         "non-adjacent base/twin pair: d(4,6) = 3, expected 2",
         "non-adjacent twin pair: d(6,9) = 3, expected 2"]
+
+
+def test_distance_clauses_compare_against_the_base_graph():
+    # Drop the base edge 0-1 from S(C_5) but keep C_5 as the base: the lemma's
+    # expectations come from C_5 itself, not from the shadow's base rows.
+    bad = _toggled(shadow(generate(parse_family_spec("cycle:5"))), 0, 1)
+    assert shadow_distance_violations(bad) == [
+        "adjacent base pair: d(0,1) = 3, expected 1",
+        "non-adjacent base/twin pair: d(0,7) = 3, expected 2",
+        "non-adjacent base/twin pair: d(1,9) = 3, expected 2"]
 
 
 def test_pi_partition_arithmetic():

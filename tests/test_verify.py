@@ -203,15 +203,6 @@ def test_parallel_matches_serial():
         [r.to_dict() for r in parallel.results]
 
 
-def test_report_serialization():
-    rep = run_suite("gp-cycles", SuiteParams(n_max=5), workers=1)
-    d = rep.to_dict()
-    assert d["suite"] == "gp-cycles"
-    assert d["passed"] == len(d["results"]) == 3
-    assert all(set(r) >= {"key", "status", "expected", "actual"}
-               for r in d["results"])
-
-
 def test_fuzz_driver_yields_records():
     records = list(fuzz(4))
     assert len(records) == 10  # connected graphs up to iso, n <= 4
