@@ -23,13 +23,14 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
   K_10, K_14 and K_{4,5,5}, ip on K_{30,30}, and ic and chi on S(C_8..12),
   S(balloon:2) and S(balloon:3), the best of ``repeat`` runs per set.  A
   tree that refuses a graph records the refusal.
-- ``metric``: ``distances(g)`` alone and followed by a read of ``.between``,
-  the best of ``repeat`` runs each, on the seed-0 ``lemma-large`` graphs and
-  their shadows, S(C_40) and the 160 ``search`` trees; then the distance
-  tables built (not read from the table cache) in one ``fuzz(6)`` pass and
-  one ``lemma-large`` pass, and how many hold their interval masks when the
-  pass ends.  ``digests_agree`` says whether every run in the record has the
-  same table digests.
+- ``metric``: ``distances(g)`` alone, followed by a read of ``.d`` and
+  followed by a read of ``.between``, the best of ``repeat`` runs each, on
+  the seed-0 ``lemma-large`` graphs and their shadows, S(C_40) and the 160
+  ``search`` trees; then the distance tables built (not read from the table
+  cache) in one ``fuzz(6)`` pass and one ``lemma-large`` pass, and how many
+  hold their distance rows and their interval masks when the pass ends.
+  ``digests_agree`` says whether every run in the record has the same
+  table digests.
 - ``enumerate``: ``enumerate_connected(k)`` for k = 5, 6 and 7, with its
   graph count, the ``canonical_key`` calls it makes, the best of ``repeat``
   runs and a digest of its graph6 sequence; then ``canonical_key`` alone on
@@ -178,6 +179,7 @@ def _metric(_: None, gs: list, settings: dict) -> dict:
     repeat = settings["repeat"]
     return {"graphs": len(gs), "max_order": max(g.n for g in gs),
             "distances_s": round(best_of(lambda: [distances(g) for g in gs], repeat)[1], 5),
+            "with_d_s": round(best_of(lambda: [distances(g).d for g in gs], repeat)[1], 5),
             "with_between_s": round(best_of(lambda: [distances(g).between for g in gs],
                                             repeat)[1], 5),
             "table_sha256": sha(tables)}
@@ -200,8 +202,9 @@ def _patched(original: Callable, replacement: Callable, run: Callable[[], object
 
 def _count_tables(run: Callable[[], object]) -> dict:
     """Tables built while ``run()`` runs from an empty table cache, and how
-    many hold their intervals after it.  It counts builds, not reads: a read
-    of a table ``graph_core.shared_distances`` still holds builds none."""
+    many hold their distance rows and their intervals after it.  It counts
+    builds, not reads: a read of a table ``graph_core.shared_distances``
+    still holds builds none."""
     from shadowpos import graph_core
     original = graph_core.distances
     _cold_tables()
@@ -212,7 +215,8 @@ def _count_tables(run: Callable[[], object]) -> dict:
         return tables[-1]
 
     _patched(original, recording, run)
-    return {"tables": len(tables), "between_built": sum("between" in vars(t) for t in tables)}
+    return {"tables": len(tables), "d_built": sum("d" in vars(t) for t in tables),
+            "between_built": sum("between" in vars(t) for t in tables)}
 
 
 def _enumerate(prop: str, gs: list, settings: dict) -> dict:

@@ -8,12 +8,11 @@ bitmasks throughout the package (see :data:`VertexMask`).
 The one metric primitive is the per-source BFS layer mask: the vertices at
 hop k from s.  Distances, geodesic intervals, collinearity, the layers of
 each geodesic DAG, connectivity and the diameter are all read off these
-masks (see :class:`DistanceTable`); the intervals and collinearity only when
-first read.  :func:`distances` builds a fresh table on every call, growing
-the BFS balls of all sources together, one hop per round, and filling each
-distance row from its layers at and after the row's own vertex;
-:func:`shared_distances` keeps the last two, so the solvers that read one
-graph in turn share one table and the masks built on it.
+masks (see :class:`DistanceTable`); the distance rows, the intervals and
+collinearity only when first read.  :func:`distances` builds a fresh table
+of layers on every call, growing the BFS balls of all sources together, one
+hop per round; :func:`shared_distances` keeps the last two, so the solvers
+that read one graph in turn share one table and what is built on it.
 """
 
 from __future__ import annotations
@@ -129,8 +128,11 @@ class DistanceTable:
     """All-pairs hop distances and geodesic intervals, from BFS layer masks.
 
     ``layers[s][k]`` is the mask of the vertices at hop k from ``s``; it is
-    the one metric primitive, and ``d`` and ``between`` are read off it.
+    the table's one field, and :attr:`connected` reads only ``layers[0]``.
     ``d[u][v]`` is the hop distance, with :data:`INF` for disconnected pairs.
+    Like ``between`` and ``line`` below, ``d`` is built on first read and
+    kept, so a reader of connectivity, eccentricities or layers alone never
+    fills its n^2 entries.
     ``between[u][v]`` is the mask of the vertices strictly inside some
     ``u,v``-geodesic.  A vertex lies on such a geodesic at hop k from ``u``
     exactly when it is at hop k from ``u`` and at hop d - k from ``v``, so
@@ -149,8 +151,28 @@ class DistanceTable:
     built on first read and kept.
     """
 
-    d: tuple[tuple, ...]
     layers: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @property
+    def connected(self) -> bool:
+        """True when source 0's layers hold every vertex; the empty graph is connected."""
+        return not self.layers or sum(map(int.bit_count, self.layers[0])) == len(self.layers)
+
+    @cached_property
+    def d(self) -> tuple[tuple, ...]:
+        # d is symmetric, so row u copies its entries before u from the rows
+        # already built and extracts only the layer bits v >= u.
+        n, d = len(self.layers), []
+        for u, row_layers in enumerate(self.layers):
+            row = [r[u] for r in d]
+            row += [INF] * (n - u)
+            for k, layer in enumerate(row_layers):
+                layer >>= u
+                while layer:
+                    row[u + (layer & -layer).bit_length() - 1] = k
+                    layer &= layer - 1
+            d.append(tuple(row))
+        return tuple(d)
 
     @cached_property
     def between(self) -> tuple[tuple[int, ...], ...]:
@@ -223,23 +245,8 @@ def _ball_layers(adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def distances(g: Graph) -> DistanceTable:
-    """All sources' BFS layers at once; distances read off them, intervals on first read.
-
-    ``d`` is symmetric, so row u copies its entries before u from the rows
-    already built and extracts only the layer bits v >= u.
-    """
-    n, layers = g.n, _ball_layers(g.adj)
-    d = []
-    for u, row_layers in enumerate(layers):
-        row = [r[u] for r in d]
-        row += [INF] * (n - u)
-        for k, layer in enumerate(row_layers):
-            layer >>= u
-            while layer:
-                row[u + (layer & -layer).bit_length() - 1] = k
-                layer &= layer - 1
-        d.append(tuple(row))
-    return DistanceTable(tuple(d), layers)
+    """All sources' BFS layers at once; distances and intervals are read off them on first read."""
+    return DistanceTable(_ball_layers(g.adj))
 
 
 @lru_cache(maxsize=2)
@@ -283,7 +290,7 @@ def structural_queries(g: Graph) -> StructuralSummary:
     """Exact basic structure: connectivity, diameter, degrees, leaves, etc."""
     n, t = g.n, shared_distances(g)
     degs = [g.degree(u) for u in range(n)]
-    connected = n == 0 or INF not in t.d[0]
+    connected = t.connected
     diameter = max((len(ls) - 1 for ls in t.layers), default=0) if connected else INF
     leaves = mask_of(u for u in range(n) if degs[u] == 1)
     tri_free = True

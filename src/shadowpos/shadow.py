@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import (
+    DistanceTable,
     Graph,
     GraphError,
     VertexMask,
     is_connected,
     iter_bits,
+    mask_of,
     shared_distances,
 )
 
@@ -71,6 +73,28 @@ def star_shadow(g: Graph) -> Graph:
 _DISTANCE_CLAUSES = ("base pair", "base/twin pair", "base/twin pair", "twin pair")
 
 
+def _trimmed(layers: list[VertexMask]) -> tuple[VertexMask, ...]:
+    """``layers`` without its trailing empty masks, as a table holds them."""
+    while not layers[-1]:
+        layers.pop()
+    return tuple(layers)
+
+
+def _layers_agree(sg: ShadowGraph, tg: DistanceTable, ts: DistanceTable, x: int) -> bool:
+    """Whether the BFS layers of x and x' in S(G) (table ``ts``) are those the
+    distance clauses predict from the layers of x in G (table ``tg``)."""
+    n, adj = sg.base.n, sg.base.adj
+    near, bit, twin = adj[x], 1 << x, 1 << x + n
+    in_triangle = mask_of(y for y in iter_bits(near) if near & adj[y])
+    of_x = [layer | layer << n for layer in tg.layers[x]] + [0, 0, 0]
+    of_twin = of_x[:]
+    of_x[0], of_x[2] = bit, of_x[2] | twin
+    of_twin[0], of_twin[1] = twin, near
+    of_twin[2] |= bit | in_triangle << n
+    of_twin[3] |= (near & ~in_triangle) << n
+    return _trimmed(of_x) == ts.layers[x] and _trimmed(of_twin) == ts.layers[x + n]
+
+
 def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     """Check the six distance clauses tying d_{S(G)} to d_G.
 
@@ -79,12 +103,25 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     when the edge xy lies in a triangle and 3 otherwise.  Returns a list of
     human-readable violations (empty when all clauses hold).  Adjacency and
     the base distances are read from ``sg.base``, the graph that was doubled.
+
+    The clauses are checked on BFS layer masks first, one base vertex x at
+    a time against all y: by them, y and y' lie at hop d(x,y) from x and
+    from x', except that from x' the twin of a neighbour of x lies at hop 2
+    (edge in a triangle) or 3, and x' lies at hop 2 from x.  A vertex lies
+    in one layer only, so equal masks mean equal distances.  Only an x
+    whose layers differ reads the distance rows, to name the broken clauses
+    of its pairs x < y; when all clauses hold, no row is filled.  When both
+    tables already hold their rows (after a search on G and on S(G)), each
+    x is read off them pair by pair instead, which costs less.
     """
     n, base_adj = sg.base.n, sg.base.adj
-    base = shared_distances(sg.base).d
-    d = shared_distances(sg.graph).d
+    tg, ts = shared_distances(sg.base), shared_distances(sg.graph)
+    rows_filled = "d" in vars(tg) and "d" in vars(ts)
     out = []
     for x in range(n):
+        if not rows_filled and _layers_agree(sg, tg, ts, x):
+            continue
+        base, d = tg.d, ts.d
         dx, dtx = d[x], d[x + n]
         for y in range(x + 1, n):
             # d(x,y), d(x,y'), d(y,x'), d(x',y') against the lemma, in one test.

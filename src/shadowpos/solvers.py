@@ -157,10 +157,11 @@ class _Search:
 
 def _connected_table(g: Graph, search: str) -> tuple[float, DistanceTable]:
     """The clock at the start of a ``search`` on ``g``, and ``g``'s shared
-    table; a graph with a vertex at distance ``INF`` from vertex 0 raises."""
+    table; a graph whose vertex 0 does not reach every vertex in its BFS
+    layers raises, before any distance row is filled."""
     start = time.perf_counter()
     t = shared_distances(g)
-    if g.n and INF in t.d[0]:
+    if not t.connected:
         raise GraphError(f"{search} requires a connected graph")
     return start, t
 

@@ -236,6 +236,24 @@ def test_distance_only_callers_build_no_intervals(built_tables):
     assert len(built_tables) == 2 and "between" in vars(tables[0])
 
 
+def test_lemma_and_structure_leave_the_distance_rows_unfilled(built_tables):
+    # C_70 has no triangle, K_{3,3,3} puts every edge in one.
+    for spec, diameter in (("cycle:70", 35), ("kpartite:3,3,3", 2)):
+        g = generate(parse_family_spec(spec))
+        assert shadow_distance_violations(shadow(g)) == []
+        s = structural_queries(g)
+        assert s.connected and s.diameter == diameter
+        assert built_tables[-2:] == [g, shadow(g).graph]
+        tables = [graph_core.shared_distances(h) for h in built_tables[-2:]]
+        assert not any("d" in vars(t) for t in tables), spec
+        assert [list(row) for row in tables[0].d] == bfs_distances(g)
+    # Rows with INF entries, read off the layers on first read as well.
+    for h in (build_graph(5, [(0, 1), (1, 2)]), build_graph(3, []), build_graph(0, [])):
+        t = distances(h)
+        assert "d" not in vars(t) and t.connected == (h.n == 0)
+        assert [list(row) for row in t.d] == matrix_power_distances(h)
+
+
 def test_fuzz_builds_one_table_per_graph(built_tables):
     list(fuzz(5))
     solved = [h for g in enumerate_connected(5) if g.n >= 2 for h in (g, shadow(g).graph)]

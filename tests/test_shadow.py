@@ -4,7 +4,13 @@ import pytest
 
 from shadowpos.families import canonical_key, generate, parse_family_spec
 from shadowpos.formats import graph_to_dot
-from shadowpos.graph_core import GraphError, build_graph, structural_queries
+from shadowpos.graph_core import (
+    GraphError,
+    build_graph,
+    is_connected,
+    shared_distances,
+    structural_queries,
+)
 from shadowpos.shadow import (
     gp_partition_violations,
     pi_partition,
@@ -16,6 +22,7 @@ from shadowpos.solvers import max_set
 from shadowpos.visibility import SetProperty
 
 from conftest import random_connected_graph
+from oracles import matrix_power_distances
 
 
 def test_shadow_of_single_edge_is_p4():
@@ -101,6 +108,57 @@ def test_distance_clauses_compare_against_the_base_graph():
         "adjacent base pair: d(0,1) = 3, expected 1",
         "non-adjacent base/twin pair: d(0,7) = 3, expected 2",
         "non-adjacent base/twin pair: d(1,9) = 3, expected 2"]
+
+
+def _reference_violations(sg):
+    # The lemma's messages pair by pair, on matrix-power distances of G and S.
+    n, adj = sg.base.n, sg.base.adj
+    base, d = matrix_power_distances(sg.base), matrix_power_distances(sg.graph)
+    clauses = ("base pair", "base/twin pair", "base/twin pair", "twin pair")
+    out = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            if adj[x] >> y & 1:
+                kind, want = "adjacent", (1, 1, 1, 2 if adj[x] & adj[y] else 3)
+            else:
+                kind, want = "non-adjacent", (base[x][y],) * 4
+            pairs = ((x, y), (x, y + n), (y, x + n), (x + n, y + n))
+            for (u, v), clause, b in zip(pairs, clauses, want):
+                if d[u][v] != b:
+                    out.append(f"{kind} {clause}: d({u},{v}) = {d[u][v]}, expected {b}")
+    return out
+
+
+def test_distance_clauses_match_a_per_pair_reference_on_corrupted_shadows():
+    rng = random.Random(31)
+    bases = [random_connected_graph(rng.randint(2, 7), rng) for _ in range(45)]
+    bases += [generate(parse_family_spec(spec)) for spec in (
+        "path:2", "cycle:9", "path:10", "tree:10:seed=4", "complete:5", "bipartite:2,3")]
+    seen = set()
+    for trial, g in enumerate(bases):
+        sg, n = shadow(g), g.n
+        assert shadow_distance_violations(sg) == _reference_violations(sg) == []
+        if trial % 3 == 0:  # a few edges anywhere
+            pairs = [rng.sample(range(2 * n), 2) for _ in range(rng.randint(1, 3))]
+        elif trial % 3 == 1:  # a twin-twin edge, which no shadow has
+            pairs = [rng.sample(range(n, 2 * n), 2)]
+        else:  # every edge of one vertex, which disconnects S
+            v = rng.randrange(2 * n)
+            pairs = [(v, w) for w in range(2 * n) if sg.graph.has_edge(v, w)]
+        for u, v in pairs:
+            sg = _toggled(sg, min(u, v), max(u, v))
+        got = shadow_distance_violations(sg)
+        assert got == _reference_violations(sg), (g.edges(), pairs)
+        # Once both tables hold their rows, every pair is read off them.
+        for h in (sg.base, sg.graph):
+            shared_distances(h).d
+        assert shadow_distance_violations(sg) == got
+        seen.add("disconnected" if not is_connected(sg.graph) else "connected")
+        twin_edge = any(sg.graph.adj[u] >> n for u in range(n, 2 * n))
+        seen.add("twin-twin" if twin_edge else "no twin-twin")
+        seen.add("flagged" if got else "passed")
+    assert seen == {"disconnected", "connected", "twin-twin", "no twin-twin",
+                    "flagged", "passed"}
 
 
 def test_pi_partition_arithmetic():
