@@ -110,16 +110,13 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     (edge in a triangle) or 3, and x' lies at hop 2 from x.  A vertex lies
     in one layer only, so equal masks mean equal distances.  Only an x
     whose layers differ reads the distance rows, to name the broken clauses
-    of its pairs x < y; when all clauses hold, no row is filled.  When both
-    tables already hold their rows (after a search on G and on S(G)), each
-    x is read off them pair by pair instead, which costs less.
+    of its pairs x < y; when all clauses hold, no row is filled.
     """
     n, base_adj = sg.base.n, sg.base.adj
     tg, ts = shared_distances(sg.base), shared_distances(sg.graph)
-    rows_filled = "d" in vars(tg) and "d" in vars(ts)
     out = []
     for x in range(n):
-        if not rows_filled and _layers_agree(sg, tg, ts, x):
+        if _layers_agree(sg, tg, ts, x):
             continue
         base, d = tg.d, ts.d
         dx, dtx = d[x], d[x + n]
