@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 INF = float("inf")
 
@@ -113,14 +113,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
-
-
-def _neighbourhood(adj: Sequence[int], mask: int) -> VertexMask:
-    out = 0
-    while mask:
-        out |= adj[(mask & -mask).bit_length() - 1]
-        mask &= mask - 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -281,7 +273,11 @@ def is_connected(g: Graph) -> bool:
         return True
     seen = frontier = 1
     while frontier:
-        frontier = _neighbourhood(g.adj, frontier) & ~seen
+        reach = 0
+        while frontier:
+            reach |= g.adj[(frontier & -frontier).bit_length() - 1]
+            frontier &= frontier - 1
+        frontier = reach & ~seen
         seen |= frontier
     return seen == g.vertex_mask()
 
@@ -313,26 +309,35 @@ def structural_queries(g: Graph) -> StructuralSummary:
     )
 
 
-def geodesic_exists_avoiding(t: DistanceTable, g: Graph, u: int, v: int,
-                             forbidden: VertexMask) -> bool:
-    """True iff some ``u,v``-geodesic has all internal vertices outside ``forbidden``.
+def avoidance_test(t: DistanceTable, g: Graph) -> Callable[[int, int, VertexMask], bool]:
+    """``sees(u, v, forbidden)``, bound to ``t`` and ``g``: True iff some
+    ``u,v``-geodesic has all internal vertices outside ``forbidden``.
 
     Layered dynamic programming over the geodesic DAG: a vertex of the DAG's
     layer k, ``layers[u][k] & layers[v][d - k]``, is reachable when it has a
     reachable neighbor in layer k-1; the sweep runs from layer 1, all next
     to ``u``, to layer d-1, all next to ``v``.  The endpoints are exempt
-    from ``forbidden``, so a pair at distance 0 or 1 always sees each other.
+    from ``forbidden``, so a pair at distance 0 or 1 always sees each other;
+    a disconnected pair raises :class:`GraphError`.
     """
-    duv = t.d[u][v]
-    if duv == INF:
-        raise GraphError(f"no path between {u} and {v}")
-    if duv <= 1:
-        return True
-    lu, lv = t.layers[u], t.layers[v]
-    allowed = ~forbidden
-    reach = lu[1] & lv[duv - 1] & allowed
-    for k in range(2, duv):
-        if not reach:
-            return False
-        reach = _neighbourhood(g.adj, reach) & lu[k] & lv[duv - k] & allowed
-    return reach != 0
+    d, layers, adj = t.d, t.layers, g.adj
+
+    def sees(u: int, v: int, forbidden: VertexMask) -> bool:
+        duv = d[u][v]
+        if duv == INF:
+            raise GraphError(f"no path between {u} and {v}")
+        if duv <= 1:
+            return True
+        lu, lv, allowed = layers[u], layers[v], ~forbidden
+        reach = lu[1] & lv[duv - 1] & allowed
+        for k in range(2, duv):
+            if not reach:
+                return False
+            nxt = 0
+            while reach:
+                nxt |= adj[(reach & -reach).bit_length() - 1]
+                reach &= reach - 1
+            reach = nxt & lu[k] & lv[duv - k] & allowed
+        return reach != 0
+
+    return sees

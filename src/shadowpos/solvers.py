@@ -40,7 +40,7 @@ from .graph_core import (
     GraphError,
     INF,
     VertexMask,
-    geodesic_exists_avoiding,
+    avoidance_test,
     iter_bits,
     mask_of,
     mask_to_sorted_list,
@@ -283,12 +283,24 @@ class _GpChecker(_Checker):
 
 
 class _MvChecker(_Checker):
+    """MV and IMV test pairs with ``sees``, :func:`avoidance_test` bound once.
+
+    After ``w`` joins, a candidate x that passed with the set before ``w``
+    is rechecked on three kinds of pair: x and a member with w between
+    them; x and w; and each watched pair (w and a member, or two members
+    with w between) with x between its ends.  The recheck stops once fewer
+    than ``need`` can remain.  Every u,v-geodesic meets each layer of the
+    u,v geodesic DAG in one vertex, so two candidates conflict when a layer
+    of a member's DAG with one of them is, outside the set, the other
+    alone; when a layer of their own DAG lies inside the set; or, for IMV,
+    when they are adjacent.
+    """
+
+    def __init__(self, g: Graph, t: DistanceTable, independent: bool):
+        super().__init__(g, t, independent)
+        self.sees = avoidance_test(t, g)
+
     def conflicts(self, cands: Sequence[int]) -> dict[int, VertexMask]:
-        # Every u,v-geodesic takes one vertex of each layer k of the u,v
-        # geodesic DAG, layers[u][k] & layers[v][d(u, v) - k].  So x and y
-        # conflict when layer k of a member m's DAG with y is, outside the
-        # set, x alone; when a layer of their own DAG is inside the set; or,
-        # for IMV, when they are adjacent.
         d, layers, btw = self.t.d, self.t.layers, self.t.between
         mask, free = self.mask, ~self.mask
         out = ({x: self.adj[x] for x in cands} if self.independent
@@ -315,19 +327,12 @@ class _MvChecker(_Checker):
         return out
 
     def survivors(self, cands: Sequence[int], need: int = 0) -> list[int]:
-        # x already passed with the set before w, so a pair needs a new
-        # geodesic only if the newcomer it did not avoid is between its ends:
-        # (x, w); (x, y) with w between; (w, y) with x between; and a member
-        # pair with both w and x between.
         if not self.members:
             return list(cands)
-        members = self.members[:-1]
-        w = self.members[-1]
-        g, t = self.g, self.t
-        btw = t.between
-        btw_w = btw[w]
+        *members, w = self.members
+        sees, btw = self.sees, self.t.between
         mask, blocked = self.mask, self.blocked
-        watch = [(w, y) for y in members if btw_w[y]]
+        watch = [(w, y) for y in members if btw[w][y]]
         watch += [(y, z) for y, z in itertools.combinations(members, 2) if btw[y][z] >> w & 1]
         watched = 0
         for u, v in watch:
@@ -337,18 +342,18 @@ class _MvChecker(_Checker):
         for x in cands:
             if not blocked >> x & 1:
                 btw_x = btw[x]
-                recheck = [(x, y) for y in members if btw_x[y] >> w & 1]
-                if btw_x[w] & mask:
-                    recheck.append((x, w))
-                if watched >> x & 1:
-                    recheck += [(u, v) for u, v in watch if btw[u][v] >> x & 1]
-                forbidden = mask | (1 << x)
-                for u, v in recheck:
-                    if not geodesic_exists_avoiding(t, g, u, v, forbidden):
+                forbidden = mask | 1 << x
+                for y in members:
+                    if btw_x[y] >> w & 1 and not sees(x, y, forbidden):
                         break
                 else:
-                    out.append(x)
-                    continue
+                    if not btw_x[w] & mask or sees(x, w, forbidden):
+                        for u, v in watch if watched >> x & 1 else ():
+                            if btw[u][v] >> x & 1 and not sees(u, v, forbidden):
+                                break
+                        else:
+                            out.append(x)
+                            continue
             spare -= 1
             if spare < 0:
                 break
@@ -358,6 +363,7 @@ class _MvChecker(_Checker):
 class _TmvChecker(_Checker):
     def __init__(self, g: Graph, t: DistanceTable, independent: bool):
         super().__init__(g, t, independent)
+        self.sees = avoidance_test(t, g)
         n = g.n
         self.pairs_through: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for u in range(n):
@@ -369,17 +375,15 @@ class _TmvChecker(_Checker):
         # Every pair of G must see each other around the set.  x already
         # passed with the set before w, so a pair needs a new geodesic only
         # when both w and x lie between its ends.
-        g, t = self.g, self.t
+        sees = self.sees
         if not self.members:
             return [x for x in cands
-                    if all(geodesic_exists_avoiding(t, g, u, v, 1 << x)
-                           for u, v in self.pairs_through[x])]
-        btw = t.between
-        mask = self.mask
+                    if all(sees(u, v, 1 << x) for u, v in self.pairs_through[x])]
+        btw, mask = self.t.between, self.mask
         live = mask_of(cands) & ~self.blocked
         for u, v in self.pairs_through[self.members[-1]]:
             for x in iter_bits(btw[u][v] & live):
-                if not geodesic_exists_avoiding(t, g, u, v, mask | 1 << x):
+                if not sees(u, v, mask | 1 << x):
                     live &= ~(1 << x)
         return [x for x in cands if live >> x & 1]
 

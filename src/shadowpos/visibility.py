@@ -15,7 +15,7 @@ from .graph_core import (
     DistanceTable,
     Graph,
     VertexMask,
-    geodesic_exists_avoiding,
+    avoidance_test,
     iter_bits,
 )
 
@@ -56,18 +56,19 @@ def is_mv_set(g: Graph, t: DistanceTable, s: VertexMask) -> bool:
     A pair sees each other when some geodesic between them has all internal
     vertices outside ``s``.
     """
-    members = list(iter_bits(s))
-    for u, v in itertools.combinations(members, 2):
-        if not geodesic_exists_avoiding(t, g, u, v, s):
+    sees = avoidance_test(t, g)
+    for u, v in itertools.combinations(list(iter_bits(s)), 2):
+        if not sees(u, v, s):
             return False
     return True
 
 
 def is_total_mv_set(g: Graph, t: DistanceTable, s: VertexMask) -> bool:
     """True iff *every* vertex pair of the graph sees each other around ``s``."""
+    sees = avoidance_test(t, g)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not geodesic_exists_avoiding(t, g, u, v, s):
+            if not sees(u, v, s):
                 return False
     return True
 

@@ -11,9 +11,9 @@ from shadowpos.families import enumerate_connected, generate, parse_family_spec
 from shadowpos.graph_core import (
     INF,
     GraphError,
+    avoidance_test,
     build_graph,
     distances,
-    geodesic_exists_avoiding,
     is_connected,
     iter_bits,
     mask_of,
@@ -108,7 +108,7 @@ def test_distances_on_disconnected_graph():
             assert t.line[u][v] == t.line[v][u] == 0
     assert not is_connected(g)
     with pytest.raises(GraphError):
-        geodesic_exists_avoiding(t, g, 0, 2, 0)
+        avoidance_test(t, g)(0, 2, 0)
 
 
 def _random_graph(n, rng):
@@ -273,20 +273,24 @@ def test_gp_and_igp_share_one_collinearity_table(built_tables):
 def test_close_endpoints_always_see_each_other():
     # d(u,v) <= 1 leaves no internal vertex, whatever ``forbidden`` holds.
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    t = distances(g)
+    sees = avoidance_test(distances(g), g)
     for forbidden in range(1 << g.n):
         for u in range(g.n):
-            assert geodesic_exists_avoiding(t, g, u, u, forbidden)
+            assert sees(u, u, forbidden)
             for v in iter_bits(g.adj[u]):
-                assert geodesic_exists_avoiding(t, g, u, v, forbidden)
+                assert sees(u, v, forbidden)
 
 
 def test_geodesic_avoidance_matches_path_enumeration():
+    # Random graphs of order 3..7, then the shadows of random connected
+    # graphs of order 3..6, whose twins put two or more vertices in one
+    # layer of a geodesic DAG.
     rng = random.Random(19)
-    for trial in range(20):
-        n = rng.randint(3, 7)
-        g = random_connected_graph(n, rng)
-        t = distances(g)
+    graphs = [random_connected_graph(rng.randint(3, 7), rng) for _ in range(20)]
+    graphs += [shadow(random_connected_graph(rng.randint(3, 6), rng)).graph
+               for _ in range(20)]
+    for g in graphs:
+        n, sees = g.n, avoidance_test(distances(g), g)
         ref = matrix_power_distances(g)
         for _ in range(30):
             forbidden = rng.getrandbits(n)
@@ -294,7 +298,7 @@ def test_geodesic_avoidance_matches_path_enumeration():
             fset = set(mask_to_sorted_list(forbidden)) - {u, v}
             expected = any(not (set(p[1:-1]) & fset)
                            for p in all_geodesics(g, ref, u, v))
-            assert geodesic_exists_avoiding(t, g, u, v, forbidden) == expected
+            assert sees(u, v, forbidden) == expected, (g.adj, u, v, forbidden)
 
 
 def test_structural_summary_spot_checks():
