@@ -16,8 +16,8 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
   properties on every connected graph of order 2..7 up to isomorphism and
   on the shadows of those of order 2..6.  The budget lets an older tree
   that cannot finish an instance record it as not exact.
-- ``heuristic``: one ``max_set_heuristic`` run per instance, the exact
-  search stopped at the row's ``time_budget`` in seconds.
+- ``heuristic``: one ``max_set(..., time_budget=...)`` run per instance,
+  the exact search stopped at the row's ``time_budget`` in seconds.
 - ``covers``: ip, ic and chi on every connected graph of order 2..7 up to
   isomorphism and on the shadows of those of order 2..6, ic on K_8, K_9,
   K_10, K_14 and K_{4,5,5}, ip on K_{30,30}, and ic and chi on S(C_8..12),
@@ -151,9 +151,9 @@ def _max_set(prop: str, gs: list, settings: dict) -> dict:
 
 
 def _heuristic(prop: str, gs: list, settings: dict) -> dict:
-    from shadowpos.solvers import max_set_heuristic
+    from shadowpos.solvers import max_set
     from shadowpos.visibility import SetProperty
-    (r,), s = best_of(lambda: [max_set_heuristic(SetProperty[prop], g, **settings)
+    (r,), s = best_of(lambda: [max_set(SetProperty[prop], g, time_budget=settings["time_budget"])
                                for g in gs], 1)
     return {"value": r.value, "exact": r.exact, "nodes_explored": r.nodes_explored,
             "elapsed_s": round(s, 4)}

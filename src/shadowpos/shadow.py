@@ -1,4 +1,4 @@
-"""Shadow-graph constructions and the partition bookkeeping around them.
+"""Shadow-graph constructions and the lemma checks on them.
 
 The shadow graph doubles a graph: each vertex ``v`` gains a twin ``v'``
 adjacent to all neighbors of ``v`` but not to ``v`` itself.  The index
@@ -137,72 +137,37 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class PiPartition:
-    """Classification of base vertices by which of {v, v'} a set contains.
-
-    ``v1``: both in the set, ``v2``: only the twin, ``v3``: only the base
-    vertex, ``v4``: neither.  For any set S over V(S(G)) this forces
-    ``|S| = n + n1 - n4``.
-    """
-
-    v1: VertexMask
-    v2: VertexMask
-    v3: VertexMask
-    v4: VertexMask
-
-    @property
-    def n1(self) -> int:
-        return self.v1.bit_count()
-
-    @property
-    def n4(self) -> int:
-        return self.v4.bit_count()
-
-
-def pi_partition(sg: ShadowGraph, s: VertexMask) -> PiPartition:
-    """Split base vertices by membership pattern of (v, v') in ``s``."""
-    n = sg.base.n
-    base_bits = s & sg.base_side_mask()
-    twin_bits = (s >> n) & sg.base_side_mask()
-    full = sg.base_side_mask()
-    part = PiPartition(
-        v1=base_bits & twin_bits,
-        v2=~base_bits & twin_bits & full,
-        v3=base_bits & ~twin_bits & full,
-        v4=~base_bits & ~twin_bits & full,
-    )
-    if s.bit_count() != n + part.n1 - part.n4:
-        raise RuntimeError(f"pi partition of {s:#x} breaks |S| = n + n1 - n4")
-    return part
-
-
 def gp_partition_violations(sg: ShadowGraph, s: VertexMask) -> list[str]:
     """Check the structural clauses every gp-set's partition must satisfy.
 
-    Assumes the caller verified that ``s`` is a general position set of the
-    shadow graph; violated clauses are returned as strings.
+    The base vertices split by which of v, v' the set ``s`` holds: ``v1``
+    both, ``v2`` only the twin, ``v3`` only v, ``v4`` neither; so
+    |s| = n + |v1| - |v4| for every set over V(S(G)).  Assumes the caller
+    verified that ``s`` is a general position set of the shadow graph;
+    violated clauses are returned as strings.
     """
     base_adj = sg.base.adj
-    p = pi_partition(sg, s)
+    full = sg.base_side_mask()
+    on, twin = s & full, s >> sg.base.n & full
+    v1, v2, v3, v4 = on & twin, twin & ~on, on & ~twin, full & ~(on | twin)
     out = []
-    for u in iter_bits(p.v1):
-        if base_adj[u] & p.v1:
+    for u in iter_bits(v1):
+        if base_adj[u] & v1:
             out.append(f"v1 not independent at vertex {u}")
             break
-    for u in iter_bits(p.v1):
-        if base_adj[u] & p.v3:
+    for u in iter_bits(v1):
+        if base_adj[u] & v3:
             out.append(f"edge between v1 vertex {u} and v3")
             break
-    for u in iter_bits(p.v1 | p.v3):
-        if (base_adj[u] & p.v2).bit_count() > 1:
+    for u in iter_bits(v1 | v3):
+        if (base_adj[u] & v2).bit_count() > 1:
             out.append(f"vertex {u} of v1|v3 has two neighbors in v2")
             break
     # Matching between v1 and v2: additionally no v2 vertex sees two v1 vertices.
-    for w in iter_bits(p.v2):
-        if (base_adj[w] & p.v1).bit_count() > 1:
+    for w in iter_bits(v2):
+        if (base_adj[w] & v1).bit_count() > 1:
             out.append(f"v2 vertex {w} has two neighbors in v1")
             break
-    if p.v4 == 0 and p.v1 != 0:
+    if v4 == 0 and v1 != 0:
         out.append("v4 empty but v1 nonempty")
     return out

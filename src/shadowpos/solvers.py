@@ -133,6 +133,7 @@ class _Search:
     no node once the clock reads past ``deadline`` (a
     :func:`time.perf_counter` reading).  With a finite deadline the clock is
     read at every node, so only the work of one node runs past it.
+    ``nodes`` counts only the nodes both rules let run, never the one refused.
     ``exact`` is False when either rule stopped the search.
     """
 
@@ -143,9 +144,9 @@ class _Search:
         self.exact = False
 
     def _node(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget or self.deadline < INF and time.perf_counter() > self.deadline:
+        if self.nodes >= self.budget or self.deadline < INF and time.perf_counter() > self.deadline:
             raise BudgetExhausted
+        self.nodes += 1
 
     def _run(self, *args) -> None:
         try:

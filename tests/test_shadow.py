@@ -8,11 +8,11 @@ from shadowpos.graph_core import (
     GraphError,
     build_graph,
     is_connected,
+    mask_of,
     structural_queries,
 )
 from shadowpos.shadow import (
     gp_partition_violations,
-    pi_partition,
     shadow,
     shadow_distance_violations,
     star_shadow,
@@ -157,19 +157,6 @@ def test_distance_clauses_match_a_per_pair_reference_on_corrupted_shadows():
                     "flagged", "passed"}
 
 
-def test_pi_partition_arithmetic():
-    rng = random.Random(4)
-    for _ in range(20):
-        g = random_connected_graph(rng.randint(2, 7), rng)
-        sg = shadow(g)
-        s = rng.getrandbits(2 * g.n)
-        p = pi_partition(sg, s)
-        full = sg.base_side_mask()
-        assert p.v1 | p.v2 | p.v3 | p.v4 == full
-        assert p.n1 + p.v2.bit_count() + p.v3.bit_count() + p.n4 == g.n
-        assert s.bit_count() == g.n + p.n1 - p.n4
-
-
 def test_gp_partition_clauses_on_solver_sets():
     for text in ["path:4", "cycle:5", "complete:4", "star:3", "bipartite:2,3"]:
         sg = shadow(generate(parse_family_spec(text)))
@@ -178,7 +165,20 @@ def test_gp_partition_clauses_on_solver_sets():
 
 
 def test_gp_partition_clauses_flag_bad_sets():
-    sg = shadow(generate(parse_family_spec("path:3")))
-    # {v, its neighbor, both twins}: v1 = {0, 1} is not independent.
-    bad = 1 << 0 | 1 << 1 | 1 << 3 | 1 << 4
-    assert any("independent" in msg for msg in gp_partition_violations(sg, bad))
+    # v1 holds v and v', v2 only v', v3 only v, v4 neither; twin of i is i + n.
+    p3 = shadow(generate(parse_family_spec("path:3")))  # twins 3, 4, 5
+    cases = [
+        # v1 = {0, 1} is not independent.
+        ({0, 1, 3, 4}, ["v1 not independent at vertex 0"]),
+        # v1 = {0}, v3 = {1}: an edge between them.
+        ({0, 1, 3}, ["edge between v1 vertex 0 and v3"]),
+        # v3 = {1} sees both of v2 = {0, 2}.
+        ({1, 3, 5}, ["vertex 1 of v1|v3 has two neighbors in v2"]),
+        # v2 = {1} sees both of v1 = {0, 2}, and v4 is empty.
+        ({0, 2, 3, 4, 5}, ["v2 vertex 1 has two neighbors in v1",
+                           "v4 empty but v1 nonempty"]),
+    ]
+    for vertices, want in cases:
+        assert gp_partition_violations(p3, mask_of(vertices)) == want, vertices
+    p2 = shadow(generate(parse_family_spec("path:2")))  # twins 2, 3
+    assert gp_partition_violations(p2, mask_of({0, 2, 3})) == ["v4 empty but v1 nonempty"]

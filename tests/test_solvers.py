@@ -263,14 +263,14 @@ def test_budget_exhaustion_reports_lower_bound():
     assert r.value <= full.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
     # One node short of its own count the search runs out, and the report
-    # counts that node.
+    # counts only the nodes it ran.
     g = shadow(_family("cycle:7")).graph
     full = max_set(SetProperty.MV, g)
     assert full.exact and full.value == 7
     budget = full.nodes_explored - 1
     r = max_set(SetProperty.MV, g, budget=budget)
     assert r.exact is False
-    assert r.nodes_explored == budget + 1
+    assert r.nodes_explored == budget
     assert r.value <= full.value
     assert check_property(SetProperty.MV, g, distances(g), r.witness)
     assert r.witness.bit_count() == r.value
@@ -350,25 +350,25 @@ def _tick_clock(monkeypatch):
 def test_heuristic_deadline_cuts_like_the_node_budget(monkeypatch):
     # The start reads tick 0 and the 40 joins of the seed, the twin set of
     # S(C_40), ticks 1..40.  A deadline at 40.5 lets the seed finish and
-    # stops the search at node 1, as the exact search stops at node budget 0.
-    # Each node reads the clock, so a deadline at 43.5 stops it at node 4,
-    # as node budget 3 does.
+    # refuses the search's node 1, as node budget 0 does.  Each node reads
+    # the clock, so a deadline at 43.5 refuses node 4, as node budget 3
+    # does; neither report counts the node it refused.
     g = shadow(_family("cycle:40")).graph
     for budget in (0, 3):
         _tick_clock(monkeypatch)
         h = max_set_heuristic(SetProperty.MV, g, time_budget=40.5 + budget)
         r = max_set(SetProperty.MV, g, budget=budget)
         assert not h.exact and not r.exact
-        assert h.nodes_explored == r.nodes_explored == budget + 1
+        assert h.nodes_explored == r.nodes_explored == budget
         assert h.witness == r.witness
 
 
 def test_heuristic_cut_at_its_first_node_reports_the_seed(monkeypatch):
-    # Cut at node 1, before the search re-finds its seed, the twin set.
+    # Cut before node 1, so the search never re-finds its seed, the twin set.
     _tick_clock(monkeypatch)
     g = shadow(_family("cycle:40")).graph
     h = max_set_heuristic(SetProperty.MV, g, time_budget=40.5)
-    assert not h.exact and h.nodes_explored == 1
+    assert not h.exact and h.nodes_explored == 0
     assert h.value == 40 and h.witness == mask_of(range(40, 80))
 
 
@@ -385,19 +385,19 @@ def test_heuristic_cut_in_its_seed_reports_a_certified_set():
 def test_cover_budget_exhaustion_reports_upper_bound():
     g = _family("tree:40:seed=2")
     r = isometric_path_cover(g, budget=2000)
-    assert not r.exact and r.nodes_explored == 2001
+    assert not r.exact and r.nodes_explored == 2000
     assert r.value == len(r.witness) >= 8  # its 15 leaves need 8 paths
-    # At budget 0 each cover stops at the first step of its enumeration, and
-    # chi at its first colour.  ip takes every single vertex as a part and
+    # At budget 0 each cover refuses the first step of its enumeration, and
+    # chi its first colour, and counts none.  ip takes every single vertex as a part and
     # chi keeps its seed, one class per vertex; ic has no cycle yet, so it
     # has no witness, and it never claims that C_5 has no cycle cover.
     c5 = _family("cycle:5")
     for cover in (isometric_path_cover, chromatic_number):
         r = cover(c5, budget=0)
-        assert not r.exact and r.nodes_explored == 1
+        assert not r.exact and r.nodes_explored == 0
         assert r.value == 5 and r.witness == [(v,) for v in range(5)]
     r = isometric_cycle_cover(c5, budget=0)
-    assert not r.exact and r.nodes_explored == 1
+    assert not r.exact and r.nodes_explored == 0
     assert r.coverable and r.witness is None
 
 
@@ -408,7 +408,7 @@ def test_isometric_path_cover_cut_in_its_walk():
     # exact 2.
     g = _family("star:4")
     r = isometric_path_cover(g, budget=3)
-    assert r.exact is False and r.coverable and r.nodes_explored == 4
+    assert r.exact is False and r.coverable and r.nodes_explored == 3
     assert r.value == 3 and r.witness == [(1, 0, 2), (3,), (4,)]
     assert sorted(v for path in r.witness for v in path) == list(range(g.n))
     assert isometric_path_cover(g).value == 2
@@ -426,11 +426,11 @@ def test_covers_cut_in_their_enumeration(monkeypatch, cover, budget, witness):
     # the budget cuts at the same step.
     c5 = _family("cycle:5")
     r = cover(c5, budget=budget)
-    assert not r.exact and r.coverable and r.nodes_explored == budget + 1
+    assert not r.exact and r.coverable and r.nodes_explored == budget
     assert r.witness == witness and r.value == len(witness) >= cover(c5).value
     _tick_clock(monkeypatch)
     h = cover(c5, time_budget=budget + 0.5)
-    assert not h.exact and h.nodes_explored == budget + 1 and h.witness == witness
+    assert not h.exact and h.nodes_explored == budget and h.witness == witness
 
 
 # The one connected graph of order <= 7 that greedy DSATUR, the first descent
@@ -450,11 +450,11 @@ def test_chromatic_number_cut_in_its_search(monkeypatch, budget, witness):
     # reads clock tick 0 and each node one more, so a deadline half a tick
     # past the budget cuts at the same node.
     r = chromatic_number(_GREEDY_MISS, budget=budget)
-    assert not r.exact and r.nodes_explored == budget + 1
+    assert not r.exact and r.nodes_explored == budget
     assert r.witness == witness and r.value == len(witness) > chromatic_number(_GREEDY_MISS).value
     _tick_clock(monkeypatch)
     h = chromatic_number(_GREEDY_MISS, time_budget=budget + 0.5)
-    assert not h.exact and h.nodes_explored == budget + 1 and h.witness == witness
+    assert not h.exact and h.nodes_explored == budget and h.witness == witness
 
 
 def test_isometric_path_cover_values():
@@ -645,6 +645,16 @@ def test_chromatic_number_of_a_shadow_is_that_of_its_graph():
     for g in enumerate_connected(6):
         r = chromatic_number(shadow(g).graph)
         assert r.exact and r.value == naive_chromatic_number(g), g.edges()
+
+
+def test_chromatic_number_of_a_star_shadow_is_one_more():
+    # star_shadow(G) is the Mycielskian of G, so by Mycielski's theorem its
+    # chromatic number is chi(G) + 1; these are triangle-free whenever G is.
+    graphs = list(enumerate_connected(6))
+    assert len(graphs) == 143
+    for g in graphs:
+        r = chromatic_number(star_shadow(g))
+        assert r.exact and r.value == naive_chromatic_number(g) + 1, g.edges()
 
 
 @pytest.mark.parametrize("spec, value", [
