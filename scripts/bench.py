@@ -21,8 +21,7 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
 - ``covers``: ip, ic and chi on every connected graph of order 2..7 up to
   isomorphism and on the shadows of those of order 2..6, ic on K_8, K_9,
   K_10, K_14 and K_{4,5,5}, ip on K_{30,30}, and ic and chi on S(C_8..12),
-  S(balloon:2) and S(balloon:3), the best of ``repeat`` runs per set.  A
-  tree that refuses a graph records the refusal.
+  S(balloon:2) and S(balloon:3), the best of ``repeat`` runs per set.
 - ``metric``: ``distances(g)`` alone, followed by a read of ``.d`` and
   followed by a read of ``.between``, the best of ``repeat`` runs each, on
   the seed-0 ``lemma-large`` graphs and their shadows, S(C_40) and the 160
@@ -73,8 +72,7 @@ class Row(NamedTuple):
 def _cold_tables() -> None:
     """Empty the solvers' table cache, so a run builds its tables as a first call does."""
     from shadowpos import graph_core
-    if hasattr(graph_core, "shared_distances"):  # trees before the table cache have none
-        graph_core.shared_distances.cache_clear()
+    graph_core.shared_distances.cache_clear()
 
 
 def best_of(run: Callable[[], object], repeat: int) -> tuple[object, float]:
@@ -161,13 +159,9 @@ def _heuristic(prop: str, gs: list, settings: dict) -> dict:
 
 def _cover(prop: str, gs: list, settings: dict) -> dict:
     from shadowpos import solvers
-    from shadowpos.graph_core import GraphError
     solve = {"ip": solvers.isometric_path_cover, "ic": solvers.isometric_cycle_cover,
              "chi": solvers.chromatic_number}[prop]
-    try:
-        reports, s = best_of(lambda: [solve(g) for g in gs], settings["repeat"])
-    except GraphError as exc:  # an order cap of an older tree
-        return {"graphs": len(gs), "refused": str(exc)}
+    reports, s = best_of(lambda: [solve(g) for g in gs], settings["repeat"])
     return {"graphs": len(gs), **_totals(reports), "best_s": round(s, 4),
             "sha256": sha(json.dumps([[r.value, r.witness_vertices(), r.exact, r.coverable]
                                       for r in reports]))}

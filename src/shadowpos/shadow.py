@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import (
+    INF,
     DistanceTable,
     Graph,
     GraphError,
@@ -80,9 +81,10 @@ def _trimmed(layers: list[VertexMask]) -> tuple[VertexMask, ...]:
     return tuple(layers)
 
 
-def _layers_agree(sg: ShadowGraph, tg: DistanceTable, ts: DistanceTable, x: int) -> bool:
-    """Whether the BFS layers of x and x' in S(G) (table ``ts``) are those the
-    distance clauses predict from the layers of x in G (table ``tg``)."""
+def _predicted_layers(sg: ShadowGraph, tg: DistanceTable,
+                      x: int) -> tuple[tuple[VertexMask, ...], tuple[VertexMask, ...]]:
+    """The trimmed BFS layers of x and of x' in S(G) that the distance
+    clauses predict from the layers of x in G (table ``tg``)."""
     n, adj = sg.base.n, sg.base.adj
     near, bit, twin = adj[x], 1 << x, 1 << x + n
     in_triangle = mask_of(y for y in iter_bits(near) if near & adj[y])
@@ -92,7 +94,7 @@ def _layers_agree(sg: ShadowGraph, tg: DistanceTable, ts: DistanceTable, x: int)
     of_twin[0], of_twin[1] = twin, near
     of_twin[2] |= bit | in_triangle << n
     of_twin[3] |= (near & ~in_triangle) << n
-    return _trimmed(of_x) == ts.layers[x] and _trimmed(of_twin) == ts.layers[x + n]
+    return _trimmed(of_x), _trimmed(of_twin)
 
 
 def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
@@ -104,36 +106,33 @@ def shadow_distance_violations(sg: ShadowGraph) -> list[str]:
     human-readable violations (empty when all clauses hold).  Adjacency and
     the base distances are read from ``sg.base``, the graph that was doubled.
 
-    The clauses are checked on BFS layer masks first, one base vertex x at
-    a time against all y: by them, y and y' lie at hop d(x,y) from x and
-    from x', except that from x' the twin of a neighbour of x lies at hop 2
-    (edge in a triangle) or 3, and x' lies at hop 2 from x.  A vertex lies
-    in one layer only, so equal masks mean equal distances.  Only an x
-    whose layers differ reads the distance rows, to name the broken clauses
-    of its pairs x < y; when all clauses hold, no row is filled.
+    The clauses are checked on BFS layer masks, one base vertex x at a time
+    against all y: by them, y and y' lie at hop d(x,y) from x and from x',
+    except that from x' the twin of a neighbour of x lies at hop 2 (edge in
+    a triangle) or 3, and x' lies at hop 2 from x.  A vertex lies in one
+    layer only, so equal masks mean equal distances.  An x whose layers
+    differ names the broken clauses of its pairs x < y from the hops of
+    their far ends, actual and predicted; no distance row is ever read.
     """
     n, base_adj = sg.base.n, sg.base.adj
     tg, ts = shared_distances(sg.base), shared_distances(sg.graph)
     out = []
     for x in range(n):
-        if _layers_agree(sg, tg, ts, x):
+        want = _predicted_layers(sg, tg, x)
+        got = ts.layers[x], ts.layers[x + n]
+        if got == want:
             continue
-        base, d = tg.d, ts.d
-        dx, dtx = d[x], d[x + n]
+        # Hops from x and x', actual then predicted; a vertex in no layer is at INF.
+        hop = [{v: k for k, layer in enumerate(ls) for v in iter_bits(layer)} for ls in got + want]
         for y in range(x + 1, n):
-            # d(x,y), d(x,y'), d(y,x'), d(x',y') against the lemma, in one test.
-            got = (dx[y], dx[y + n], d[y][x + n], dtx[y + n])
-            if base_adj[x] >> y & 1:
-                kind = "adjacent"
-                want = (1, 1, 1, 2 if base_adj[x] & base_adj[y] else 3)
-            else:
-                kind = "non-adjacent"
-                want = (base[x][y],) * 4
-            if got != want:
-                pairs = ((x, y), (x, y + n), (y, x + n), (x + n, y + n))
-                for (u, v), clause, a, b in zip(pairs, _DISTANCE_CLAUSES, got, want):
-                    if a != b:
-                        out.append(f"{kind} {clause}: d({u},{v}) = {a}, expected {b}")
+            kind = "adjacent" if base_adj[x] >> y & 1 else "non-adjacent"
+            # d(x,y), d(x,y'), d(y,x') = d(x',y), d(x',y'): far ends in the layers of x or x'.
+            pairs = ((x, y), (x, y + n), (y, x + n), (x + n, y + n))
+            ends = ((0, y), (0, y + n), (1, y), (1, y + n))
+            for (u, v), clause, (side, end) in zip(pairs, _DISTANCE_CLAUSES, ends):
+                a, b = hop[side].get(end, INF), hop[side + 2].get(end, INF)
+                if a != b:
+                    out.append(f"{kind} {clause}: d({u},{v}) = {a}, expected {b}")
     return out
 
 

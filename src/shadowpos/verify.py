@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional
 
 from .families import FamilySpec, enumerate_connected, generate, random_tree
-from .formats import graph6_to_graph, graph_to_graph6
+from .formats import graph_to_graph6
 from .graph_core import (
     Graph,
     GraphError,
@@ -149,10 +149,9 @@ def mu_shadow_bounds(n: int, mu: int, mu_i: int, max_degree: int) -> tuple[int, 
 
 
 @lru_cache(maxsize=8)
-def _connected_reps_g6(n_max: int) -> tuple[str, ...]:
-    """graph6 of one connected graph per isomorphism class, orders 2..n_max."""
-    return tuple(graph_to_graph6(g) for g in enumerate_connected(n_max)
-                 if g.n >= 2)
+def _connected_reps(n_max: int) -> tuple[tuple[str, Graph], ...]:
+    """(graph6, graph) of one connected graph per isomorphism class, orders 2..n_max."""
+    return tuple((graph_to_graph6(g), g) for g in enumerate_connected(n_max) if g.n >= 2)
 
 
 def _multisets(total: int) -> list[tuple[int, ...]]:
@@ -190,34 +189,24 @@ def _random_trees(top: int, p: SuiteParams, min_diam: int) -> list[tuple[tuple[i
 class _GraphProfile:
     """One instance of a suite: a graph as every check reads it.
 
-    The source is a graph6 string or a :class:`FamilySpec`; ``key`` names
-    the instance and defaults to the graph6.  The graph, its structural
-    summary and its shadow are built on first use and exact
-    :func:`solvers.solve` reports are kept per (invariant code, on the
-    shadow) pair, so the checks of one graph share this work.  A profile
-    pickles as source, budget and key.  Nothing it caches outlives it; the
-    distance tables of G and S(G) are not its own but the solvers', which
-    read them through :func:`graph_core.shared_distances`, so the last two
-    stay in that cache after the profile is gone.
+    The source is a graph6 string or a :class:`FamilySpec`, and ``graph``
+    is the graph it names; ``key`` names the instance and defaults to the
+    graph6.  The structural summary and the shadow are built on first use
+    and exact :func:`solvers.solve` reports are kept per (invariant code, on
+    the shadow) pair, so the checks of one graph share this work.  Nothing
+    it caches outlives it; the distance tables of G and S(G) are not its
+    own but the solvers', which read them through
+    :func:`graph_core.shared_distances`, so the last two stay in that cache
+    after the profile is gone.
     """
 
-    def __init__(self, source: str | FamilySpec, budget: int, key: Optional[str] = None,
-                 graph: Optional[Graph] = None):
+    def __init__(self, source: str | FamilySpec, graph: Graph, budget: int,
+                 key: Optional[str] = None):
         self.source = source
+        self.graph = graph
         self.budget = budget
         self.key = source if key is None else key
-        if graph is not None:
-            self.graph = graph  # seeds the cached property: no graph6 parse
         self._reports: dict[tuple[str, bool], InvariantReport] = {}
-
-    def __reduce__(self):
-        return _GraphProfile, (self.source, self.budget, self.key)
-
-    @cached_property
-    def graph(self) -> Graph:
-        if isinstance(self.source, FamilySpec):
-            return generate(self.source)
-        return graph6_to_graph(self.source)
 
     @cached_property
     def replay(self) -> str:
@@ -261,7 +250,7 @@ def _members(kind: str, sweep: Callable, key: str) -> Callable:
     formatted with the params as positional fields, the params list as
     ``{params}`` and the family seed as ``{fseed}``."""
     def members(top: int, p: SuiteParams) -> list[_GraphProfile]:
-        return [_GraphProfile(FamilySpec(kind, params, fseed), p.budget,
+        return [_GraphProfile(spec := FamilySpec(kind, params, fseed), generate(spec), p.budget,
                               key.format(*params, params=list(params), fseed=fseed))
                 for params, fseed in sweep(top, p)]
 
@@ -290,7 +279,7 @@ def _suite(suite_id: str, description: str, n_max: int,
         top = p.n_max if p.n_max is not None else n_max
         if members is not None:
             return members(top, p)
-        return [_GraphProfile(g6, p.budget) for g6 in _connected_reps_g6(top)]
+        return [_GraphProfile(g6, g, p.budget) for g6, g in _connected_reps(top)]
 
     def check(profile: _GraphProfile) -> InstanceResult:
         if outside is not None and outside[1](profile):
@@ -499,7 +488,7 @@ def fuzz(n_max: int):
     suite_ids = [s.id for s in SUITES.values() if s.per_graph]
     for g in enumerate_connected(n_max):
         g6 = graph_to_graph6(g)
-        profile = _GraphProfile(g6, DEFAULT_NODE_BUDGET, graph=g)
+        profile = _GraphProfile(g6, g, DEFAULT_NODE_BUDGET)
         # Every check involves the shadow, which needs at least one edge.
         checks = {sid: SUITES[sid].check_instance(profile)
                   for sid in (suite_ids if g.n >= 2 else ())}

@@ -278,6 +278,20 @@ def test_transform_unwritable_exit_5(runner):
     assert result.exit_code == 5
 
 
+def test_transform_refusals_write_nothing(runner, tmp_path):
+    out = tmp_path / "out.g6"
+    disconnected = tmp_path / "disc.edges"
+    disconnected.write_text("0 1\n2 3\n")
+    cases = [("nonsense", 2, "error: 'nonsense' is not an existing file, a family spec, "
+                             "or a graph6 string"),
+             (str(disconnected), 3, "error: shadow graph requires a connected base graph")]
+    for source, code, message in cases:
+        result = runner.invoke(main, ["transform", "--graph", source, "--op", "shadow",
+                                      "--out", str(out), "--format", "g6"])
+        assert result.exit_code == code and result.stderr == message + "\n"
+        assert not out.exists()
+
+
 def test_verify_unknown_suite_exit_2(runner):
     result = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert result.exit_code == 2

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from shadowpos.families import generate, parse_family_spec
 from shadowpos.formats import (
     GRAPH6_HEADER,
+    _decode_size,
+    _encode_size,
     edges_to_text,
     graph6_to_graph,
     graph_to_dot,
@@ -56,6 +58,22 @@ def test_graph6_multibyte_size():
     enc = graph_to_graph6(g)
     assert enc.startswith(chr(126))
     assert graph6_to_graph(enc) == g
+
+
+def test_graph6_size_field():
+    # The size field alone at both ends of each width; no graph is built.
+    for n, width in [(0, 1), (62, 1), (63, 4), (258047, 4), (258048, 8), (68719476735, 8)]:
+        size = _encode_size(n)
+        assert len(size) == width and _decode_size(size) == (n, width)
+    for bad in ["~", "~??", "~~", "~~?????"]:
+        with pytest.raises(GraphError) as exc:
+            graph6_to_graph(bad)
+        assert str(exc.value) == "truncated graph6 size field"
+    for n, message in [(-1, "negative vertex count"),
+                       (2 ** 36, f"graph too large for graph6: {2 ** 36} vertices")]:
+        with pytest.raises(GraphError) as exc:
+            _encode_size(n)
+        assert str(exc.value) == message
 
 
 def test_graph6_errors():

@@ -35,6 +35,13 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [(1, 1)])
     with pytest.raises(GraphError):
         build_graph(-1, [])
+    for adj, message in [((0,), "adjacency has 1 rows, expected 2"),
+                         ((4, 0), "adjacency row 0 has bits outside 0..1"),
+                         ((1, 0), "loop at vertex 0"),
+                         ((2, 0), "asymmetric adjacency between 0 and 1")]:
+        with pytest.raises(GraphError) as exc:
+            graph_core.Graph(2, adj)
+        assert str(exc.value) == message
 
 
 def test_build_graph_collapses_duplicates():

@@ -9,6 +9,7 @@ from shadowpos.graph_core import (
     build_graph,
     is_connected,
     mask_of,
+    shared_distances,
     structural_queries,
 )
 from shadowpos.shadow import (
@@ -97,6 +98,19 @@ def test_distance_clauses_catch_a_missing_base_twin_edge():
         "adjacent base/twin pair: d(0,6) = 3, expected 1",
         "non-adjacent base/twin pair: d(4,6) = 3, expected 2",
         "non-adjacent twin pair: d(6,9) = 3, expected 2"]
+
+
+def test_distance_clauses_name_violations_without_filling_a_distance_row():
+    # From an empty table cache the violations are named from BFS layers
+    # alone: neither the base's nor the shadow's table fills its rows.
+    bad = _toggled(shadow(generate(parse_family_spec("cycle:5"))), 0, 6)
+    shared_distances.cache_clear()
+    assert shadow_distance_violations(bad) == [
+        "adjacent base/twin pair: d(0,6) = 3, expected 1",
+        "non-adjacent base/twin pair: d(4,6) = 3, expected 2",
+        "non-adjacent twin pair: d(6,9) = 3, expected 2"]
+    for t in (shared_distances(bad.base), shared_distances(bad.graph)):
+        assert "d" not in vars(t)
 
 
 def test_distance_clauses_compare_against_the_base_graph():

@@ -83,6 +83,16 @@ def test_rejects_disconnected():
         max_set_heuristic(SetProperty.GP, g)
 
 
+def test_rejects_unknown_properties_and_codes():
+    p3 = _family("path:3")
+    with pytest.raises(ValueError) as exc:
+        max_set("gp", p3)
+    assert str(exc.value) == "unknown property 'gp'"
+    with pytest.raises(GraphError) as exc:
+        solvers.solve("xx", p3)
+    assert str(exc.value) == "unknown set-invariant code 'xx'"
+
+
 def test_canonical_witness_is_lexicographically_smallest():
     # mut = muit = 0 on C_6, so the empty witness is covered too.
     graphs = {text: _family(text) for text in ["cycle:6", "path:5", "bipartite:2,3", "complete:4"]}

@@ -6,10 +6,10 @@ import pytest
 
 from shadowpos import verify
 from shadowpos.families import FamilySpec, generate
-from shadowpos.formats import graph_to_graph6
+from shadowpos.formats import graph6_to_graph, graph_to_graph6
 from shadowpos.graph_core import GraphError
 from shadowpos.shadow import shadow
-from shadowpos.solvers import max_set
+from shadowpos.solvers import InvariantReport, max_set
 from shadowpos.visibility import SetProperty
 from shadowpos.verify import (
     FAIL,
@@ -115,8 +115,8 @@ def test_ip_ic_bounds_spends_the_suite_budget_on_the_covers():
     # GP on Fsb~w takes 7 nodes, its ip cover 49 and its ic cover 76, the
     # steps of their enumerations included, so only the ic cover runs out.
     check = SUITES["ip-ic-bounds"].check_instance
-    assert check(verify._GraphProfile("Fsb~w", 76)).status == PASS
-    r = check(verify._GraphProfile("Fsb~w", 75))
+    assert check(verify._GraphProfile("Fsb~w", graph6_to_graph("Fsb~w"), 76)).status == PASS
+    r = check(verify._GraphProfile("Fsb~w", graph6_to_graph("Fsb~w"), 75))
     assert r.status == SKIPPED and r.actual == "budget exhausted" and r.graph6 == "Fsb~w"
 
 
@@ -296,6 +296,37 @@ def test_bound_rows_state_their_bounds():
         ("2 <= gp(S(G)) <= 3", FAIL)
     assert k4["gp-regular-tf"]["note"] == "filtered: not regular triangle-free"
     assert k4["mu-muit"]["note"] == "filtered: triangle or universal vertex"
+
+
+def test_judges_name_the_broken_claims():
+    # Synthetic reports at values no small graph reaches: the FAIL records a
+    # real counterexample would print, with the graph6 that replays it.
+    def fail(judge, source, g, *reports):
+        p = verify._GraphProfile(source, g, 0, "key")
+        r = judge(p, *reports)
+        assert r.status == FAIL and r.graph6 == p.replay
+        return r
+
+    p3, k2 = generate(FamilySpec("path", (3,))), generate(FamilySpec("path", (2,)))
+    mu_char = verify._judge_mu_char
+    assert fail(mu_char, "Bg", p3, InvariantReport("mu", 5)).note == (
+        "mu(S(G)) = 5 should never occur; "
+        "mu(S(G)) = 4 should hold exactly for the 3-path/3-cycle")
+    assert fail(mu_char, "A_", k2, InvariantReport("mu", 4)).note == (
+        "mu(S(G)) = 2 should hold exactly for the single edge; "
+        "mu(S(G)) = 4 should hold exactly for the 3-path/3-cycle")
+    ip_ic = verify._judge_ip_ic_bounds
+    gp, ip = InvariantReport("gp", 7), InvariantReport("ip", 3)
+    r = fail(ip_ic, "Bg", p3, gp, ip, InvariantReport("ic", 2))
+    assert (r.actual, r.note) == ("7", "gp = 7 > 2 ip = 6; gp = 7 > 3 ic = 6")
+    r = fail(ip_ic, "Bg", p3, gp, ip, InvariantReport("ic", 2, coverable=False))
+    assert r.note == "gp = 7 > 2 ip = 6"
+    balloon = FamilySpec("balloon", (2,))
+    g = generate(balloon)
+    r = fail(verify._judge_mu_balloon, balloon, g, InvariantReport("mut", 1),
+             InvariantReport("mu", 13))
+    assert (r.expected, r.actual) == ("total visibility number 0", "1")
+    assert r.graph6 == graph_to_graph6(shadow(g).graph)
 
 
 def test_worker_count_env(monkeypatch):
