@@ -1,6 +1,6 @@
 """Run benchmark rows on a checkout and merge each row's results into its record.
 
-    python3 scripts/bench.py max_set heuristic covers metric enumerate --label change
+    python3 scripts/bench.py max_set heuristic covers metric enumerate fuzz --label change
     python3 scripts/bench.py covers --src ../parent/src --label parent
 
 ``--src`` is the ``src`` directory of the checkout to measure, so the same
@@ -31,9 +31,14 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
   ``digests_agree`` says whether every run in the record has the same
   table digests.
 - ``enumerate``: ``enumerate_connected(k)`` for k = 5, 6 and 7, with its
-  graph count, the ``canonical_key`` calls it makes, the best of ``repeat``
-  runs and a digest of its graph6 sequence; then ``canonical_key`` alone on
-  K_8, K_{4,4}, C_8 and C_9, the best of ``repeat`` runs each.
+  graph count, the ``_canonical_search`` calls it makes, the best of
+  ``repeat`` runs and a digest of its graph6 sequence; then
+  ``canonical_key`` alone on K_8, K_{4,4}, C_8 and C_9, the best of
+  ``repeat`` runs each.
+- ``fuzz``: ``list(fuzz(6))`` from an empty enumeration cache
+  (``verify._connected_reps``) and repeated on a full one, the best of
+  ``repeat`` runs each, with the ``enumerate_connected`` calls each makes,
+  the record count and a digest of the records.
 
 The workload graphs come from ``perfbench/workloads.py`` itself, so they stay
 the workloads' graphs.  Values, node counts, graph counts and sha256 digests
@@ -213,6 +218,13 @@ def _count_tables(run: Callable[[], object]) -> dict:
             "between_built": sum("between" in vars(t) for t in tables)}
 
 
+def _count_calls(original: Callable, run: Callable[[], object]) -> int:
+    """How many times ``run()`` calls ``original`` through a ``shadowpos`` name."""
+    calls = []
+    _patched(original, lambda *args: calls.append(args) or original(*args), run)
+    return len(calls)
+
+
 def _enumerate(prop: str, gs: list, settings: dict) -> dict:
     from shadowpos import families
     from shadowpos.formats import graph_to_graph6
@@ -220,12 +232,32 @@ def _enumerate(prop: str, gs: list, settings: dict) -> dict:
     if prop == "canonical_key":
         (g,) = gs
         return {"best_s": round(best_of(lambda: families.canonical_key(g), repeat)[1], 5)}
-    n_max, original, calls = gs[-1].n, families.canonical_key, []
-    _patched(original, lambda g: calls.append(g) or original(g),
-             lambda: list(families.enumerate_connected(n_max)))
+    n_max = gs[-1].n
+    calls = _count_calls(families._canonical_search,
+                         lambda: list(families.enumerate_connected(n_max)))
     out, s = best_of(lambda: list(families.enumerate_connected(n_max)), repeat)
-    return {"graphs": len(out), "canonical_key_calls": len(calls), "best_s": round(s, 4),
+    return {"graphs": len(out), "canonical_search_calls": calls, "best_s": round(s, 4),
             "graph6_sha256": sha("\n".join(map(graph_to_graph6, out)))}
+
+
+def _fuzz(_: str, gs: list, settings: dict) -> dict:
+    from shadowpos import families, verify
+    n_max = gs[-1].n
+
+    def warm():
+        return list(verify.fuzz(n_max))
+
+    def cold():
+        verify._connected_reps.cache_clear()
+        return warm()
+
+    cold_calls = _count_calls(families.enumerate_connected, cold)
+    warm_calls = _count_calls(families.enumerate_connected, warm)
+    records, cold_s = best_of(cold, settings["repeat"])
+    warm_s = best_of(warm, settings["repeat"])[1]
+    return {"records": len(records), "cold_enumerate_calls": cold_calls,
+            "warm_enumerate_calls": warm_calls, "cold_s": round(cold_s, 4),
+            "warm_s": round(warm_s, 4), "records_sha256": sha(json.dumps(records))}
 
 
 def _table_counts() -> dict:
@@ -281,6 +313,7 @@ ROWS = {
         *(("enumerate", f"n<={k}") for k in (5, 6, 7)),
         *(("canonical_key", spec) for spec in ("complete:8", "bipartite:4,4", "cycle:8",
                                                "cycle:9"))), _enumerate),
+    "fuzz": Row("instances", {"repeat": 3}, (("fuzz", "n<=6"),), _fuzz),
 }
 
 

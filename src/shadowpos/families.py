@@ -324,9 +324,9 @@ def enumerate_connected(n_max: int) -> Iterator[Graph]:
                 rows = [g.adj[u] | ((nb >> u & 1) << (n - 1)) for u in range(n - 1)]
                 rows.append(nb)
                 cand = Graph(n, tuple(rows))
-                key = canonical_key(cand)
+                key, generators = _canonical_search(cand)
                 if key not in seen:
                     seen.add(key)
-                    nxt.append((cand, _canonical_search(cand)[1] if n < n_max else []))
+                    nxt.append((cand, generators))
                     yield cand
         level = nxt

@@ -150,8 +150,9 @@ def mu_shadow_bounds(n: int, mu: int, mu_i: int, max_degree: int) -> tuple[int, 
 
 @lru_cache(maxsize=8)
 def _connected_reps(n_max: int) -> tuple[tuple[str, Graph], ...]:
-    """(graph6, graph) of one connected graph per isomorphism class, orders 2..n_max."""
-    return tuple((graph_to_graph6(g), g) for g in enumerate_connected(n_max) if g.n >= 2)
+    """(graph6, graph) of one connected graph per isomorphism class, orders 1..n_max,
+    enumerated once per process for :func:`fuzz` and the per-graph suites."""
+    return tuple((graph_to_graph6(g), g) for g in enumerate_connected(n_max))
 
 
 def _multisets(total: int) -> list[tuple[int, ...]]:
@@ -279,7 +280,7 @@ def _suite(suite_id: str, description: str, n_max: int,
         top = p.n_max if p.n_max is not None else n_max
         if members is not None:
             return members(top, p)
-        return [_GraphProfile(g6, g, p.budget) for g6, g in _connected_reps(top)]
+        return [_GraphProfile(g6, g, p.budget) for g6, g in _connected_reps(top) if g.n >= 2]
 
     def check(profile: _GraphProfile) -> InstanceResult:
         if outside is not None and outside[1](profile):
@@ -482,12 +483,11 @@ def run_suite(suite_id: str, params: SuiteParams = SuiteParams(),
 def fuzz(n_max: int):
     """Run every per-graph check over all small connected graphs.
 
-    Yields one record per enumerated graph (dedup by isomorphism class);
-    counterexamples are serialized in the record immediately.
+    Yields one record per graph of :func:`_connected_reps`, K_1 included, and
+    solves each check afresh; counterexamples are serialized in the record.
     """
     suite_ids = [s.id for s in SUITES.values() if s.per_graph]
-    for g in enumerate_connected(n_max):
-        g6 = graph_to_graph6(g)
+    for g6, g in _connected_reps(n_max):
         profile = _GraphProfile(g6, g, DEFAULT_NODE_BUDGET)
         # Every check involves the shadow, which needs at least one edge.
         checks = {sid: SUITES[sid].check_instance(profile)

@@ -27,6 +27,7 @@ SLICE = {
                ("chi", "G"), ("ip", "S(G)"), ("ic", "S(G)"), ("chi", "S(G)")),
     "metric": ((None, "S(cycle:40)"), (None, "lemma"), (None, "S(T)")),
     "enumerate": (("enumerate", "n<=5"), ("enumerate", "n<=6")),
+    "fuzz": (("fuzz", "n<=6"),),
     "max_set": (("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"),
                 ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)"),
                 *((prop, spec) for spec in ("G", "S(G)")

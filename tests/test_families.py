@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from shadowpos import families
 from shadowpos.families import (
     ENUMERATION_CAP,
     FamilySpec,
@@ -250,6 +251,18 @@ def test_dedup_enumeration_counts():
     sequence = "\n".join(graph_to_graph6(g) for g in graphs)
     assert hashlib.sha256(sequence.encode()).hexdigest() == (
         "b189084ab307f9f29b4f1ae39db2570182af02bbe82ef4d08ed035473aa9a883")
+
+
+def test_enumeration_searches_each_candidate_once(monkeypatch):
+    # One canonical search per candidate gives its key and, for a graph
+    # kept, the generators its children's orbits come from: 388 candidates
+    # (orbit representatives of neighbourhoods) extend the graphs of n <= 5.
+    calls = []
+    search = families._canonical_search
+    monkeypatch.setattr(families, "_canonical_search", lambda g: calls.append(g) or search(g))
+    assert len(list(enumerate_connected(6))) == 143
+    assert len(calls) == 388
+    assert len({(g.n, g.adj) for g in calls}) == 388
 
 
 def test_enumeration_cap():

@@ -222,6 +222,24 @@ def test_fuzz_records_match_suite_runs():
         assert from_fuzz == {r.key: r.to_dict() for r in rep.results}, sid
 
 
+def test_fuzz_and_suites_enumerate_once_per_process(monkeypatch):
+    # The enumeration is the one thing cached across calls: two fuzz passes
+    # and a suite run at the same n_max read one enumeration.
+    calls = []
+    enumerate_connected = verify.enumerate_connected
+    monkeypatch.setattr(verify, "enumerate_connected",
+                        lambda n: calls.append(n) or enumerate_connected(n))
+    verify._connected_reps.cache_clear()
+    first, second = list(fuzz(4)), list(fuzz(4))
+    rep = run_suite("mu-bounds", SuiteParams(n_max=4), workers=1)
+    assert calls == [4]
+    assert first == second
+    assert [rec["n"] for rec in first] == [1, 2, 3, 3, 4, 4, 4, 4, 4, 4]
+    assert first[0]["checks"] == {}
+    assert {r.key: r.to_dict() for r in rep.results} == {
+        rec["graph6"]: rec["checks"]["mu-bounds"] for rec in first if rec["n"] >= 2}
+
+
 def test_fuzz_solves_each_pair_once_per_call(monkeypatch):
     # Every exact read goes through solve(), the covers ip and ic included.
     calls = Counter()
