@@ -35,10 +35,9 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
   ``repeat`` runs and a digest of its graph6 sequence; then
   ``canonical_key`` alone on K_8, K_{4,4}, C_8 and C_9, the best of
   ``repeat`` runs each.
-- ``fuzz``: ``list(fuzz(6))`` from an empty enumeration cache
-  (``verify._connected_reps``) and repeated on a full one, the best of
-  ``repeat`` runs each, with the ``enumerate_connected`` calls each makes,
-  the record count and a digest of the records.
+- ``fuzz``: one ``list(fuzz(6))`` call, the best of ``repeat`` runs, each
+  from an empty enumeration cache (``verify._connected_reps``), with the
+  record count and a digest of the records.
 
 The workload graphs come from ``perfbench/workloads.py`` itself, so they stay
 the workloads' graphs.  Values, node counts, graph counts and sha256 digests
@@ -218,13 +217,6 @@ def _count_tables(run: Callable[[], object]) -> dict:
             "between_built": sum("between" in vars(t) for t in tables)}
 
 
-def _count_calls(original: Callable, run: Callable[[], object]) -> int:
-    """How many times ``run()`` calls ``original`` through a ``shadowpos`` name."""
-    calls = []
-    _patched(original, lambda *args: calls.append(args) or original(*args), run)
-    return len(calls)
-
-
 def _enumerate(prop: str, gs: list, settings: dict) -> dict:
     from shadowpos import families
     from shadowpos.formats import graph_to_graph6
@@ -232,32 +224,24 @@ def _enumerate(prop: str, gs: list, settings: dict) -> dict:
     if prop == "canonical_key":
         (g,) = gs
         return {"best_s": round(best_of(lambda: families.canonical_key(g), repeat)[1], 5)}
-    n_max = gs[-1].n
-    calls = _count_calls(families._canonical_search,
-                         lambda: list(families.enumerate_connected(n_max)))
+    n_max, original, calls = gs[-1].n, families._canonical_search, []
+    _patched(original, lambda g: calls.append(g) or original(g),
+             lambda: list(families.enumerate_connected(n_max)))
     out, s = best_of(lambda: list(families.enumerate_connected(n_max)), repeat)
-    return {"graphs": len(out), "canonical_search_calls": calls, "best_s": round(s, 4),
+    return {"graphs": len(out), "canonical_search_calls": len(calls), "best_s": round(s, 4),
             "graph6_sha256": sha("\n".join(map(graph_to_graph6, out)))}
 
 
 def _fuzz(_: str, gs: list, settings: dict) -> dict:
-    from shadowpos import families, verify
-    n_max = gs[-1].n
+    from shadowpos import verify
 
-    def warm():
-        return list(verify.fuzz(n_max))
-
-    def cold():
+    def once():
         verify._connected_reps.cache_clear()
-        return warm()
+        return list(verify.fuzz(gs[-1].n))
 
-    cold_calls = _count_calls(families.enumerate_connected, cold)
-    warm_calls = _count_calls(families.enumerate_connected, warm)
-    records, cold_s = best_of(cold, settings["repeat"])
-    warm_s = best_of(warm, settings["repeat"])[1]
-    return {"records": len(records), "cold_enumerate_calls": cold_calls,
-            "warm_enumerate_calls": warm_calls, "cold_s": round(cold_s, 4),
-            "warm_s": round(warm_s, 4), "records_sha256": sha(json.dumps(records))}
+    records, s = best_of(once, settings["repeat"])
+    return {"records": len(records), "best_s": round(s, 4),
+            "records_sha256": sha(json.dumps(records))}
 
 
 def _table_counts() -> dict:
