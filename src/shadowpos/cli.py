@@ -1,10 +1,11 @@
 """Command-line entry point: compute invariants, transform graphs, replay suites.
 
-Exit codes: 0 success, 2 parse error, 3 precondition failure (disconnected
-input, or a verify range that is empty or past order 7), 4 the search
-stopped before it finished (node budget or --time), 5 unwritable output
-path.  All JSON records state the twin-index convention explicitly so
-serialized witnesses are unambiguous.
+Exit codes: 0 success, 2 parse error (unknown options and choices too),
+3 precondition failure (disconnected input, or a verify range that is
+empty or past order 7), 4 the search stopped before it finished (node
+budget or --time), 5 unwritable output path.  All JSON records state the
+twin-index convention explicitly so serialized witnesses are unambiguous;
+a compute record also names the construction it applied (``op``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 
@@ -43,6 +44,14 @@ EXIT_STOPPED = 4
 EXIT_UNWRITABLE = 5
 
 INDEX_CONVENTION = "twin of base vertex i is i + n; apex (star shadow) is 2n"
+
+# The constructions, by the name both ``--op`` choices take.
+OPS = {"shadow": lambda g: shadow(g).graph, "star-shadow": star_shadow}
+
+
+def _fail(message: str, code: int) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
 
 
 def _load_graph(source: str) -> tuple[Graph, str]:
@@ -95,41 +104,32 @@ def main() -> None:
               type=click.Choice(INVARIANT_CODES), help="Invariant to compute.")
 @click.option("--graph", "source", required=True,
               help="File path (edge list or graph6), family spec, or graph6 string.")
-@click.option("--shadow", "apply_shadow", is_flag=True,
-              help="Apply the shadow construction before solving.")
-@click.option("--star-shadow", "apply_star", is_flag=True,
-              help="Apply the star shadow construction before solving.")
+@click.option("--op", type=click.Choice(list(OPS)), default=None,
+              help="Construction to apply before solving (default: none).")
 @click.option("--time", "time_budget", type=click.FloatRange(min=0), default=None,
               callback=_finite,
               help="Stop the search this many seconds after it starts (default: no deadline).")
 @click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_NODE_BUDGET,
               show_default=True, help="Node budget of the search.")
-def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: bool,
+def cmd_compute(invariant: str, source: str, op: Optional[str],
                 time_budget: Optional[float], budget: int) -> None:
     """Compute one invariant and print a JSON report on stdout."""
-    if apply_shadow and apply_star:
-        click.echo("error: --shadow and --star-shadow are mutually exclusive",
-                   err=True)
-        sys.exit(EXIT_PARSE)
     try:
         g, identifier = _load_graph(source)
     except GraphError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(str(exc), EXIT_PARSE)
     try:
-        if apply_shadow:
-            g = shadow(g).graph
-        elif apply_star:
-            g = star_shadow(g)
+        if op is not None:
+            g = OPS[op](g)
         report = solve(invariant, g, budget,
                        math.inf if time_budget is None else time_budget)
     except GraphError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
+        _fail(str(exc), EXIT_PRECONDITION)
     record = {
         "timestamp": _timestamp(),
         "command": "compute",
         "graph": identifier,
+        "op": op,
         "n": g.n,
         "index_convention": INDEX_CONVENTION,
         **report.to_dict(),
@@ -142,7 +142,7 @@ def cmd_compute(invariant: str, source: str, apply_shadow: bool, apply_star: boo
 @main.command("transform")
 @click.option("--graph", "source", required=True,
               help="File path (edge list or graph6), family spec, or graph6 string.")
-@click.option("--op", required=True, type=click.Choice(["shadow", "star-shadow"]),
+@click.option("--op", required=True, type=click.Choice(list(OPS)),
               help="Construction to apply.")
 @click.option("--out", "out_path", required=True, help="Output file path.")
 @click.option("--format", "fmt", required=True,
@@ -152,16 +152,11 @@ def cmd_transform(source: str, op: str, out_path: str, fmt: str) -> None:
     try:
         g, _ = _load_graph(source)
     except GraphError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(str(exc), EXIT_PARSE)
     try:
-        if op == "shadow":
-            out = shadow(g).graph
-        else:
-            out = star_shadow(g)
+        out = OPS[op](g)
     except GraphError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
+        _fail(str(exc), EXIT_PRECONDITION)
     if fmt == "g6":
         payload = graph_to_graph6(out) + "\n"
     elif fmt == "edges":
@@ -172,13 +167,12 @@ def cmd_transform(source: str, op: str, out_path: str, fmt: str) -> None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
-        click.echo(f"error: cannot write {out_path}: {exc}", err=True)
-        sys.exit(EXIT_UNWRITABLE)
+        _fail(f"cannot write {out_path}: {exc}", EXIT_UNWRITABLE)
 
 
 @main.command("verify")
 @click.option("--suite", "suite_id", required=True,
-              help="Suite identifier or 'all'.")
+              type=click.Choice([*SUITES, "all"]), help="Suite identifier or 'all'.")
 @click.option("--n-max", type=click.IntRange(min=2), default=None,
               help="Override the suite's default size range.")
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -190,11 +184,6 @@ def cmd_transform(source: str, op: str, out_path: str, fmt: str) -> None:
 def cmd_verify(suite_id: str, n_max: Optional[int], seed: int,
                log_path: Optional[str], workers: Optional[int]) -> None:
     """Replay named verification suites; exit 0 iff no instance fails."""
-    if suite_id != "all" and suite_id not in SUITES:
-        known = ", ".join(sorted(SUITES))
-        click.echo(f"error: unknown suite {suite_id!r}; available: {known}, all",
-                   err=True)
-        sys.exit(EXIT_PARSE)
     params = SuiteParams(n_max=n_max, seed=seed)
     suite_ids = list(SUITES) if suite_id == "all" else [suite_id]
     log_fh = None
@@ -202,8 +191,7 @@ def cmd_verify(suite_id: str, n_max: Optional[int], seed: int,
         try:
             log_fh = open(log_path, "a", encoding="utf-8")
         except OSError as exc:
-            click.echo(f"error: cannot write {log_path}: {exc}", err=True)
-            sys.exit(EXIT_UNWRITABLE)
+            _fail(f"cannot write {log_path}: {exc}", EXIT_UNWRITABLE)
     total_fail = 0
     header = f"{'suite':<16} {'instances':>9} {'pass':>6} {'fail':>6} {'skipped':>8}"
     click.echo(header)
@@ -213,8 +201,7 @@ def cmd_verify(suite_id: str, n_max: Optional[int], seed: int,
             try:
                 report = run_suite(sid, params, workers=workers)
             except GraphError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_PRECONDITION)
+                _fail(str(exc), EXIT_PRECONDITION)
             total_fail += report.failed
             click.echo(f"{sid:<16} {len(report.results):>9} {report.passed:>6} "
                        f"{report.failed:>6} {report.skipped:>8}")

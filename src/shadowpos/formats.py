@@ -27,25 +27,26 @@ def _encode_size(n: int) -> bytes:
     raise GraphError(f"graph too large for graph6: {n} vertices")
 
 
+def _sextet(b: int) -> int:
+    """The six bits a graph6 byte carries; every byte lies in 63..126."""
+    if not 63 <= b <= 126:
+        raise GraphError(f"invalid graph6 byte {b}")
+    return b - 63
+
+
 def _decode_size(data: bytes) -> tuple[int, int]:
     """Return (n, bytes consumed)."""
     if not data:
         raise GraphError("empty graph6 string")
-    if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise GraphError("truncated graph6 size field")
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | (b - 63)
-        return n, 8
-    if len(data) < 4:
+    # One byte below 126, else 126 and three bytes, else 126 126 and six.
+    start = 0 if data[0] != 126 else 2 if data[1:2] == b"~" else 1
+    end = (1, 4, 8)[start]
+    if len(data) < end:
         raise GraphError("truncated graph6 size field")
     n = 0
-    for b in data[1:4]:
-        n = (n << 6) | (b - 63)
-    return n, 4
+    for b in data[start:end]:
+        n = n << 6 | _sextet(b)
+    return n, end
 
 
 def graph_to_graph6(g: Graph) -> str:
@@ -82,10 +83,9 @@ def graph6_to_graph(text: str) -> Graph:
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}")
     bits = []
     for b in body:
-        if not 63 <= b <= 126:
-            raise GraphError(f"invalid graph6 byte {b}")
+        word = _sextet(b)
         for k in range(5, -1, -1):
-            bits.append((b - 63) >> k & 1)
+            bits.append(word >> k & 1)
     edges = []
     i = 0
     for v in range(n):

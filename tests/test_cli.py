@@ -21,15 +21,17 @@ def _compute(runner, *args):
 
 def test_compute_examples(runner):
     result, payload = _compute(runner, "--invariant", "gp",
-                               "--graph", "cycle:8", "--shadow")
+                               "--graph", "cycle:8", "--op", "shadow")
     assert result.exit_code == 0 and payload["value"] == 6 and payload["exact"]
+    assert payload["graph"] == "cycle:8" and payload["op"] == "shadow" and payload["n"] == 16
 
     result, payload = _compute(runner, "--invariant", "chi",
-                               "--graph", "cycle:5", "--star-shadow")
+                               "--graph", "cycle:5", "--op", "star-shadow")
     assert result.exit_code == 0 and payload["value"] == 4
+    assert payload["op"] == "star-shadow" and payload["n"] == 11
 
     result, payload = _compute(runner, "--invariant", "mu",
-                               "--graph", "path:2", "--shadow")
+                               "--graph", "path:2", "--op", "shadow")
     assert result.exit_code == 0 and payload["value"] == 2
     assert sorted(payload["witness"]) == payload["witness"]
     assert "index_convention" in payload
@@ -37,7 +39,7 @@ def test_compute_examples(runner):
 
 def test_compute_heuristic(runner):
     result, payload = _compute(runner, "--invariant", "mu", "--graph",
-                               "balloon:2", "--shadow", "--time", "0.3")
+                               "balloon:2", "--op", "shadow", "--time", "0.3")
     assert result.exit_code == (0 if payload["exact"] else 4)
     assert payload["value"] >= 11
     assert payload["value"] == 13 or not payload["exact"]
@@ -49,6 +51,7 @@ def test_compute_canonical_witness(runner):
     # P_4: every pair is in general position and no triple is, so the
     # lexicographically smallest maximum set is [0, 1].
     assert payload["witness"] == [0, 1]
+    assert payload["op"] is None and payload["n"] == 4
 
 
 def test_compute_heuristic_gives_the_canonical_witness(runner):
@@ -75,13 +78,21 @@ def test_compute_reads_files_and_literals(runner, tmp_path):
     result, payload = _compute(runner, "--invariant", "chi", "--graph", "C~")
     assert result.exit_code == 0 and payload["value"] == 4
 
+    # A file with no edge line is read as graph6, whose size byte '#' is refused.
+    comment_file = tmp_path / "comment.edges"
+    comment_file.write_text("# no edges\n")
+    result, payload = _compute(runner, "--invariant", "gp", "--graph", str(comment_file))
+    assert result.exit_code == 2 and payload is None
+    assert result.stderr == "error: invalid graph6 byte 35\n"
+
 
 def test_compute_parse_error_exit_2(runner):
     result, _ = _compute(runner, "--invariant", "gp", "--graph", "wat?!")
     assert result.exit_code == 2
-    result, _ = _compute(runner, "--invariant", "gp", "--graph", "cycle:5",
-                         "--shadow", "--star-shadow")
-    assert result.exit_code == 2
+    # A directory exists as a path but cannot be read as a file.
+    result, payload = _compute(runner, "--invariant", "gp", "--graph", ".")
+    assert result.exit_code == 2 and payload is None
+    assert result.stderr.startswith("error: cannot read .: ")
     result, payload = _compute(runner, "--invariant", "gp", "--graph", "cycle:6",
                                "--canonical-witness")
     assert result.exit_code == 2 and payload is None
@@ -90,8 +101,9 @@ def test_compute_parse_error_exit_2(runner):
                                "--time", "1", "--seed", "1")
     assert result.exit_code == 2 and payload is None
     assert "Error: No such option '--seed'" in result.stderr
-    # --time alone sets the deadline; the old mode flags are unknown options.
-    for flag in ("--heuristic", "--exact"):
+    # --time alone sets the deadline and --op names the construction; the
+    # old mode and construction flags are unknown options.
+    for flag in ("--heuristic", "--exact", "--shadow", "--star-shadow"):
         result, payload = _compute(runner, "--invariant", "gp", "--graph", "cycle:6", flag)
         assert result.exit_code == 2 and payload is None
         assert f"Error: No such option '{flag}'" in result.stderr
@@ -106,7 +118,7 @@ def test_compute_precondition_exit_3(runner, tmp_path):
 
 def test_compute_budget_exit_4(runner):
     result, payload = _compute(runner, "--invariant", "mu", "--graph",
-                               "cycle:9", "--shadow", "--budget", "10")
+                               "cycle:9", "--op", "shadow", "--budget", "10")
     assert result.exit_code == 4
     assert payload is not None and payload["exact"] is False
 
@@ -140,7 +152,7 @@ def test_compute_heuristic_cover_stops_at_its_deadline(runner):
 @pytest.mark.parametrize("args, exact", [
     (("gp", "cycle:6", "--time", "2"), True),
     (("igp", "cycle:6", "--time", "0"), False),
-    (("mu", "cycle:9", "--shadow", "--time", "1", "--budget", "10"), False),
+    (("mu", "cycle:9", "--op", "shadow", "--time", "1", "--budget", "10"), False),
     (("mui", "cycle:6", "--time", "0.5"), True),
     (("mut", "cycle:6", "--time", "1"), True),
     (("muit", "cycle:6", "--time", "1"), True),
@@ -156,7 +168,7 @@ def test_compute_time_exits_4_iff_cut(runner, args, exact):
 
 
 @pytest.mark.parametrize("args", [
-    ("compute", "--invariant", "mu", "--graph", "cycle:9", "--shadow", "--budget", "-1"),
+    ("compute", "--invariant", "mu", "--graph", "cycle:9", "--op", "shadow", "--budget", "-1"),
     ("compute", "--invariant", "mu", "--graph", "cycle:6", "--time", "-0.5"),
     ("verify", "--suite", "gp-cycles", "--workers", "0"),
     ("verify", "--suite", "gp-cycles", "--n-max", "1"),
@@ -180,7 +192,7 @@ def test_compute_accepts_options_that_apply(runner):
     for args in (("ip", "cycle:6"),
                  ("gp", "cycle:6", "--budget", str(DEFAULT_NODE_BUDGET)),
                  ("mu", "cycle:6", "--time", "0.05"),
-                 ("mu", "cycle:9", "--shadow", "--budget", "10"),
+                 ("mu", "cycle:9", "--op", "shadow", "--budget", "10"),
                  ("ip", "cycle:6", "--time", "1", "--budget", "100"),
                  ("chi", "cycle:5", "--time", "1")):
         invariant, graph, *rest = args
@@ -295,6 +307,16 @@ def test_transform_refusals_write_nothing(runner, tmp_path):
 def test_verify_unknown_suite_exit_2(runner):
     result = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert result.exit_code == 2
+    assert "Invalid value for '--suite': 'bogus' is not one of 'gp-complete'" in result.stderr
+    assert "ip-ic-bounds|all]" in runner.invoke(main, ["verify", "--help"]).output
+
+
+def test_verify_default_workers_match_one_worker(runner):
+    # Without --workers a suite runs on as many processes as this one may use.
+    default = runner.invoke(main, ["verify", "--suite", "gp-complete"])
+    single = runner.invoke(main, ["verify", "--suite", "gp-complete", "--workers", "1"])
+    assert default.exit_code == single.exit_code == 0
+    assert default.stdout == single.stdout
 
 
 def test_verify_passing_suite(runner, tmp_path):

@@ -268,6 +268,7 @@ def test_enumeration_searches_each_candidate_once(monkeypatch):
 def test_enumeration_cap():
     with pytest.raises(GraphError):
         list(enumerate_connected(ENUMERATION_CAP + 1))
+    assert list(enumerate_connected(0)) == []
 
 
 def test_spec_validation():

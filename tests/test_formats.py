@@ -69,6 +69,11 @@ def test_graph6_size_field():
         with pytest.raises(GraphError) as exc:
             graph6_to_graph(bad)
         assert str(exc.value) == "truncated graph6 size field"
+    # Size bytes lie in 63..126 as body bytes do, in each width.
+    for bad, byte in [("!", 33), ("\x7fa", 127), ("~\x7f??", 127), ("~~?>????", 62)]:
+        with pytest.raises(GraphError) as exc:
+            graph6_to_graph(bad)
+        assert str(exc.value) == f"invalid graph6 byte {byte}"
     for n, message in [(-1, "negative vertex count"),
                        (2 ** 36, f"graph too large for graph6: {2 ** 36} vertices")]:
         with pytest.raises(GraphError) as exc:
@@ -114,6 +119,7 @@ def test_looks_like_edge_list():
     assert looks_like_edge_list("# c\n5\n0 1\n")
     assert not looks_like_edge_list("C~")
     assert not looks_like_edge_list(GRAPH6_HEADER + "C~")
+    assert not looks_like_edge_list("# only a comment\n\n")
 
 
 def test_dot_export():

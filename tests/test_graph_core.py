@@ -114,6 +114,7 @@ def test_distances_on_disconnected_graph():
             assert t.between[u][v] == t.between[v][u] == 0
             assert t.line[u][v] == t.line[v][u] == 0
     assert not is_connected(g)
+    assert is_connected(build_graph(0, []))
     with pytest.raises(GraphError):
         avoidance_test(t, g)(0, 2, 0)
 

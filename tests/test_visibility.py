@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from shadowpos.families import enumerate_connected
 from shadowpos.graph_core import distances, mask_of
 from shadowpos.shadow import shadow
@@ -58,6 +60,8 @@ def test_small_and_degenerate_sets():
     for prop in SetProperty:
         assert check(prop, g, t, 0)
         assert check(prop, g, t, 1)
+    with pytest.raises(ValueError):
+        check("gp", g, t, 0)
 
 
 def test_independence_predicate():
