@@ -1,6 +1,7 @@
 """Run benchmark rows on a checkout and merge each row's results into its record.
 
-    python3 scripts/bench.py max_set heuristic covers metric enumerate fuzz --label change
+    python3 scripts/bench.py max_set heuristic covers metric enumerate fuzz startup \
+        --label change
     python3 scripts/bench.py covers --src ../parent/src --label parent
 
 ``--src`` is the ``src`` directory of the checkout to measure, so the same
@@ -38,6 +39,14 @@ Each row writes ``BENCH_<row>.json`` at the repo root, with this run under
 - ``fuzz``: one ``list(fuzz(6))`` call, the best of ``repeat`` runs, each
   from an empty enumeration cache (``verify._connected_reps``), with the
   record count and a digest of the records.
+- ``startup``: a fresh interpreter that runs ``import shadowpos``, one that
+  runs ``import shadowpos.cli`` and one ``shadowpos.cli compute --invariant
+  gp --graph path:4``, the best of ``repeat`` runs each, with the
+  ``shadowpos`` modules it imports and whether it imports the process pool
+  (``concurrent.futures`` or ``multiprocessing``).  How many modules each
+  imports beyond a bare interpreter depends on the Python build, so the run
+  records it apart from the results, with ``PYTHONDONTWRITEBYTECODE``: when
+  it is set, every fresh interpreter compiles ``src`` again.
 
 The workload graphs come from ``perfbench/workloads.py`` itself, so they stay
 the workloads' graphs.  Values, node counts, graph counts and sha256 digests
@@ -52,7 +61,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
 from functools import cache
@@ -71,6 +82,7 @@ class Row(NamedTuple):
     measure: Callable[[Optional[str], list, dict], dict]
     extra: Optional[Callable[[], dict]] = None  # more fields of each run
     agree: Optional[str] = None  # the digest whose agreement across runs is recorded
+    inputs: Optional[Callable[[str], dict]] = None  # named inputs of a spec; graphs() if None
 
 
 def _cold_tables() -> None:
@@ -130,7 +142,7 @@ def run(row: Row, instances: tuple) -> dict[str, dict]:
     """``row.measure`` of each of ``instances``, by the name the record gives it."""
     results = {}
     for prop, spec in instances:
-        for label, gs in graphs(spec).items():
+        for label, gs in (row.inputs or graphs)(spec).items():
             name = f"{prop} {label}" if prop else label
             results[name] = row.measure(prop, gs, row.settings)
             print(f"{name:38} {json.dumps(results[name])}", flush=True)
@@ -261,6 +273,47 @@ def _table_counts() -> dict:
         "lemma-large": _count_tables(lemma_pass)}}
 
 
+STARTUP = ("import shadowpos", "import shadowpos.cli", "compute --invariant gp --graph path:4")
+
+
+def _argv(command: str) -> tuple[str, ...]:
+    """Python's arguments for a startup command: an import statement, or CLI arguments."""
+    if command.startswith("import "):
+        return ("-c", command)
+    return ("-m", "shadowpos.cli", *command.split())
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args`` that imports ``shadowpos`` from the checkout measured."""
+    import shadowpos
+    src = str(Path(shadowpos.__file__).parent.parent)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          cwd=ROOT, capture_output=True, text=True, check=True)
+
+
+@cache
+def _imports(argv: tuple[str, ...]) -> tuple[str, ...]:
+    """The modules a fresh interpreter on ``argv`` imports, read from ``-X importtime``."""
+    lines = _python("-X", "importtime", *argv).stderr.splitlines()
+    names = (line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:"))
+    return tuple(name for name in names if name != "imported package")
+
+
+def _startup(_: None, commands: list, settings: dict) -> dict:
+    (command,) = commands
+    imports = _imports(_argv(command))
+    return {"shadowpos_modules": sorted(m for m in imports if m.split(".")[0] == "shadowpos"),
+            "pool_stack": any(m in ("concurrent.futures", "multiprocessing") for m in imports),
+            "best_s": round(best_of(lambda: _python(*_argv(command)), settings["repeat"])[1], 4)}
+
+
+def _startup_totals() -> dict:
+    bare = set(_imports(("-c", "pass")))
+    return {"modules_added": {command: len(set(_imports(_argv(command))) - bare)
+                              for command in STARTUP},
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+
+
 ROWS = {
     "max_set": Row("instances", {"repeat": 3, "budget": 1_000_000}, (
         ("MV", "S(cycle:14)"), ("MV", "S(cycle:18)"), ("MV", "S(cycle:22)"),
@@ -298,6 +351,8 @@ ROWS = {
         *(("canonical_key", spec) for spec in ("complete:8", "bipartite:4,4", "cycle:8",
                                                "cycle:9"))), _enumerate),
     "fuzz": Row("instances", {"repeat": 3}, (("fuzz", "n<=6"),), _fuzz),
+    "startup": Row("runs", {"repeat": 5}, tuple((None, command) for command in STARTUP),
+                   _startup, extra=_startup_totals, inputs=lambda command: {command: [command]}),
 }
 
 

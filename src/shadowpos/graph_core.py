@@ -69,10 +69,14 @@ class Graph:
                 raise GraphError(f"adjacency row {u} has bits outside 0..{self.n - 1}")
             if row >> u & 1:
                 raise GraphError(f"loop at vertex {u}")
-        for u in range(self.n):
-            for v in iter_bits(self.adj[u]):
-                if not self.adj[v] >> u & 1:
+        adj = self.adj
+        for u, row in enumerate(adj):
+            while row:
+                low = row & -row
+                v = low.bit_length() - 1
+                if not adj[v] >> u & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @property
     def m(self) -> int:

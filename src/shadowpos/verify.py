@@ -23,7 +23,6 @@ whose search budget runs out are reported SKIPPED, never silently passed.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional
@@ -467,6 +466,8 @@ def run_suite(suite_id: str, params: SuiteParams = SuiteParams(),
     if workers is None:
         workers = worker_count()
     if workers > 1 and len(items) > 1:
+        # Imported here, so a process that starts no pool never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_dispatch, items, chunksize=8))
     else:

@@ -3,7 +3,7 @@
 A change that moves a value, node count or digest of these instances must
 record a new run with ``scripts/bench.py``.  The slice keeps to instances
 that take milliseconds, timed once; heuristic runs finish far inside their
-deadline.
+deadline, and a startup run is one fresh interpreter.
 """
 
 import importlib.util
@@ -28,6 +28,7 @@ SLICE = {
     "metric": ((None, "S(cycle:40)"), (None, "lemma"), (None, "S(T)")),
     "enumerate": (("enumerate", "n<=5"), ("enumerate", "n<=6")),
     "fuzz": (("fuzz", "n<=6"),),
+    "startup": tuple((None, command) for command in bench.STARTUP),
     "max_set": (("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"),
                 ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)"),
                 *((prop, spec) for spec in ("G", "S(G)")

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -202,6 +204,17 @@ def test_parallel_matches_serial():
     assert [r.to_dict() for r in serial.results] == \
         [r.to_dict() for r in parallel.results]
 
+
+
+@pytest.mark.parametrize("module", ["shadowpos", "shadowpos.cli"])
+def test_import_loads_no_process_pool(module):
+    # A fresh interpreter: only a run_suite call that starts a pool may pay for it.
+    code = (f"import sys, {module}\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(verify.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 def test_fuzz_driver_yields_records():
     records = list(fuzz(4))
