@@ -10,11 +10,12 @@ candidates that can no longer join (for all six properties a test of only
 what ``w`` can break), and a subtree is pruned by its size plus a bound on
 how many of its candidates can still join: their number, or for GP, IGP,
 MV and IMV the cliques of a greedy partition of the candidates' pairwise
-conflicts, the colouring bound of max-clique solvers.  Its seed is the
-greedy set in reverse order, which on a shadow reaches the twins, the last
-vertices, first; the search starts one below it.  It takes the vertices in
-order ``0..n-1``, so every exact witness is the lexicographically smallest
-maximum set.
+conflicts, the colouring bound of max-clique solvers.  Where only the set
+with every candidate left can beat the best, one test of that set decides
+the subtree.  Its seed is the greedy set in reverse order, which on a
+shadow reaches the twins, the last vertices, first; the search starts one
+below it.  It takes the vertices in order ``0..n-1``, so every exact
+witness is the lexicographically smallest maximum set.
 
 Two other searches are exact: a minimum set cover serves the isometric
 path and cycle covers, and a DSATUR colouring search the chromatic number.
@@ -185,13 +186,18 @@ class _Checker:
     still join it; every property is hereditary, so it tests only what ``w``
     can break.  It may stop early, with fewer than ``need`` of them, once
     fewer than ``need`` can remain.  Having passed that check, a candidate
-    joins through :meth:`add`, which does not test again.
+    joins through :meth:`add`, which does not test again.  :meth:`holds`
+    tests a whole set at once with the subclass's ``sees``; it is exact on
+    any mask, and the search calls it only where every candidate left must
+    join the set to beat the best.
 
     :meth:`bounds` caps, for each suffix of a candidate list, how many of its
     candidates can join the set together, from the :meth:`conflicts` a
     subclass names.  The search prunes with it, so two candidates that some
     superset of the set holds together must never conflict.
     """
+
+    total = False  # TMV and ITMV: every pair of G, not only the members, must see
 
     def __init__(self, g: Graph, t: DistanceTable, independent: bool = False):
         self.g = g
@@ -219,6 +225,20 @@ class _Checker:
     def add(self, w: int) -> None:
         self._push(w, 0)
 
+    def holds(self, mask: VertexMask) -> bool:
+        """True iff ``mask`` is a set: no edge inside it (IGP, IMV, ITMV),
+        and every pair of members (of G, for TMV and ITMV) with a member
+        between its ends passes :meth:`sees` around it.  Exact on any mask."""
+        adj, btw, sees = self.adj, self.t.between, self.sees
+        members = list(iter_bits(mask))
+        if self.independent and any(adj[u] & mask for u in members):
+            return False
+        ends = range(self.g.n) if self.total else members
+        for u, v in itertools.combinations(ends, 2):
+            if btw[u][v] & mask and not sees(u, v, mask):
+                return False
+        return True
+
     def conflicts(self, cands: Sequence[int]) -> Optional[dict[int, VertexMask]]:
         """Each candidate's conflicts: the candidates no superset of the set
         holds together with it.  None here, where none are known."""
@@ -232,7 +252,8 @@ class _Checker:
         solvers); ``common`` holds each clique's shared conflicts.  It is
         ``len(cands) - j`` with no conflicts, on the empty set, and when
         ``cands`` holds no more than ``need``, the number that must join to
-        beat the best; a smaller count would then spare at most one node."""
+        beat the best; a smaller count would then spare at most the one
+        whole-set test of all of them."""
         conflicts = self.members and len(cands) > need and self.conflicts(cands)
         if not conflicts:
             return range(len(cands), 0, -1)
@@ -255,6 +276,11 @@ class _GpChecker(_Checker):
     :class:`DistanceTable`), built once per table and shared by both: a set
     is in general position exactly when no member is on the line of two others.
     """
+
+    @staticmethod
+    def sees(u: int, v: int, forbidden: VertexMask) -> bool:
+        # A member between u and v is on their line.
+        return False
 
     def add(self, w: int) -> None:
         line_w = self.t.line[w]
@@ -362,6 +388,8 @@ class _MvChecker(_Checker):
 
 
 class _TmvChecker(_Checker):
+    total = True
+
     def __init__(self, g: Graph, t: DistanceTable, independent: bool):
         super().__init__(g, t, independent)
         self.sees = avoidance_test(t, g)
@@ -416,12 +444,15 @@ class _MaxSetSearch(_Search):
     meets the first set of the seed's size and replaces the seed with it.
     The one exception is a seed of the whole root, the only set of its
     size, which the search must beat outright.  A node is one candidate
-    branched on.  After a vertex joins, :meth:`_Checker.survivors` returns
-    the later candidates that can still join: the property is hereditary,
-    so a vertex that cannot join at a node cannot join anywhere below it.
-    That forward check makes at most one test per candidate per node, none
-    of them counted as nodes, and it stops once too few candidates are left
-    to beat the best.  A node's subtree is pruned when its size plus
+    branched on, or one whole-set test of the candidates left: where only
+    the set with all of them can beat the best, :meth:`_Checker.holds`
+    decides it, and include before skip would meet that set first.  After
+    a vertex joins, :meth:`_Checker.survivors` returns the later candidates
+    that can still join: the property is hereditary, so a vertex that
+    cannot join at a node cannot join anywhere below it.  That forward
+    check makes at most one test per candidate per node, none of them
+    counted as nodes, and it stops once too few candidates are left to beat
+    the best.  A node's subtree is pruned when its size plus
     :meth:`_Checker.bounds` of its candidates cannot beat the best.  For GP,
     IGP, MV and IMV that bound is a partition of the candidates into cliques
     of pairwise conflicts, each of which can add at most one vertex: a
@@ -467,6 +498,12 @@ class _MaxSetSearch(_Search):
             if size + bounds[j] <= self.best:
                 return
             self._node()
+            if size + len(cands) - j == self.best + 1:
+                # Only the set with every candidate left can beat the best.
+                whole = checker.mask | mask_of(cands[j:])
+                if checker.holds(whole):
+                    self.best, self.witness = self.best + 1, whole
+                return
             checker.add(w)
             if size + 1 > self.best:
                 self.best = size + 1
@@ -486,14 +523,15 @@ def max_set(prop: SetProperty, g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     lexicographically smallest maximum set.  The root's candidates are
     pre-filtered to the vertices that form a one-vertex set, which every
     vertex does for GP and MV.  ``nodes_explored`` counts the candidates
-    branched on; each that joins also pays for at most one forward-check
-    test per later candidate.  The search stops after ``budget`` nodes or
-    once the clock reads ``time_budget`` seconds past the call's start.  A
-    stopped search returns the largest set it found, at least a prefix of
-    the reverse-order greedy seed, with ``exact=False``; that value is
-    still a certified lower bound.  Every witness is checked before it is
-    returned, by a check that raises rather than asserts, so it still runs
-    under ``python -O``.
+    branched on, each that joins also paying for at most one forward-check
+    test per later candidate, and the whole-set tests, one where only the
+    set with every candidate left can beat the best.  The search stops
+    after ``budget`` nodes or once the clock reads ``time_budget`` seconds
+    past the call's start.  A stopped search returns the largest set it
+    found, at least a prefix of the reverse-order greedy seed, with
+    ``exact=False``; that value is still a certified lower bound.  Every
+    witness is checked before it is returned, by a check that raises rather
+    than asserts, so it still runs under ``python -O``.
     """
     start, t = _connected_table(g, "maximum-set search")
     search = _MaxSetSearch(_make_checker(prop, g, t), budget, start + time_budget)
@@ -513,8 +551,8 @@ def max_set_heuristic(prop: SetProperty, g: Graph, time_budget: float = 1.0) -> 
     returns the largest set found, a certified lower bound, with
     ``exact=False``; what it finds depends on the machine's speed.  A run
     can still overrun ``time_budget`` by the distance table, a started
-    forward check, the set-up of the TMV and ITMV checker, or the final
-    certificate.
+    forward check or whole-set test, the set-up of the TMV and ITMV
+    checker, or the final certificate.
     """
     return max_set(prop, g, time_budget=time_budget)
 

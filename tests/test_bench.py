@@ -30,7 +30,7 @@ SLICE = {
     "fuzz": (("fuzz", "n<=6"),),
     "startup": tuple((None, command) for command in bench.STARTUP),
     "max_set": (("TMV", "S(tree:14:seed=3)"), ("ITMV", "S(tree:16:seed=1)"),
-                ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)"),
+                ("GP", "S(cycle:40)"), ("MV", "S(balloon:3)"), ("MV", "S(T)"),
                 *((prop, spec) for spec in ("G", "S(G)")
                   for prop in ("GP", "IGP", "MV", "IMV", "TMV", "ITMV"))),
     "heuristic": (("TMV", "S(tree:14:seed=3)"), ("GP", "S(kpartite:3,3,3)"),

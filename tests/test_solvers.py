@@ -146,6 +146,9 @@ def test_forward_check_filters_match_the_certifier():
                     assert kept == [x for x in cands
                                     if check_property(prop, g, t, checker.mask | 1 << x)], \
                         (code, g.edges(), checker.members, cands)
+                    whole = checker.mask | mask_of(kept)
+                    assert checker.holds(whole) == check_property(prop, g, t, whole), \
+                        (code, g.edges(), checker.members, kept)
                     need = rng.randint(1, len(cands) + 1)
                     early = checker.survivors(cands, need)
                     assert early == kept or (len(kept) < need and len(early) < need
@@ -159,6 +162,21 @@ def test_forward_check_filters_match_the_certifier():
                     assert check_property(prop, g, t, checker.mask), (code, checker.members)
                 while checker.members:
                     checker.pop()
+
+
+def test_whole_set_test_matches_the_certifier_on_every_subset():
+    # holds() decides any mask, not only the states the search reaches:
+    # every subset of every connected graph of order <= 6 and of the shadows
+    # of those of order 2..4, for all six properties.
+    bases = list(enumerate_connected(6))
+    for g in bases + [shadow(b).graph for b in bases if 1 < b.n <= 4]:
+        t = distances(g)
+        for code in ALL_CODES:
+            prop = property_for_code(code)
+            checker = _make_checker(prop, g, t)
+            for mask in range(1 << g.n):
+                assert checker.holds(mask) == check_property(prop, g, t, mask), \
+                    (code, g.edges(), mask)
 
 
 def test_clique_bounds_count_at_least_the_largest_joining_subset():
@@ -237,6 +255,9 @@ def _certified(checker, prop):
 
         def survivors(self, cands, need=0):
             return [x for x in cands if check_property(prop, self.g, self.t, self.mask | 1 << x)]
+
+        def holds(self, mask):
+            return check_property(prop, self.g, self.t, mask)
     return Certified
 
 
